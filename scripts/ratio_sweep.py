@@ -2,7 +2,7 @@
 """Sweep the worked instance families and tabulate profit ratios.
 
 Produces one CSV row per (family, mechanism, benchmark) cell: the exact
-partition-enumeration expectation next to a seeded Monte Carlo estimate, so
+expectation over all coin splits next to a seeded Monte Carlo estimate, so
 the table doubles as a consistency check. Feed the CSV to any plotter.
 
 Usage:
@@ -20,27 +20,14 @@ from procure.model import linear_curve, make_instance
 from procure.simulation import (
     RATIO_CSV_HEADER,
     estimate_ratio,
-    exhaustive_expected_profit,
+    exact_ratio,
     generate,
     ratio_csv_row,
 )
 
 
 def exact_row(instance, family, params, mechanism="pepa", benchmark="f2"):
-    from procure.simulation import RatioReport, benchmark_value
-
-    bench = benchmark_value(instance, benchmark)
-    expected = exhaustive_expected_profit(instance, mechanism)
-    report = RatioReport(
-        trials=0,
-        mean_profit=expected,
-        std_error=0.0,
-        benchmark=bench,
-        ratio_estimate=expected / bench,
-        ratio_lower_bound_3sigma=expected / bench,
-        instance_digest="",
-    )
-    return ratio_csv_row(report, family, params, mechanism, benchmark)
+    return ratio_csv_row(exact_ratio(instance, mechanism, benchmark), family, params, mechanism, benchmark)
 
 
 def main():
@@ -65,7 +52,7 @@ def main():
     )
 
     # k sellers of equal margin: the exact share has a closed form,
-    # printed alongside the enumeration for comparison
+    # printed alongside the exact expectation for comparison
     for k in (2, 3, 4, 6, 10):
         inst = make_instance([5.0] * k, curve=linear_curve(10.0))
         rows.append(exact_row(inst, "equal-margin", f"k={k}"))

@@ -11,6 +11,7 @@ chosen and announced on stderr so every reported number stays replayable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import secrets
@@ -26,8 +27,6 @@ EXIT_VIOLATIONS = 1
 EXIT_INPUT = 2
 EXIT_UNKNOWN_MECHANISM = 3
 EXIT_BAD_BENCHMARK = 4
-
-EXACT_MAX_BIDDERS = 16
 
 
 def _parse_generator_spec(spec: str) -> tuple[str, dict]:
@@ -132,29 +131,8 @@ def cmd_benchmark(args) -> int:
 
 def cmd_ratio(args) -> int:
     instance, family, params = _obtain_instance(args)
-    try:
-        bench = simulation.benchmark_value(instance, args.benchmark)
-    except benchmarks.BenchmarkUndefinedError as exc:
-        raise BenchmarkNotPositiveError(str(exc)) from exc
-    if bench <= 0:
-        raise BenchmarkNotPositiveError(
-            f"benchmark {args.benchmark!r} is {bench:.6g} on this instance; nothing to divide by"
-        )
     if args.exact:
-        if instance.n > EXACT_MAX_BIDDERS:
-            raise InstanceFormatError(
-                f"--exact enumerates 2^n partitions and is limited to n <= {EXACT_MAX_BIDDERS}; got n={instance.n}"
-            )
-        expected = simulation.exhaustive_expected_profit(instance, args.mechanism, demand_cap=args.demand_cap)
-        report = simulation.RatioReport(
-            trials=0,
-            mean_profit=expected,
-            std_error=0.0,
-            benchmark=bench,
-            ratio_estimate=expected / bench,
-            ratio_lower_bound_3sigma=expected / bench,
-            instance_digest="",
-        )
+        report = simulation.exact_ratio(instance, args.mechanism, args.benchmark, demand_cap=args.demand_cap)
         seed = None
         method = "exhaustive"
     else:
@@ -231,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         if trials:
             p.add_argument("--trials", type=int, default=10000)
             p.add_argument("--benchmark", choices=("f", "t", "f2"), default="f2")
-            p.add_argument("--exact", action="store_true", help="exact expectation over all partitions (n <= 16)")
+            p.add_argument("--exact", action="store_true", help="exact expectation over all coin splits")
         if dims:
             p.add_argument("--dims", default="valuation", help="comma list of audit dimensions: valuation,capacity")
 
@@ -262,9 +240,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every call, which
+    is safe because ``parse_args`` does not change it. A fresh parser per
+    call leaves cyclic garbage that a process calling :func:`main` in a
+    loop holds until the next full collection."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except UnknownMechanismError as exc:

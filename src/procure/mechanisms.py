@@ -181,8 +181,8 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
 
     Returns a closure mapping a partition bitmask to the buyer's profit,
     where bit i (for the bidder with the i-th smallest id) set means side
-    b'. Used by the exhaustive and Monte Carlo estimators; agreement with
-    :func:`run_pepac` is covered by tests.
+    b'. Used by the Monte Carlo estimator; agreement with :func:`run_pepac`
+    is covered by tests.
     """
     rtable = instance.revenue_table
     by_id_rank = sorted(range(instance.n), key=lambda pos: instance.bids[pos].id)

@@ -8,6 +8,7 @@ up to ``EPS`` so that exact-profit identities stay stable at boundaries.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -54,6 +55,8 @@ class RevenueCurve:
     points: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
+        if self.kind in ("linear", "capped") and not math.isfinite(self.r):
+            raise ValueError(f"{self.kind} curve needs a finite slope r, got {self.r}")
         if self.kind == "linear":
             if not (self.r >= 0):
                 raise ValueError(f"linear curve needs slope r >= 0, got {self.r}")
@@ -66,7 +69,9 @@ class RevenueCurve:
             if not self.points:
                 raise ValueError("pwl curve needs at least one breakpoint")
             prev_q, prev_rev = 0, 0.0
-            for q, rev in self.points:
+            for i, (q, rev) in enumerate(self.points):
+                if not math.isfinite(rev):
+                    raise ValueError(f"pwl breakpoint revenue points[{i}][1] must be finite, got {rev}")
                 if not (isinstance(q, int) and q > prev_q):
                     raise ValueError(f"pwl breakpoint quantities must be strictly increasing ints, got {q} after {prev_q}")
                 if rev < prev_rev:
@@ -298,6 +303,13 @@ def instance_to_json_dict(instance: Instance) -> dict:
     }
 
 
+def _finite(value, field: str):
+    """Reject a NaN or infinite JSON number by field name; pass anything else through."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InstanceFormatError(f"{field} must be a finite number, got {value!r}")
+    return value
+
+
 def instance_from_json_dict(data) -> Instance:
     if not isinstance(data, dict):
         raise InstanceFormatError("top level must be an object")
@@ -326,16 +338,20 @@ def instance_from_json_dict(data) -> Instance:
     kind = raw_curve["kind"]
     try:
         if kind == "linear":
-            curve = linear_curve(float(raw_curve["r"]))
+            curve = linear_curve(float(_finite(raw_curve["r"], "curve.r")))
         elif kind == "capped":
             d = raw_curve["D"]
             if not isinstance(d, int) or isinstance(d, bool):
                 raise InstanceFormatError(f"curve.D must be an integer, got {d!r}")
-            curve = capped_curve(float(raw_curve["r"]), d)
+            curve = capped_curve(float(_finite(raw_curve["r"], "curve.r")), d)
         elif kind == "pwl":
             pts = raw_curve["points"]
             if not isinstance(pts, list):
                 raise InstanceFormatError("curve.points must be an array of [q, R] pairs")
+            for i, pt in enumerate(pts):
+                if isinstance(pt, list):
+                    for k, x in enumerate(pt):
+                        _finite(x, f"curve.points[{i}][{k}]")
             curve = pwl_curve(pts)
         else:
             raise InstanceFormatError(f"curve.kind must be one of linear/capped/pwl, got {kind!r}")

@@ -18,14 +18,13 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import benchmarks
 from .mechanisms import partition_mask, partition_profit_engine, resolve_mechanism
 from .model import Bid, Instance, capped_curve, instance_to_json_dict, linear_curve, make_instance, pwl_curve
 
 GAIN_TOL = 1e-6  # a deviation must beat truth by more than this to count as a violation
-
-EXHAUSTIVE_MAX_BIDDERS = 20
 
 
 class BenchmarkNotPositiveError(ValueError):
@@ -121,6 +120,17 @@ def benchmark_value(instance: Instance, name: str) -> float:
     raise ValueError(f"unknown benchmark {name!r}; expected f, t, or f2")
 
 
+def _positive_benchmark(instance: Instance, name: str) -> float:
+    """The named benchmark's profit, rejected unless strictly positive."""
+    try:
+        bench = benchmark_value(instance, name)
+    except benchmarks.BenchmarkUndefinedError as exc:
+        raise BenchmarkNotPositiveError(str(exc)) from exc
+    if bench <= 0:
+        raise BenchmarkNotPositiveError(f"benchmark {name!r} is {bench:.6g} on this instance; nothing to divide by")
+    return bench
+
+
 def trial_seed(master: int, index: int) -> int:
     """Counter-based per-trial seed split: disjoint for distinct trial indices below 2**32."""
     return master * 2**32 + index
@@ -158,12 +168,7 @@ def estimate_ratio(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    bench = benchmark_value(instance, benchmark)
-    if bench <= 0:
-        raise BenchmarkNotPositiveError(
-            f"benchmark {benchmark!r} is {bench:.6g} on this instance; "
-            "a ratio against a non-positive benchmark is meaningless"
-        )
+    bench = _positive_benchmark(instance, benchmark)
     mech = resolve_mechanism(mechanism, demand_cap=demand_cap)
     if mech.randomized:
         _check_pepa_applicable(instance, mechanism)
@@ -188,21 +193,213 @@ def estimate_ratio(
 
 
 def exhaustive_expected_profit(instance: Instance, mechanism: str, demand_cap: int | None = None) -> float:
-    """Exact expected profit by enumerating all coin-flip partitions.
+    """Exact expected profit over all 2^n equally likely coin-flip partitions.
 
-    Each of the 2^n partitions has probability 2^-n. Refused above
-    20 bidders. Deterministic mechanisms are evaluated once.
+    For the random-split auctions this is E[min(f', f'')], for any number
+    of bidders: by threshold counting, in time polynomial in n and the total
+    supply, or by walking the 2^n draws when there are few sellers with
+    large capacities. Deterministic mechanisms are evaluated once.
     """
     mech = resolve_mechanism(mechanism, demand_cap=demand_cap)
     if not mech.randomized:
         return mech.run(instance, None).outcome.profit
     _check_pepa_applicable(instance, mechanism)
+    return _expected_min_side_optimum(instance)
+
+
+def exact_ratio(instance: Instance, mechanism: str, benchmark: str, demand_cap: int | None = None) -> RatioReport:
+    """Exact expected profit relative to a benchmark, as a zero-trial report.
+
+    Rejects instances whose benchmark is not strictly positive.
+    """
+    bench = _positive_benchmark(instance, benchmark)
+    expected = exhaustive_expected_profit(instance, mechanism, demand_cap=demand_cap)
+    return RatioReport(
+        trials=0,
+        mean_profit=expected,
+        std_error=0.0,
+        benchmark=bench,
+        ratio_estimate=expected / bench,
+        ratio_lower_bound_3sigma=expected / bench,
+        instance_digest="",
+    )
+
+
+def _window_maxima(h: list[float], q: int) -> list[float]:
+    """``max(h[c:c + q])`` for every c, in O(len(h)).
+
+    Van Herk / Gil-Werman: cut h into blocks of q and take running maxima
+    inside each block from the left (``ahead``) and from the right
+    (``behind``). A window either is one block or straddles two, so it is
+    ``max(behind[c], ahead[c + q - 1])``. ``max`` is exact, so every entry
+    is one of the floats of h.
+    """
+    if q == 1:
+        return h
+    ahead: list[float] = []
+    behind: list[float] = []
+    for start in range(0, len(h), q):
+        block = h[start : start + q]
+        ahead += accumulate(block, max)
+        behind += reversed(list(accumulate(reversed(block), max)))
+    return [max(behind[c], ahead[c + q - 1]) for c in range(len(h) - q + 1)]
+
+
+def _side_thresholds(instance: Instance) -> list[list[float]]:
+    """g[j][c]: the best single-price profit ending in the block of the j-th
+    cheapest seller, when c units of cheaper sellers precede it on its side.
+
+    Each unit count u in c+1..c+q_j is priced ``R(u) - u * v_j``, the same
+    float expression the side scans of :func:`partition_profit_engine` use,
+    so a side's optimum is exactly ``max(0, g[j][c_j] over its members)``.
+    Seller j's row costs O(c + q_j) for its largest c.
+    """
+    rtable = instance.revenue_table
+    g = []
+    before = 0
+    for b in instance.sorted_bids:
+        v, q = b.valuation, b.capacity
+        g.append(_window_maxima([rtable[u] - u * v for u in range(1, before + q + 1)], q))
+        before += q
+    return g
+
+
+# Enumerating one draw costs about as much as one DP step on this many bits
+# of packed state (a few Python bytecode ops against a shift, a mask and an
+# add on a long int); calibrated on a 2-vCPU x86 machine.
+_DRAW_COST_IN_DP_BITS = 2**12
+
+
+def _expected_min_side_optimum(instance: Instance) -> float:
+    """E[min(f', f'')] over the 2^n fair coin splits, exactly.
+
+    Two exact methods give the same float: :func:`_min_side_by_enumeration`
+    walks all 2^n draws, :func:`_min_side_by_counting` counts draws per
+    threshold. The one with the smaller estimated cost runs: n * 2^n
+    enumeration steps against, for each of the up to ``states``
+    thresholds, a DP of n steps on (n + 1) * m-bit ints, m the total
+    supply. Few sellers with large capacities enumerate; many sellers
+    count.
+
+    The split auction earns min(f', f'') on every draw up to the extraction
+    tolerance: when f' and f'' lie within the ``EPS`` band the engine may
+    keep the larger side, so per draw its profit can exceed this minimum by
+    up to m * EPS.
+    """
     n = instance.n
-    if n > EXHAUSTIVE_MAX_BIDDERS:
-        raise ValueError(f"exhaustive enumeration refused for n={n} > {EXHAUSTIVE_MAX_BIDDERS} bidders")
-    engine = partition_profit_engine(instance)
-    total = math.fsum(engine(mask) for mask in range(1 << n))
-    return total / (1 << n)
+    m = instance.total_supply
+    befores = list(accumulate((b.capacity for b in instance.sorted_bids), initial=0))[:-1]
+    states = sum(befores) + n  # (j, c) pairs of g, at least the number of thresholds
+    count_cost = states * n * (1 + (n + 1) * m // _DRAW_COST_IN_DP_BITS)
+    if n << n <= count_cost:
+        return _min_side_by_enumeration(instance)
+    return _min_side_by_counting(instance)
+
+
+def _min_side_by_enumeration(instance: Instance) -> float:
+    """``fsum`` of min(f', f'') over all 2^n draws, divided by 2^n.
+
+    Bit j of a draw puts the j-th cheapest seller on b'. The thresholds
+    g[j][c] of :func:`_side_thresholds` are needed only at the c that some
+    subset of cheaper sellers can hold, at most 2^j of them, so each is
+    computed directly. That is at most 2^(n-1) * m float operations, and
+    memory is O(1) in the number of draws.
+    """
+    rtable = instance.revenue_table
+    caps = [b.capacity for b in instance.sorted_bids]
+    n = instance.n
+    g = []
+    reachable = {0}
+    for b in instance.sorted_bids:
+        v, q = b.valuation, b.capacity
+        g.append({c: max(rtable[u] - u * v for u in range(c + 1, c + q + 1)) for c in reachable})
+        reachable |= {c + q for c in reachable}
+
+    def draw_minima():
+        for mask in range(1 << n):
+            ca = cb = 0
+            fa = fb = 0.0
+            for j, (gj, q) in enumerate(zip(g, caps)):
+                if mask >> j & 1:
+                    if gj[ca] > fa:
+                        fa = gj[ca]
+                    ca += q
+                else:
+                    if gj[cb] > fb:
+                        fb = gj[cb]
+                    cb += q
+            yield fa if fa < fb else fb
+
+    return math.fsum(draw_minima()) / (1 << n)
+
+
+def _min_side_by_counting(instance: Instance) -> float:
+    """E[min(f', f'')] by counting, for each threshold t, the draws on which
+    both sides reach t.
+
+    Side b' reaches t > 0 iff some member j has g[j][c_j] >= t, with g from
+    :func:`_side_thresholds`. So the number of draws on which both sides
+    reach t is 2^n - 2 * fail(t) + fail_both(t): fail(t) counts the draws on
+    which b' stays below t (b'' alike, by symmetry), fail_both(t) those on
+    which both do. Each count is a DP over the sellers in ascending order
+    whose state c is the number of units on b' so far. Only the positive
+    g-values can be thresholds. They are swept in ascending order until no
+    draw reaches one, and t times the number of draws whose minimum is t is
+    summed in rationals and rounded once: the same float as ``fsum`` over
+    all 2^n draws divided by 2^n.
+
+    A DP row holds one count per state c. It is packed into one int,
+    ``width`` bits per state, so moving every count of a row by q states is
+    one shift by q * width bits, and a seller's step is a few shifts, masks
+    and adds instead of a loop over c. The masks ``on_a[j]`` and ``on_b[j]``
+    select the states in which seller j may join b' (g[j][c] < t) or b''
+    (g[j][before_j - c] < t) and stay below t; they grow as the sweep
+    passes each g-value. No count exceeds 2^n < 2^width, so fields never
+    carry into each other and the total of a row is the int modulo
+    2^width - 1.
+    """
+    from fractions import Fraction
+
+    g = _side_thresholds(instance)
+    n = instance.n
+    width = n + 1
+    field = (1 << width) - 1
+    on_a = [0] * n
+    on_b = [0] * n
+
+    def allow(j: int, c: int) -> None:
+        # seller j may now stay below t on a side holding c cheaper units
+        on_a[j] |= field << (c * width)
+        on_b[j] |= field << ((len(g[j]) - 1 - c) * width)
+
+    sweep = []
+    for j, gj in enumerate(g):
+        for c, value in enumerate(gj):
+            if value > 0:
+                sweep.append((value, j, c))
+            else:
+                allow(j, c)
+    sweep.sort()
+    shifts = [b.capacity * width for b in instance.sorted_bids]
+    levels = []  # (t, draws on which both sides reach t), t ascending
+    k = 0
+    while k < len(sweep):
+        t = sweep[k][0]
+        fail = fail_both = 1
+        for a, b, s in zip(on_a, on_b, shifts):
+            fail += (fail & a) << s
+            fail_both = (fail_both & b) + ((fail_both & a) << s)
+        reached = (1 << n) - 2 * (fail % field) + fail_both % field
+        if not reached:
+            break
+        levels.append((t, reached))
+        while k < len(sweep) and sweep[k][0] == t:
+            allow(*sweep[k][1:])
+            k += 1
+    total = Fraction(0)
+    for (t, reached), (_, above) in zip(levels, levels[1:] + [(None, 0)]):
+        total += Fraction(t) * (reached - above)
+    return float(total / (1 << n))
 
 
 # --- audits -------------------------------------------------------------------

@@ -9,7 +9,9 @@ auction could actually produce.
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, fsum
+
+from procure.mechanisms import partition_profit_engine
 
 
 def unit_f_oracle(instance):
@@ -148,6 +150,19 @@ def pepa_expectation_oracle(instance, unit=True):
         flips = [bool((mask >> i) & 1) for i in range(n)]
         total += min_side_profit_oracle(instance, flips, unit=unit)
     return total / (1 << n)
+
+
+def enumerated_expected_profit(instance):
+    """Exact expected profit of the split auction by running the library's
+    partition engine on every one of the 2^n coin masks.
+
+    Unlike the oracles above this shares the engine's scans; it is the
+    reference the threshold-counting expectation is compared against bit
+    for bit.
+    """
+    engine = partition_profit_engine(instance)
+    n = instance.n
+    return fsum(engine(mask) for mask in range(1 << n)) / (1 << n)
 
 
 def equal_margin_ratio_oracle(k):

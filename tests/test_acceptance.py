@@ -39,11 +39,11 @@ def criterion(number, description):
     print(f"[PASS] criterion {number}: {description} ({time.perf_counter() - start:.2f}s)")
 
 
-def _random_concave_unit_instance(seed, n_max=12):
+def _random_concave_unit_instance(seed, n_min=2, n_max=12):
     rng = random.Random(seed)
     return generate(
         "uniform-random",
-        {"n": rng.randint(2, n_max), "seed": seed, "vmax": 0.9, "curve": "mixed"},
+        {"n": rng.randint(n_min, n_max), "seed": seed, "vmax": 0.9, "curve": "mixed"},
     )
 
 
@@ -106,6 +106,19 @@ def test_criterion_4_quarter_bound_unit_capacity():
             expectation = exhaustive_expected_profit(inst, "pepa")
             assert expectation >= f2 / 4.0 - 1e-9, (seed - 1, expectation, f2)
         assert kept == 1000
+        # larger markets, beyond the reach of 2^n enumeration
+        kept = 0
+        seed = 0
+        while kept < 200:
+            inst = _random_concave_unit_instance(seed, n_min=13, n_max=40)
+            seed += 1
+            f2 = optimal_single_price_min2(inst).profit
+            if f2 <= 0:
+                continue
+            kept += 1
+            expectation = exhaustive_expected_profit(inst, "pepa")
+            assert expectation >= f2 / 4.0 - 1e-9, (seed - 1, expectation, f2)
+        assert kept == 200
 
 
 def test_criterion_5_capacitated_bounds():

@@ -123,20 +123,22 @@ def test_ratio_rejects_nonpositive_benchmark(capsys, tmp_path):
     assert "f2" in err
 
 
-def test_ratio_exact_refuses_large_instances(capsys):
-    code, _, err = run_cli(
+def test_ratio_exact_large_instance(capsys):
+    code, out, _ = run_cli(
         capsys,
         "ratio",
         "--generate",
-        "uniform-random:n=17,seed=1,vmax=0.9",
+        "uniform-random:n=40,seed=1,vmax=0.9",
         "--mechanism",
         "pepa",
         "--benchmark",
         "f2",
         "--exact",
     )
-    assert code == 2
-    assert "n <= 16" in err
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "exhaustive"
+    assert payload["ratio_estimate"] >= 0.25
 
 
 def test_ratio_csv_format(capsys):
@@ -239,6 +241,24 @@ def test_validate_rejects_bad_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", "--instance", str(path))
     assert code == 2
     assert "bids[0]" in err
+
+
+def test_validate_rejects_nan_curve_point(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"bids": [{"v": 1, "q": 1}, {"v": 2, "q": 1}], "curve": {"kind": "pwl", "points": [[1, NaN], [2, 3]]}}')
+    code, _, err = run_cli(capsys, "validate", "--instance", str(path))
+    assert code == 2
+    assert "curve.points[0][1]" in err
+
+
+def test_ratio_rejects_infinite_curve_slope(capsys, tmp_path):
+    path = tmp_path / "inf.json"
+    path.write_text('{"bids": [{"v": 1, "q": 1}, {"v": 2, "q": 1}], "curve": {"kind": "linear", "r": Infinity}}')
+    code, _, err = run_cli(
+        capsys, "ratio", "--instance", str(path), "--mechanism", "pepa", "--benchmark", "f2", "--exact"
+    )
+    assert code == 2
+    assert "curve.r" in err
 
 
 def test_same_seed_byte_identical_output(capsys):

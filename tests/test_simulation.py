@@ -4,6 +4,7 @@ import pytest
 
 from procure.mechanisms import resolve_mechanism
 from procure.model import Bid, Instance, linear_curve, make_instance
+import procure.simulation as simulation
 from procure.simulation import (
     BenchmarkNotPositiveError,
     RATIO_CSV_HEADER,
@@ -17,7 +18,7 @@ from procure.simulation import (
     trial_seed,
 )
 
-from oracles import pepa_expectation_oracle
+from oracles import enumerated_expected_profit, pepa_expectation_oracle
 
 TIGHT = generate("tightness", {"l": 10, "eps": 1, "n": 4})
 
@@ -75,10 +76,69 @@ def test_exhaustive_single_bidder_is_zero():
     assert exhaustive_expected_profit(make_instance([3.0], curve=linear_curve(10.0)), "pepa") == 0.0
 
 
-def test_exhaustive_refuses_large_instances():
+def test_exhaustive_matches_enumeration_bit_for_bit():
+    for seed in range(300):
+        rng = random.Random(f"enumeration-{seed}")
+        qmax = 1 if seed % 2 else rng.randint(2, 4)
+        inst = generate(
+            "uniform-random",
+            {"n": rng.randint(1, 10), "seed": seed, "qmax": qmax, "vmax": 0.9, "curve": "mixed"},
+        )
+        mechanism = "pepa" if inst.is_unit_capacity else "pepac"
+        assert exhaustive_expected_profit(inst, mechanism) == enumerated_expected_profit(inst), seed
+
+
+def test_enumeration_and_counting_agree_bit_for_bit():
+    # capacities up to 60 units per seller, where the two methods build
+    # their thresholds differently
+    for seed in range(60):
+        rng = random.Random(f"methods-{seed}")
+        qmax = rng.choice((1, 4, 60))
+        inst = generate(
+            "uniform-random",
+            {"n": rng.randint(1, 7), "seed": seed, "qmax": qmax, "vmax": 0.9, "curve": "mixed"},
+        )
+        enumerated = enumerated_expected_profit(inst)
+        assert simulation._min_side_by_enumeration(inst) == enumerated, seed
+        assert simulation._min_side_by_counting(inst) == enumerated, seed
+
+
+def test_exact_method_follows_the_shape_of_the_instance(monkeypatch):
+    def refuse(instance):
+        raise AssertionError("wrong method chosen")
+
+    few_large = make_instance([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], capacities=[1500] * 6, curve=linear_curve(8.0))
+    many_small = generate("uniform-random", {"n": 40, "seed": 1, "vmax": 0.9})
+    monkeypatch.setattr(simulation, "_min_side_by_counting", refuse)
+    assert exhaustive_expected_profit(few_large, "pepac") > 0
+    monkeypatch.undo()
+    monkeypatch.setattr(simulation, "_min_side_by_enumeration", refuse)
+    assert exhaustive_expected_profit(many_small, "pepa") > 0
+
+
+def test_window_maxima_match_slices():
+    rng = random.Random(5)
+    for _ in range(200):
+        h = [rng.choice((-1.0, 0.0, 0.5, 2.0, rng.uniform(-3, 3))) for _ in range(rng.randint(1, 30))]
+        q = rng.randint(1, len(h))
+        assert simulation._window_maxima(h, q) == [max(h[c : c + q]) for c in range(len(h) - q + 1)]
+
+
+def test_exhaustive_near_tie_is_the_min_side_optimum():
+    # the two sides' optima differ by 5e-10, inside the EPS band, where the
+    # engine may extract the larger one; the expectation of min(f', f'') does not
+    inst = make_instance([1 - 5e-10, 1.0], curve=linear_curve(10))
+    assert enumerated_expected_profit(inst) == 4.50000000025
+    assert pepa_expectation_oracle(inst) == 4.5
+    assert exhaustive_expected_profit(inst, "pepa") == pepa_expectation_oracle(inst)
+
+
+def test_exhaustive_handles_large_instances():
     inst = generate("uniform-random", {"n": 21, "seed": 0, "vmax": 0.9})
-    with pytest.raises(ValueError):
-        exhaustive_expected_profit(inst, "pepa")
+    exact = exhaustive_expected_profit(inst, "pepa")
+    rep = estimate_ratio(inst, "pepa", "f2", trials=20000, seed=1)
+    assert rep.std_error > 0
+    assert abs(rep.mean_profit - exact) <= 4 * rep.std_error
 
 
 def test_exhaustive_deterministic_mechanism_is_single_run():
