@@ -61,6 +61,19 @@ def scan_single_price(pairs, rtable, lo: int = 0, include_empty: bool = True):
     return best
 
 
+def block_optimum(rtable, v: float, q: int, c: int) -> float:
+    """g(j, c): the best single-price profit whose marginal unit falls in
+    seller j's block, when c cheaper units precede it on its side.
+
+    Seller j asks v per unit for q units, so its block covers the unit
+    counts c+1..c+q, each priced ``R(u) - u * v``: the same float
+    expression as :func:`scan_single_price`. A side's optimum is therefore
+    exactly the largest of 0 and g(j, c_j) over its members, with c_j the
+    side's units cheaper than seller j.
+    """
+    return max(rtable[u] - u * v for u in range(c + 1, c + q + 1))
+
+
 def optimal_single_price(instance: Instance) -> BenchmarkResult:
     """Max over unit counts of R(u) - u * (marginal winner's valuation).
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .benchmarks import scan_single_price
+from .benchmarks import block_optimum, scan_single_price
 from .extraction import run_extraction
 from .model import EPS, AuctionOutcome, Bid, Instance, RevenueCurve, leq, make_outcome
 
@@ -165,14 +165,19 @@ def run_pepac(instance: Instance, seed: int | None = None, partition: PartitionD
     return _run_partitioned(instance, _resolve_partition(instance, seed, partition))
 
 
+def require_unit_capacity(instance: Instance) -> None:
+    """pepa's precondition: capacitated data must not run silently."""
+    if not instance.is_unit_capacity:
+        raise ValueError("pepa requires unit capacities; use pepac")
+
+
 def run_pepa(instance: Instance, seed: int | None = None, partition: PartitionDraw | None = None) -> MechanismRun:
     """Random-split extraction auction for unit-capacity sellers.
 
-    Identical to :func:`run_pepac` on the same seed; the unit-capacity
-    precondition is checked so capacitated data cannot be run silently.
+    Identical to :func:`run_pepac` on the same seed once
+    :func:`require_unit_capacity` holds.
     """
-    if not instance.is_unit_capacity:
-        raise ValueError("pepa requires unit capacities; use pepac")
+    require_unit_capacity(instance)
     return _run_partitioned(instance, _resolve_partition(instance, seed, partition))
 
 
@@ -181,65 +186,86 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
 
     Returns a closure mapping a partition bitmask to the buyer's profit,
     where bit i (for the bidder with the i-th smallest id) set means side
-    b'. Used by the Monte Carlo estimator; agreement with :func:`run_pepac`
-    is covered by tests.
+    b'. Used by the Monte Carlo estimator; on every draw it returns the
+    same float as :func:`run_pepac`.
+
+    A draw costs O(n). The sellers are walked cheapest first, and each
+    side's optimum f' or f'' is the largest of 0 and the block optima
+    g(j, c_j) of its members (:func:`block_optimum`, c_j the units the side
+    holds before seller j). Each g(j, c) is computed on first use and kept
+    in seller j's dict, keyed by c. Seller j's dict has at most one entry
+    per unit count that its cheaper sellers can hold, so the memo never
+    exceeds sum_j (before_j + 1) entries, before_j the supply of the
+    sellers cheaper than j, nor n per draw evaluated.
+
+    The auction extracts each side's optimum from the other side and keeps
+    the better sub-auction. Outside a band around a tie this earns exactly
+    min(f', f''): if |f' - f''| > ``band`` with
+
+        band = 2 m EPS + 2^-40 (R* + m V),
+
+    m the total supply, R* the largest R(u) and V the largest valuation,
+    the larger side trades at the smaller optimum and the smaller side
+    cannot extract the larger one. Proof for f' - f'' > band (the other
+    case is symmetric), with e = 2^-53 the rounding unit; revenues,
+    valuations and targets are non-negative, R(u) <= R*, v <= V and
+    u <= m:
+
+    - A computed profit fl(R(u) - fl(u v)) lies within e (R* + 2 m V) of
+      R(u) - u v. A computed price fl(fl(R(u) - P) / u) lies within
+      2 e R* / u of (R(u) - P) / u for a target 0 <= P <= R*.
+    - Extracting f'' from b' trades: at the unit count u where b' attains
+      f', the exact price (R(u) - f'') / u exceeds v by more than
+      (band - e (R* + 2 m V)) / u > 2 e R* / u, so the computed price is
+      at least v even before EPS is added.
+    - Extracting f' from b'' does not: every computed profit of b'' is at
+      most f'', so at each of its unit counts the computed price plus EPS
+      lies below v by more than (band - m EPS - e (3 R* + 2 m V)) / u,
+      which exceeds the e V that the final rounding of that sum can add.
+    - fl(f' - f'') > fl(band) implies f' - f'' > band (1 - 4e), and the
+      slack in both terms of the band covers that loss.
+
+    Inside the band the engine runs :func:`run_extraction` on both sides,
+    the same float comparisons :func:`run_pepac` makes.
     """
     rtable = instance.revenue_table
     by_id_rank = sorted(range(instance.n), key=lambda pos: instance.bids[pos].id)
     rank_of_pos = {pos: rank for rank, pos in enumerate(by_id_rank)}
-    sorted_items = [
-        (b.valuation, b.capacity, rank_of_pos[instance.position_of(b.id)])
-        for b in instance.sorted_bids
+    sorted_bids = instance.sorted_bids
+    m = instance.total_supply
+    band = 2 * m * EPS + 2.0**-40 * (max(rtable) + m * sorted_bids[-1].valuation)
+    sellers = [
+        (1 << rank_of_pos[instance.position_of(b.id)], b.capacity, b.valuation, {})
+        for b in sorted_bids
     ]
-    tol = EPS
 
     def profit_for_mask(mask: int) -> float:
-        side_a = []
-        side_b = []
-        for item in sorted_items:
-            (side_a if (mask >> item[2]) & 1 else side_b).append(item)
-        best_a = 0.0
-        u = 0
-        for v, q, _ in side_a:
-            for _ in range(q):
-                u += 1
-                p = rtable[u] - u * v
-                if p > best_a:
-                    best_a = p
-        best_b = 0.0
-        u = 0
-        for v, q, _ in side_b:
-            for _ in range(q):
-                u += 1
-                p = rtable[u] - u * v
-                if p > best_b:
-                    best_b = p
-        # extraction of best_b from side a: largest qualifying unit count
-        profit_a = 0.0
-        u = sum(q for _, q, _ in side_a)
-        for v, q, _ in reversed(side_a):
-            hit = False
-            for _ in range(q):
-                if v <= (rtable[u] - best_b) / u + tol:
-                    profit_a = best_b
-                    hit = True
-                    break
-                u -= 1
-            if hit:
-                break
-        profit_b = 0.0
-        u = sum(q for _, q, _ in side_b)
-        for v, q, _ in reversed(side_b):
-            hit = False
-            for _ in range(q):
-                if v <= (rtable[u] - best_a) / u + tol:
-                    profit_b = best_a
-                    hit = True
-                    break
-                u -= 1
-            if hit:
-                break
-        return profit_a if profit_a >= profit_b else profit_b
+        ca = cb = 0
+        fa = fb = 0.0
+        for bit, q, v, memo in sellers:
+            if mask & bit:
+                g = memo.get(ca)
+                if g is None:
+                    g = memo[ca] = block_optimum(rtable, v, q, ca)
+                if g > fa:
+                    fa = g
+                ca += q
+            else:
+                g = memo.get(cb)
+                if g is None:
+                    g = memo[cb] = block_optimum(rtable, v, q, cb)
+                if g > fb:
+                    fb = g
+                cb += q
+        if fa - fb > band:
+            return fb
+        if fb - fa > band:
+            return fa
+        side_a = [b for b, s in zip(sorted_bids, sellers) if mask & s[0]]
+        side_b = [b for b, s in zip(sorted_bids, sellers) if not mask & s[0]]
+        pa = run_extraction(side_a, rtable, fb).profit
+        pb = run_extraction(side_b, rtable, fa).profit
+        return pa if pa >= pb else pb
 
     return profit_for_mask
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import benchmarks
-from .mechanisms import partition_mask, partition_profit_engine, resolve_mechanism
+from .mechanisms import partition_mask, partition_profit_engine, require_unit_capacity, resolve_mechanism
 from .model import Bid, Instance, capped_curve, instance_to_json_dict, linear_curve, make_instance, pwl_curve
 
 GAIN_TOL = 1e-6  # a deviation must beat truth by more than this to count as a violation
@@ -147,11 +147,6 @@ def _instance_digest(instance: Instance, mechanism: str, benchmark: str, trials:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _check_pepa_applicable(instance: Instance, mechanism: str) -> None:
-    if mechanism == "pepa" and not instance.is_unit_capacity:
-        raise ValueError("pepa requires unit capacities; use pepac")
-
-
 def estimate_ratio(
     instance: Instance,
     mechanism: str,
@@ -171,7 +166,8 @@ def estimate_ratio(
     bench = _positive_benchmark(instance, benchmark)
     mech = resolve_mechanism(mechanism, demand_cap=demand_cap)
     if mech.randomized:
-        _check_pepa_applicable(instance, mechanism)
+        if mechanism == "pepa":
+            require_unit_capacity(instance)
         engine = partition_profit_engine(instance)
         n = instance.n
         profits = [engine(partition_mask(n, trial_seed(seed, t))) for t in range(trials)]
@@ -203,7 +199,8 @@ def exhaustive_expected_profit(instance: Instance, mechanism: str, demand_cap: i
     mech = resolve_mechanism(mechanism, demand_cap=demand_cap)
     if not mech.randomized:
         return mech.run(instance, None).outcome.profit
-    _check_pepa_applicable(instance, mechanism)
+    if mechanism == "pepa":
+        require_unit_capacity(instance)
     return _expected_min_side_optimum(instance)
 
 
@@ -249,10 +246,11 @@ def _side_thresholds(instance: Instance) -> list[list[float]]:
     """g[j][c]: the best single-price profit ending in the block of the j-th
     cheapest seller, when c units of cheaper sellers precede it on its side.
 
-    Each unit count u in c+1..c+q_j is priced ``R(u) - u * v_j``, the same
-    float expression the side scans of :func:`partition_profit_engine` use,
-    so a side's optimum is exactly ``max(0, g[j][c_j] over its members)``.
-    Seller j's row costs O(c + q_j) for its largest c.
+    Each unit count u in c+1..c+q_j is priced ``R(u) - u * v_j`` and ``max``
+    is exact, so every entry is the float :func:`benchmarks.block_optimum`
+    returns for (j, c), and a side's optimum is exactly
+    ``max(0, g[j][c_j] over its members)``. Seller j's row costs
+    O(c + q_j) for its largest c.
     """
     rtable = instance.revenue_table
     g = []
@@ -302,8 +300,9 @@ def _min_side_by_enumeration(instance: Instance) -> float:
     Bit j of a draw puts the j-th cheapest seller on b'. The thresholds
     g[j][c] of :func:`_side_thresholds` are needed only at the c that some
     subset of cheaper sellers can hold, at most 2^j of them, so each is
-    computed directly. That is at most 2^(n-1) * m float operations, and
-    memory is O(1) in the number of draws.
+    computed directly by :func:`benchmarks.block_optimum`. That is at most
+    2^(n-1) * m float operations, and memory is O(1) in the number of
+    draws.
     """
     rtable = instance.revenue_table
     caps = [b.capacity for b in instance.sorted_bids]
@@ -312,7 +311,7 @@ def _min_side_by_enumeration(instance: Instance) -> float:
     reachable = {0}
     for b in instance.sorted_bids:
         v, q = b.valuation, b.capacity
-        g.append({c: max(rtable[u] - u * v for u in range(c + 1, c + q + 1)) for c in reachable})
+        g.append({c: benchmarks.block_optimum(rtable, v, q, c) for c in reachable})
         reachable |= {c + q for c in reachable}
 
     def draw_minima():

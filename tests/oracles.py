@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, fsum
 
-from procure.mechanisms import partition_profit_engine
+from procure.model import EPS
 
 
 def unit_f_oracle(instance):
@@ -152,15 +152,65 @@ def pepa_expectation_oracle(instance, unit=True):
     return total / (1 << n)
 
 
-def enumerated_expected_profit(instance):
-    """Exact expected profit of the split auction by running the library's
-    partition engine on every one of the 2^n coin masks.
+def per_unit_profit_engine(instance):
+    """The split auction's profit on a coin mask, by per-unit scans.
 
-    Unlike the oracles above this shares the engine's scans; it is the
-    reference the threshold-counting expectation is compared against bit
-    for bit.
+    Mask bit i set puts the bidder with the i-th smallest id on side b'.
+    Each side's single-price optimum is a scan over every unit it holds,
+    and each extraction scans the other side's units downward, with the
+    same float expressions and ``EPS`` tolerance as the library. It shares
+    no code with :func:`procure.mechanisms.partition_profit_engine`, which
+    must return the same float on every mask.
     """
-    engine = partition_profit_engine(instance)
+    rtable = instance.revenue_table
+    by_id_rank = sorted(range(instance.n), key=lambda pos: instance.bids[pos].id)
+    rank_of_pos = {pos: rank for rank, pos in enumerate(by_id_rank)}
+    sorted_items = [
+        (b.valuation, b.capacity, rank_of_pos[instance.position_of(b.id)])
+        for b in instance.sorted_bids
+    ]
+
+    def side_optimum(side):
+        best = 0.0
+        u = 0
+        for v, q, _ in side:
+            for _ in range(q):
+                u += 1
+                p = rtable[u] - u * v
+                if p > best:
+                    best = p
+        return best
+
+    def extracted(side, target):
+        # the largest unit count whose marginal seller qualifies
+        u = sum(q for _, q, _ in side)
+        for v, q, _ in reversed(side):
+            for _ in range(q):
+                if v <= (rtable[u] - target) / u + EPS:
+                    return target
+                u -= 1
+        return 0.0
+
+    def profit_for_mask(mask):
+        side_a = [item for item in sorted_items if (mask >> item[2]) & 1]
+        side_b = [item for item in sorted_items if not (mask >> item[2]) & 1]
+        best_a = side_optimum(side_a)
+        best_b = side_optimum(side_b)
+        profit_a = extracted(side_a, best_b)
+        profit_b = extracted(side_b, best_a)
+        return profit_a if profit_a >= profit_b else profit_b
+
+    return profit_for_mask
+
+
+def enumerated_expected_profit(instance):
+    """Exact expected profit of the split auction by running
+    :func:`per_unit_profit_engine` on every one of the 2^n coin masks.
+
+    It is the reference the exact expectation is compared against bit for
+    bit.
+    """
+    engine = per_unit_profit_engine(instance)
     n = instance.n
     return fsum(engine(mask) for mask in range(1 << n)) / (1 << n)
 

@@ -111,6 +111,43 @@ def test_ratio_monte_carlo_within_band(capsys):
     assert payload["seed"] == 1
 
 
+# the Monte Carlo report on a capacitated n=40, m=191 instance, pinned byte
+# for byte against the per-unit engine's output
+GOLDEN_MONTE_CARLO = """{
+  "trials": 10000,
+  "mean_profit": 4.684133626478188,
+  "std_error": 0.012590009484027085,
+  "benchmark": 12.291792057314083,
+  "ratio_estimate": 0.3810781702649249,
+  "ratio_lower_bound_3sigma": 0.3780053857371711,
+  "instance_digest": "63f8b33030f6c096e9a4b64965a612ff2540e8ff82362e01d48349c504192aa5",
+  "method": "monte-carlo",
+  "seed": 1,
+  "mechanism": "pepac",
+  "benchmark_name": "f"
+}
+"""
+
+
+def test_ratio_monte_carlo_golden_output(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "ratio",
+        "--mechanism",
+        "pepac",
+        "--benchmark",
+        "f",
+        "--trials",
+        "10000",
+        "--seed",
+        "1",
+        "--generate",
+        "uniform-random:n=40,seed=3,qmax=8,curve=pwl",
+    )
+    assert code == 0
+    assert out == GOLDEN_MONTE_CARLO
+
+
 def test_ratio_rejects_nonpositive_benchmark(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(

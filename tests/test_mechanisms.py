@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -18,10 +19,11 @@ from procure.mechanisms import (
     threshold_masked_opp,
     threshold_zero,
 )
-from procure.model import capped_curve, linear_curve, make_instance
+import procure.mechanisms as mechanisms
+from procure.model import Bid, Instance, RevenueCurve, capped_curve, linear_curve, make_instance
 from procure.simulation import generate
 
-from oracles import min_side_profit_oracle, pepa_expectation_oracle
+from oracles import min_side_profit_oracle, pepa_expectation_oracle, per_unit_profit_engine
 
 TIGHT = generate("tightness", {"l": 10, "eps": 1, "n": 4})
 
@@ -151,6 +153,91 @@ def test_fast_path_matches_full_runs():
         for run_seed in range(40):
             full = run_pepac(inst, seed=run_seed)
             assert engine(partition_mask(inst.n, run_seed)) == full.outcome.profit
+
+
+def assert_engine_matches_oracle(inst, masks):
+    engine = partition_profit_engine(inst)
+    oracle = per_unit_profit_engine(inst)
+    for mask in masks:
+        got, want = engine(mask), oracle(mask)
+        assert got.hex() == want.hex(), (mask, got, want)
+
+
+def count_extractions(monkeypatch):
+    calls = []
+    original = mechanisms.run_extraction
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mechanisms, "run_extraction", counted)
+    return calls
+
+
+def rescaled(inst, s):
+    """The same instance with money measured in a unit 1/s as large."""
+    c = inst.curve
+    curve = RevenueCurve(c.kind, c.r * s, c.cap, tuple((q, rev * s) for q, rev in c.points))
+    return Instance(tuple(Bid(b.valuation * s, b.capacity, b.id) for b in inst.bids), curve)
+
+
+def test_engine_matches_per_unit_oracle_on_every_mask():
+    for seed in range(60):
+        rng = random.Random(f"engine-{seed}")
+        inst = generate(
+            "uniform-random",
+            {"n": rng.randint(1, 10), "seed": seed, "qmax": rng.choice((1, 4)), "curve": "mixed"},
+        )
+        assert_engine_matches_oracle(inst, range(1 << inst.n))
+
+
+def test_engine_decides_ties_by_extraction(monkeypatch):
+    calls = count_extractions(monkeypatch)
+    # the two bids' sides differ by 5e-10, inside the band
+    assert_engine_matches_oracle(make_instance([1 - 5e-10, 1.0], curve=linear_curve(10)), range(4))
+    assert len(calls) == 2 * 2
+    # sides that tie exactly but whose computed optima differ by rounding,
+    # far more than m * EPS: only the band's rounding term keeps them in it
+    del calls[:]
+    inst = make_instance([51800000.0, 155400000.0], capacities=[1, 2], curve=linear_curve(258999999.99999997))
+    assert_engine_matches_oracle(inst, range(4))
+    assert len(calls) == 2 * 2
+    # equal margins: sides holding as many units tie exactly
+    del calls[:]
+    for k in range(2, 9):
+        for q in (1, 3):
+            inst = make_instance([5.0] * k, capacities=[q] * k, curve=linear_curve(10.0))
+            assert_engine_matches_oracle(inst, range(1 << k))
+    assert len(calls) == 2 * 2 * sum(math.comb(k, k // 2) for k in range(2, 9, 2))
+
+
+def test_engine_matches_oracle_when_money_is_rescaled():
+    for s in (1e-6, 1e3, 1e9):
+        for k in (2, 5, 6):
+            inst = make_instance([0.5 * s] * k, capacities=[2] * k, curve=linear_curve(s))
+            assert_engine_matches_oracle(inst, range(1 << k))
+        tested = 0
+        for seed in range(40):
+            rng = random.Random(f"rescaled-{seed}")
+            inst = generate(
+                "uniform-random",
+                {"n": rng.randint(2, 9), "seed": seed, "qmax": rng.choice((1, 4)), "curve": "mixed"},
+            )
+            try:
+                inst = rescaled(inst, s)
+            except ValueError:
+                continue  # curve validation's absolute EPS rejects some rescaled pwl curves
+            tested += 1
+            assert_engine_matches_oracle(inst, range(1 << inst.n))
+        assert tested >= 30, s
+
+
+def test_engine_matches_oracle_on_sampled_masks_of_large_instances():
+    for n in range(30, 51):
+        inst = generate("uniform-random", {"n": n, "seed": n, "qmax": 6, "curve": "mixed"})
+        rng = random.Random(n)
+        assert_engine_matches_oracle(inst, [rng.getrandbits(n) for _ in range(2000)])
 
 
 def test_winners_confined_to_chosen_side():

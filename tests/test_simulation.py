@@ -72,6 +72,16 @@ def test_exhaustive_expectation():
     assert abs(exhaustive_expected_profit(fixture, "pepa") - pepa_expectation_oracle(fixture)) <= 1e-12
 
 
+def test_pepa_estimators_reject_capacitated_instances():
+    inst = make_instance([1.0, 2.0], capacities=[2, 1], curve=linear_curve(10.0))
+    message = r"^pepa requires unit capacities; use pepac$"
+    with pytest.raises(ValueError, match=message):
+        estimate_ratio(inst, "pepa", "f", trials=10, seed=1)
+    with pytest.raises(ValueError, match=message):
+        exhaustive_expected_profit(inst, "pepa")
+    estimate_ratio(inst, "pepac", "f", trials=10, seed=1)
+
+
 def test_exhaustive_single_bidder_is_zero():
     assert exhaustive_expected_profit(make_instance([3.0], curve=linear_curve(10.0)), "pepa") == 0.0
 
