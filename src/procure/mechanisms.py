@@ -129,8 +129,9 @@ def _run_partitioned(instance: Instance, partition: PartitionDraw) -> MechanismR
         (side_a if flips[pos_of(bid.id)] else side_b).append(bid)
     f_prime = _side_single_price_profit(side_a, rtable)
     f_double = _side_single_price_profit(side_b, rtable)
-    res_a = run_extraction(side_a, rtable, f_double)
-    res_b = run_extraction(side_b, rtable, f_prime)
+    maxima = instance.revenue_maxima
+    res_a = run_extraction(side_a, rtable, f_double, maxima)
+    res_b = run_extraction(side_b, rtable, f_prime, maxima)
     if res_a.profit >= res_b.profit:
         chosen, side_name = res_a, "b_prime"
     else:
@@ -335,7 +336,7 @@ def threshold_masked_opp(masked, curve) -> float:
     total = sum(q for _, q in pairs)
     if total == 0:
         return 0.0
-    rtable = curve.table(total)
+    rtable = curve.certified_table(total)
     _, _, _, price = scan_single_price(pairs, rtable)
     return price
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -109,6 +111,70 @@ class RevenueCurve:
         """R(0..max_q) as a tuple, for scan loops."""
         return tuple(self.at(q) for q in range(max_q + 1))
 
+    @cached_property
+    def _certified(self) -> list:
+        """Holder for R(0..M), the longest table :func:`validate_curve` has
+        accepted for this curve object, and its :class:`AverageRevenueMaxima`
+        (None until first asked for).
+
+        Kept per object, not keyed on the curve's fields: equal curves can
+        have different tables (``linear_curve(-0.0) == linear_curve(0.0)``).
+        """
+        return [(), None]
+
+    def certified_table(self, max_q: int) -> tuple[float, ...]:
+        """R(0..max_q), after certifying the curve concave over 0..max_q.
+
+        Certification is prefix-closed: a curve accepted over 0..M is
+        accepted over 0..m for every m <= M, and its table for m is the first
+        m + 1 entries of the table for M. So this runs :func:`validate_curve`
+        only when max_q is past every supply certified so far, and otherwise
+        returns a slice of the certified table. Raises ``ValueError`` naming
+        the violation when the curve is rejected.
+        """
+        certified = self._certified
+        if max_q >= len(certified[0]):
+            check = validate_curve(self, max_q)
+            if not check.ok:
+                raise ValueError(f"revenue curve rejected: {check.message}")
+        table = certified[0]
+        return table if len(table) == max_q + 1 else table[: max_q + 1]
+
+    def certified_maxima(self, max_q: int) -> AverageRevenueMaxima:
+        """The :class:`AverageRevenueMaxima` of the certified table, which
+        covers 0..max_q; built once per certified table."""
+        self.certified_table(max_q)
+        certified = self._certified
+        if certified[1] is None:
+            certified[1] = AverageRevenueMaxima(certified[0])
+        return certified[1]
+
+
+class AverageRevenueMaxima:
+    """Largest average revenue R(u) / u over aligned ranges of unit counts.
+
+    ``levels[k][i]`` is the largest computed ``R(u) / u`` over the counts
+    i 2^k <= u < (i + 1) 2^k of the table, u = 0 and the padding past the
+    table counting as -inf. Built in O(M) from a table of finite
+    non-negative revenues. Over counts a <= u <= b of a node of level k,
+    (R(u) - P) / u <= levels[k][i] - P / b for any P >= 0, which lets a scan
+    rule out a whole range with one comparison
+    (:func:`procure.extraction.run_extraction`). Every curve kind's table is
+    finite and non-negative: R(0) = 0 and the slopes are non-negative.
+    """
+
+    __slots__ = ("levels",)
+
+    def __init__(self, rtable):
+        level = array("d", [-math.inf])
+        level.extend(map(operator.truediv, rtable[1:], range(1, len(rtable))))
+        self.levels = [level]
+        while len(level) > 1:
+            if len(level) % 2:
+                level.append(-math.inf)
+            level = array("d", map(max, level[::2], level[1::2]))
+            self.levels.append(level)
+
 
 def linear_curve(r: float) -> RevenueCurve:
     return RevenueCurve(kind="linear", r=r)
@@ -127,16 +193,22 @@ def validate_curve(curve: RevenueCurve, max_q: int) -> CurveValidation:
 
     On rejection, ``violation_at`` is the first k >= 1 with
     R(k+1) - R(k) > R(k) - R(k-1).
+
+    The check is prefix-closed: acceptance over 0..max_q implies acceptance
+    over every shorter range. Each R(k) is evaluated once, into the table
+    the marginals are checked on; on acceptance that table becomes the
+    curve's certified table (see :meth:`RevenueCurve.certified_table`) if it
+    is longer than the one already held.
     """
     if max_q < 1:
         raise ValueError(f"max_q must be >= 1, got {max_q}")
-    if curve.at(0) != 0.0:
+    table = [curve.at(0)]
+    if table[0] != 0.0:
         return CurveValidation(False, 0, "R(0) must be 0")
     prev_marginal = None
-    prev_rev = 0.0
     for k in range(1, max_q + 1):
         rev = curve.at(k)
-        marginal = rev - prev_rev
+        marginal = rev - table[-1]
         if prev_marginal is not None and marginal > prev_marginal + EPS:
             return CurveValidation(
                 False, k - 1,
@@ -144,7 +216,10 @@ def validate_curve(curve: RevenueCurve, max_q: int) -> CurveValidation:
                 f"R({k})-R({k - 1})={marginal:.12g} > R({k - 1})-R({k - 2})={prev_marginal:.12g}",
             )
         prev_marginal = marginal
-        prev_rev = rev
+        table.append(rev)
+    certified = curve._certified
+    if len(table) > len(certified[0]):
+        certified[:] = [tuple(table), None]
     return CurveValidation(True)
 
 
@@ -170,8 +245,14 @@ class Instance:
 
     Construction certifies the model assumptions: at least one bid, unique
     seller ids, and a revenue curve that is concave with R(0) = 0 over the
-    instance's total supply. Instances are immutable; sorted views are
+    instance's total supply m. Instances are immutable; sorted views are
     derived on demand and cached.
+
+    Certification is prefix-closed, so the curve object keeps the longest
+    table it has been certified over and every instance sharing that curve
+    with a supply no larger (such as the deviations an audit derives) takes
+    its ``revenue_table`` as a slice of it, without evaluating the curve
+    again. See :meth:`RevenueCurve.certified_table`.
     """
 
     bids: tuple[Bid, ...]
@@ -183,9 +264,7 @@ class Instance:
         ids = [b.id for b in self.bids]
         if len(set(ids)) != len(ids):
             raise ValueError("seller ids must be unique")
-        check = validate_curve(self.curve, self.total_supply)
-        if not check.ok:
-            raise ValueError(f"revenue curve rejected: {check.message}")
+        self.revenue_table  # certifies the curve over 0..m or raises
 
     @property
     def n(self) -> int:
@@ -206,8 +285,13 @@ class Instance:
 
     @cached_property
     def revenue_table(self) -> tuple[float, ...]:
-        """R(0..m) precomputed for the scan loops."""
-        return self.curve.table(self.total_supply)
+        """R(0..m) for the scan loops: a prefix of the curve's certified table."""
+        return self.curve.certified_table(self.total_supply)
+
+    @cached_property
+    def revenue_maxima(self) -> AverageRevenueMaxima:
+        """Average-revenue maxima over a table of which ``revenue_table`` is a prefix."""
+        return self.curve.certified_maxima(self.total_supply)
 
     def position_of(self, seller_id: int) -> int:
         return self._pos_by_id[seller_id]

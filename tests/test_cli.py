@@ -1,5 +1,6 @@
 import json
 
+from procure import simulation
 from procure.cli import main
 from procure.model import dumps_instance, loads_instance
 
@@ -146,6 +147,45 @@ def test_ratio_monte_carlo_golden_output(capsys):
     )
     assert code == 0
     assert out == GOLDEN_MONTE_CARLO
+
+
+# the pepac audit of a capacitated n=6, m=1,453 pwl instance, pinned byte for
+# byte against the output of audits that rebuilt the revenue table per deviation
+GOLDEN_AUDIT = """{
+  "mechanism": "pepac",
+  "deviations_tested": 110,
+  "violations": [],
+  "seed": 3,
+  "dims": [
+    "valuation",
+    "capacity"
+  ]
+}
+"""
+GOLDEN_AUDIT_SPEC = "uniform-random:n=6,seed=4,qmin=100,qmax=400,curve=pwl"
+
+
+def test_audit_golden_output(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "audit",
+        "--mechanism",
+        "pepac",
+        "--dims",
+        "valuation,capacity",
+        "--seed",
+        "3",
+        "--generate",
+        GOLDEN_AUDIT_SPEC,
+    )
+    assert (code, out, err) == (0, GOLDEN_AUDIT, "")
+
+
+def test_allocation_monotonicity_golden_report():
+    inst = simulation.generate("uniform-random", {"n": 6, "seed": 4, "qmin": 100, "qmax": 400, "curve": "pwl"})
+    assert inst.total_supply == 1453
+    report = simulation.audit_allocation_monotonicity(inst, "pepac", seed=3)
+    assert report.to_json_dict() == {"mechanism": "pepac", "deviations_tested": 384, "violations": []}
 
 
 def test_ratio_rejects_nonpositive_benchmark(capsys, tmp_path):

@@ -1,11 +1,13 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from procure.benchmarks import optimal_single_price
+from procure import extraction
 from procure.extraction import pe, pec, run_extraction
-from procure.model import Bid, Instance, linear_curve, make_instance
+from procure.model import Bid, Instance, linear_curve, make_instance, pwl_curve
 from procure.simulation import generate
 
 
@@ -182,3 +184,63 @@ def test_capacity_underreport_never_pays_under_linear_curves():
                 assert dev_util <= true_util + 1e-9
                 checked += 1
     assert checked > 100
+
+
+def _boundary_targets(inst, rng):
+    """Targets at which some unit count sits exactly on its qualification edge."""
+    rt = inst.revenue_table
+    targets = [0.0, rng.uniform(0.0, rt[-1])]
+    cum = 0
+    for b in inst.sorted_bids:
+        u = rng.randint(cum + 1, cum + b.capacity)
+        for t in (rt[u] - u * b.valuation, rt[u] - u * (b.valuation - 1e-9)):
+            targets.extend(x for x in (t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf)) if x >= 0.0)
+        cum += b.capacity
+    return targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_pruned_extraction_matches_the_full_scan(seed):
+    rng = random.Random(seed)
+    inst = generate(
+        "uniform-random",
+        {"n": rng.randint(1, 7), "seed": seed, "qmin": 1, "qmax": rng.choice((1, 40, 600)),
+         "vmax": rng.choice((0.5, 1.0, 1.5)), "curve": rng.choice(("linear", "capped", "pwl", "mixed"))},
+    )
+    maxima = inst.revenue_maxima
+    for target in _boundary_targets(inst, rng):
+        want = run_extraction(inst.sorted_bids, inst.revenue_table, target)
+        got = run_extraction(inst.sorted_bids, inst.revenue_table, target, maxima)
+        assert got == want
+        assert got.price_per_unit.hex() == want.price_per_unit.hex()
+
+
+def test_pruned_extraction_cost_does_not_follow_the_winning_count(monkeypatch):
+    """A deep winning count costs the full scan thousands of unit checks and
+    the pruned scan a few dozen."""
+    inst = make_instance([1.0, 9.8, 9.9], capacities=[500, 2000, 2500], curve=linear_curve(10.0))
+    checks = []
+    real_leq = extraction.leq
+    monkeypatch.setattr(extraction, "leq", lambda a, b: checks.append(1) or real_leq(a, b))
+    target = 600.0  # only the cheapest seller's units can leave the buyer this much
+    full = run_extraction(inst.sorted_bids, inst.revenue_table, target)
+    full_checks = len(checks)
+    checks.clear()
+    pruned = run_extraction(inst.sorted_bids, inst.revenue_table, target, inst.revenue_maxima)
+    assert pruned == full and full.winners == ((0, 500),)
+    assert full_checks == 4501
+    assert len(checks) <= 64
+
+
+
+@pytest.mark.parametrize("curve", [linear_curve(3.0), linear_curve(-0.0), pwl_curve([(7, 20.0), (30, 41.5), (45, 44.0)])])
+def test_average_revenue_maxima_cover_their_aligned_ranges(curve):
+    rt = curve.certified_table(45)
+    levels = curve.certified_maxima(45).levels
+    averages = [-math.inf] + [rt[u] / u for u in range(1, 46)]
+    for k, level in enumerate(levels):
+        for i, top in enumerate(level):
+            span = averages[i << k:(i + 1) << k] or [-math.inf]
+            assert top == max(span), (k, i)
+    assert len(levels[-1]) == 1

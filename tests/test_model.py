@@ -118,6 +118,60 @@ def test_revenue_non_decreasing(curve, q):
     assert curve.at(q) >= curve.at(q - 1) - 1e-12
 
 
+def _bits(table):
+    return [x.hex() for x in table]
+
+
+def _supply_instance(curve, m):
+    return Instance(bids=(Bid(1.0, m, 0),), curve=curve)
+
+
+@pytest.mark.parametrize("make_curve", [
+    lambda: linear_curve(10.1),
+    lambda: capped_curve(15.3, 700),
+    lambda: pwl_curve([(110, 59.03480089922949), (453, 119.71498804229617), (587, 133.9435492281212)]),
+])
+@pytest.mark.parametrize("supplies", [(1000, 587, 3, 1), (1, 3, 587, 1000)])
+def test_certified_tables_are_fresh_tables_in_either_build_order(make_curve, supplies):
+    curve = make_curve()
+    for m in supplies:
+        inst = _supply_instance(curve, m)
+        assert _bits(inst.revenue_table) == _bits(curve.table(m))
+    assert len(curve._certified[0]) == max(supplies) + 1
+
+
+@given(concave_marginal_curves(), st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5))
+def test_certified_tables_match_fresh_tables_for_any_supply_sequence(curve, supplies):
+    for m in supplies:
+        assert _bits(_supply_instance(curve, m).revenue_table) == _bits(curve.table(m))
+
+
+def test_certified_curve_still_rejects_past_a_violation():
+    points = [(5, 50.0), (10, 75.0), (12, 100.0)]  # marginals 10, 5, then 12.5 from k=10
+    curve = pwl_curve(points)
+    _supply_instance(curve, 10)
+    assert len(curve._certified[0]) == 11
+    expected = validate_curve(pwl_curve(points), 12)
+    assert not expected.ok and expected.violation_at == 10
+    again = validate_curve(curve, 12)
+    assert (again.violation_at, again.message) == (expected.violation_at, expected.message)
+    with pytest.raises(ValueError) as err:
+        _supply_instance(curve, 12)
+    assert str(err.value) == f"revenue curve rejected: {expected.message}"
+    # the rejection leaves the certified prefix as it was
+    assert _bits(_supply_instance(curve, 7).revenue_table) == _bits(curve.table(7))
+    assert len(curve._certified[0]) == 11
+
+
+def test_equal_curves_keep_their_own_tables():
+    neg, pos = linear_curve(-0.0), linear_curve(0.0)
+    assert neg == pos
+    neg_table = _supply_instance(neg, 4).revenue_table
+    pos_table = _supply_instance(pos, 4).revenue_table
+    assert _bits(neg_table) == _bits(neg.table(4)) == ["0x0.0p+0"] + ["-0x0.0p+0"] * 4
+    assert _bits(pos_table) == _bits(pos.table(4)) == ["0x0.0p+0"] * 5
+
+
 def test_outcome_profit_identity():
     inst = make_instance([1.0, 9.0], curve=linear_curve(10.0))
     out = make_outcome(inst, [1, 1], [9.0, 9.0])

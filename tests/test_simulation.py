@@ -3,7 +3,7 @@ import random
 import pytest
 
 from procure.mechanisms import resolve_mechanism
-from procure.model import Bid, Instance, linear_curve, make_instance
+from procure.model import Bid, Instance, RevenueCurve, linear_curve, make_instance, pwl_curve
 import procure.simulation as simulation
 from procure.simulation import (
     BenchmarkNotPositiveError,
@@ -246,6 +246,27 @@ def test_audit_violations_replay():
         dev = mech.run(Instance(bids=tuple(bids), curve=demo.curve), 0)
         gained = (dev.outcome.payment_per_unit[pos] - true_bid.valuation) * dev.outcome.allocation[pos] - base
         assert abs(gained - v.gain) <= 1e-9
+
+
+def test_audit_evaluates_the_curve_once_per_unit(monkeypatch):
+    """Deviations share the truthful instance's certified revenue table, so
+    an audit evaluates R(u) for each unit once, not once per deviation."""
+    shape = generate("uniform-random", {"n": 6, "seed": 4, "qmin": 200, "qmax": 500, "curve": "pwl"})
+    calls = 0
+    at = RevenueCurve.at
+
+    def counting_at(curve, q):
+        nonlocal calls
+        calls += 1
+        return at(curve, q)
+
+    monkeypatch.setattr(RevenueCurve, "at", counting_at)
+    inst = Instance(bids=shape.bids, curve=pwl_curve(shape.curve.points))
+    m = inst.total_supply
+    assert 1800 <= m <= 2400
+    report = audit_truthfulness(inst, "pepac", dims=("valuation", "capacity"), seed=3)
+    assert report.deviations_tested >= 50
+    assert calls <= 2 * (m + 1), (calls, m)
 
 
 def test_capacity_audit_requires_capacitated_instance():
