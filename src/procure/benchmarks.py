@@ -2,10 +2,19 @@
 
 All three benchmarks scan unit counts against the valuation-sorted bid list:
 the buyer fills cheapest sellers first, the marginal seller possibly
-partially. ``optimal_single_price`` pays every winner the marginal winner's
-valuation; ``optimal_multi_price`` pays each winner their own valuation;
-``optimal_single_price_min2`` is the single-price optimum constrained to buy
-from at least two sellers.
+partially. ``optimal_single_price`` (F) pays every winner the marginal
+winner's valuation; ``optimal_multi_price`` (T) pays each winner their own
+valuation; ``optimal_single_price_min2`` (F^(2)) is the single-price optimum
+constrained to buy from at least two sellers, which leaves out the cheapest
+seller's block and has no no-trade fallback.
+
+F, F^(2), a split auction side's optimum, the masked optimal single price
+and the engines' per-seller thresholds are all built on one kernel,
+:func:`block_optimum` (``simulation._side_thresholds`` computes the same
+floats for every preceding unit count at once). T and the bid-independent
+auction's phase II share :func:`scan_pay_as_bid`. Both resolve ties to the
+smallest unit count: a candidate replaces the best only if it is strictly
+larger.
 """
 
 from __future__ import annotations
@@ -36,42 +45,73 @@ class BenchmarkResult:
         }
 
 
-def scan_single_price(pairs, rtable, lo: int = 0, include_empty: bool = True):
-    """Best single-price buy over unit counts u with lo < u <= total supply.
+def block_optimum(rtable, v: float, q: int, c: int) -> tuple[float, int]:
+    """g(j, c) and its unit count: the best single-price profit whose
+    marginal unit falls in seller j's block, when c cheaper units precede
+    it on its side.
+
+    Seller j asks v per unit for q >= 1 units, so its block covers the unit
+    counts c+1..c+q, each priced ``R(u) - u * v``. Returns (profit, u) with
+    u the smallest count reaching the best profit: the comparison is a
+    strict ``>``, so the first maximal float wins, -0.0 included. A side's
+    optimum, F, F^(2) and the engine's per-seller thresholds are all built
+    from it, so they share this float expression and this tie rule.
+    """
+    best, best_u = -math.inf, c + 1
+    for u in range(c + 1, c + q + 1):
+        profit = rtable[u] - u * v
+        if profit > best:
+            best, best_u = profit, u
+    return best, best_u
+
+
+def scan_single_price(pairs, rtable, min2: bool = False):
+    """Best single-price buy over the unit counts of ``pairs``.
 
     ``pairs`` is a (valuation, capacity) sequence already sorted ascending by
     (valuation, id). Every unit count u is priced at the valuation of the
-    seller supplying the u-th unit in that order. Ties across unit counts
-    resolve to the smallest count. Returns (profit, units, winners, price);
-    with ``include_empty`` the no-trade option (0, 0, 0, 0.0) is a candidate.
+    seller supplying the u-th unit in that order. Each seller's block is
+    scanned by :func:`block_optimum`, and a later block replaces the best
+    only if it is strictly better, so ties across unit counts resolve to
+    the smallest count. Returns (profit, units, winners, price).
 
-    Returns None if the candidate set is empty (lo >= supply and no
-    no-trade fallback).
+    By default the no-trade option (0.0, 0, 0, 0.0) is the starting
+    candidate: this is F, and a side's optimum. With ``min2`` the scan is
+    F^(2): the cheapest seller's block is left out, so the marginal winner
+    is the second seller or later, and there is no no-trade fallback. It
+    returns None when fewer than two sellers are given.
     """
-    best = (0.0, 0, 0, 0.0) if include_empty else None
-    u = 0
+    best = None if min2 else (0.0, 0, 0, 0.0)
+    c = 0
     for j, (v, q) in enumerate(pairs):
-        for _ in range(q):
-            u += 1
-            if u <= lo:
-                continue
-            profit = rtable[u] - u * v
+        if j or not min2:
+            profit, u = block_optimum(rtable, v, q, c)
             if best is None or profit > best[0]:
                 best = (profit, u, j + 1, v)
+        c += q
     return best
 
 
-def block_optimum(rtable, v: float, q: int, c: int) -> float:
-    """g(j, c): the best single-price profit whose marginal unit falls in
-    seller j's block, when c cheaper units precede it on its side.
+def scan_pay_as_bid(pairs, rtable) -> tuple[float, int, int]:
+    """Best pay-as-bid buy over the unit counts of ``pairs``.
 
-    Seller j asks v per unit for q units, so its block covers the unit
-    counts c+1..c+q, each priced ``R(u) - u * v``: the same float
-    expression as :func:`scan_single_price`. A side's optimum is therefore
-    exactly the largest of 0 and g(j, c_j) over its members, with c_j the
-    side's units cheaper than seller j.
+    ``pairs`` is an (ask, capacity) sequence in the order units are bought.
+    Buying u units costs the sum of the asks of the first u units, added up
+    unit by unit in that order. A count replaces the best only if strictly
+    better, so ties resolve to the smallest count, and no trade
+    (0.0, 0, 0) is the starting candidate. Returns (profit, units, winners).
     """
-    return max(rtable[u] - u * v for u in range(c + 1, c + q + 1))
+    best_profit, best_units, best_winners = 0.0, 0, 0
+    u = 0
+    cost = 0.0
+    for j, (v, q) in enumerate(pairs):
+        for _ in range(q):
+            u += 1
+            cost += v
+            profit = rtable[u] - cost
+            if profit > best_profit:
+                best_profit, best_units, best_winners = profit, u, j + 1
+    return best_profit, best_units, best_winners
 
 
 def optimal_single_price(instance: Instance) -> BenchmarkResult:
@@ -91,18 +131,9 @@ def optimal_multi_price(instance: Instance) -> BenchmarkResult:
     Each winner is paid their own valuation per unit, so this dominates the
     single-price optimum pointwise.
     """
-    rtable = instance.revenue_table
-    best_profit, best_units, best_winners = 0.0, 0, 0
-    u = 0
-    cost = 0.0
-    for j, b in enumerate(instance.sorted_bids):
-        for _ in range(b.capacity):
-            u += 1
-            cost += b.valuation
-            profit = rtable[u] - cost
-            if profit > best_profit:
-                best_profit, best_units, best_winners = profit, u, j + 1
-    return BenchmarkResult(profit=best_profit, k_winners=best_winners, units=best_units, price=None)
+    pairs = [(b.valuation, b.capacity) for b in instance.sorted_bids]
+    profit, units, winners = scan_pay_as_bid(pairs, instance.revenue_table)
+    return BenchmarkResult(profit=profit, k_winners=winners, units=units, price=None)
 
 
 def optimal_single_price_min2(instance: Instance) -> BenchmarkResult:
@@ -116,9 +147,7 @@ def optimal_single_price_min2(instance: Instance) -> BenchmarkResult:
     if instance.n < 2:
         raise BenchmarkUndefinedError("needs at least 2 bidders")
     pairs = [(b.valuation, b.capacity) for b in instance.sorted_bids]
-    lo = pairs[0][1]
-    scanned = scan_single_price(pairs, instance.revenue_table, lo=lo, include_empty=False)
-    profit, units, winners, price = scanned
+    profit, units, winners, price = scan_single_price(pairs, instance.revenue_table, min2=True)
     return BenchmarkResult(profit=profit, k_winners=winners, units=units, price=price)
 
 

@@ -10,10 +10,11 @@ with a fixed stream order, so a run is a pure function of (instance, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .benchmarks import block_optimum, scan_single_price
+from .benchmarks import block_optimum, scan_pay_as_bid, scan_single_price
 from .extraction import run_extraction
 from .model import EPS, AuctionOutcome, Bid, Instance, RevenueCurve, leq, make_outcome
 
@@ -106,17 +107,17 @@ def draw_partition(instance: Instance, seed: int) -> PartitionDraw:
     return PartitionDraw(flips=tuple(flips), seed=seed)
 
 
-def _side_single_price_profit(side, rtable) -> float:
-    best = 0.0
-    u = 0
-    for b in side:
-        v = b.valuation
-        for _ in range(b.capacity):
-            u += 1
-            p = rtable[u] - u * v
-            if p > best:
-                best = p
-    return best
+def _extract_better_side(side_a, side_b, rtable, f_prime: float, f_double: float, maxima):
+    """The split auction's choice rule: extract f'' from b' and f' from b'',
+    and keep the sub-auction with the higher buyer profit, b' on a tie.
+
+    Returns the chosen :class:`ExtractionResult` and the chosen side's name.
+    """
+    res_a = run_extraction(side_a, rtable, f_double, maxima)
+    res_b = run_extraction(side_b, rtable, f_prime, maxima)
+    if res_a.profit >= res_b.profit:
+        return res_a, "b_prime"
+    return res_b, "b_double_prime"
 
 
 def _run_partitioned(instance: Instance, partition: PartitionDraw) -> MechanismRun:
@@ -127,15 +128,9 @@ def _run_partitioned(instance: Instance, partition: PartitionDraw) -> MechanismR
     side_b = []  # b''
     for bid in instance.sorted_bids:
         (side_a if flips[pos_of(bid.id)] else side_b).append(bid)
-    f_prime = _side_single_price_profit(side_a, rtable)
-    f_double = _side_single_price_profit(side_b, rtable)
-    maxima = instance.revenue_maxima
-    res_a = run_extraction(side_a, rtable, f_double, maxima)
-    res_b = run_extraction(side_b, rtable, f_prime, maxima)
-    if res_a.profit >= res_b.profit:
-        chosen, side_name = res_a, "b_prime"
-    else:
-        chosen, side_name = res_b, "b_double_prime"
+    f_prime = scan_single_price([(b.valuation, b.capacity) for b in side_a], rtable)[0]
+    f_double = scan_single_price([(b.valuation, b.capacity) for b in side_b], rtable)[0]
+    chosen, side_name = _extract_better_side(side_a, side_b, rtable, f_prime, f_double, instance.revenue_maxima)
     alloc = [0] * instance.n
     pays = [0.0] * instance.n
     for sid, units in chosen.winners:
@@ -192,8 +187,10 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
 
     A draw costs O(n). The sellers are walked cheapest first, and each
     side's optimum f' or f'' is the largest of 0 and the block optima
-    g(j, c_j) of its members (:func:`block_optimum`, c_j the units the side
-    holds before seller j). Each g(j, c) is computed on first use and kept
+    g(j, c_j) of its members (the profit of :func:`block_optimum`, c_j the
+    units the side holds before seller j), compared with the same strict
+    ``>`` as :func:`scan_single_price`, so it is the float :func:`run_pepac`
+    computes for that side. Each g(j, c) is computed on first use and kept
     in seller j's dict, keyed by c. Seller j's dict has at most one entry
     per unit count that its cheaper sellers can hold, so the memo never
     exceeds sum_j (before_j + 1) entries, before_j the supply of the
@@ -226,8 +223,9 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
     - fl(f' - f'') > fl(band) implies f' - f'' > band (1 - 4e), and the
       slack in both terms of the band covers that loss.
 
-    Inside the band the engine runs :func:`run_extraction` on both sides,
-    the same float comparisons :func:`run_pepac` makes.
+    Inside the band the engine applies :func:`run_pepac`'s choice rule,
+    :func:`_extract_better_side`, to both sides with the curve's
+    average-revenue maxima, as :func:`run_pepac` does.
     """
     rtable = instance.revenue_table
     by_id_rank = sorted(range(instance.n), key=lambda pos: instance.bids[pos].id)
@@ -247,14 +245,14 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
             if mask & bit:
                 g = memo.get(ca)
                 if g is None:
-                    g = memo[ca] = block_optimum(rtable, v, q, ca)
+                    g = memo[ca] = block_optimum(rtable, v, q, ca)[0]
                 if g > fa:
                     fa = g
                 ca += q
             else:
                 g = memo.get(cb)
                 if g is None:
-                    g = memo[cb] = block_optimum(rtable, v, q, cb)
+                    g = memo[cb] = block_optimum(rtable, v, q, cb)[0]
                 if g > fb:
                     fb = g
                 cb += q
@@ -264,9 +262,7 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
             return fa
         side_a = [b for b, s in zip(sorted_bids, sellers) if mask & s[0]]
         side_b = [b for b, s in zip(sorted_bids, sellers) if not mask & s[0]]
-        pa = run_extraction(side_a, rtable, fb).profit
-        pb = run_extraction(side_b, rtable, fa).profit
-        return pa if pa >= pb else pb
+        return _extract_better_side(side_a, side_b, rtable, fa, fb, instance.revenue_maxima)[0].profit
 
     return profit_for_mask
 
@@ -295,17 +291,7 @@ def run_bid_independent(instance: Instance, f: ThresholdFunction) -> AuctionOutc
         if leq(instance.bids[pos].valuation, thresholds[pos])
     ]
     survivors.sort(key=lambda s: (s[0], s[1]))
-    rtable = instance.revenue_table
-    best_profit, best_units = 0.0, 0
-    u = 0
-    cost = 0.0
-    for t, _, _, q in survivors:
-        for _ in range(q):
-            u += 1
-            cost += t
-            profit = rtable[u] - cost
-            if profit > best_profit:
-                best_profit, best_units = profit, u
+    _, best_units, _ = scan_pay_as_bid([(t, q) for t, _, _, q in survivors], instance.revenue_table)
     alloc = [0] * instance.n
     pays = [0.0] * instance.n
     remaining = best_units
@@ -403,7 +389,8 @@ def resolve_mechanism(name: str, demand_cap: int | None = None) -> Mechanism:
 
     Names: ``pepa``, ``pepac``, ``kth-price`` (needs a demand cap), and
     ``bid-independent:<f>`` with f one of ``zero``, ``posted=<price>``,
-    ``opp``.
+    ``opp``. A posted price that is not a finite number >= 0 raises
+    :class:`UnknownMechanismError` naming it.
     """
     if name == "pepa":
         return Mechanism(name, True, lambda inst, seed=None: run_pepa(inst, seed=seed))
@@ -420,10 +407,14 @@ def resolve_mechanism(name: str, demand_cap: int | None = None) -> Mechanism:
         elif spec == "opp":
             f = threshold_masked_opp
         elif spec.startswith("posted="):
+            raw = spec.split("=", 1)[1]
             try:
-                f = make_threshold_posted(float(spec.split("=", 1)[1]))
+                price = float(raw)
             except ValueError as exc:
                 raise UnknownMechanismError(f"bad posted price in {name!r}") from exc
+            if not (math.isfinite(price) and price >= 0):
+                raise UnknownMechanismError(f"bad posted price in {name!r}: {raw} is not a finite price >= 0")
+            f = make_threshold_posted(price)
         else:
             raise UnknownMechanismError(f"unknown threshold function {spec!r}")
         return Mechanism(name, False, _wrap_deterministic(lambda inst: run_bid_independent(inst, f)))

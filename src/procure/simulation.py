@@ -246,11 +246,14 @@ def _side_thresholds(instance: Instance) -> list[list[float]]:
     """g[j][c]: the best single-price profit ending in the block of the j-th
     cheapest seller, when c units of cheaper sellers precede it on its side.
 
-    Each unit count u in c+1..c+q_j is priced ``R(u) - u * v_j`` and ``max``
-    is exact, so every entry is the float :func:`benchmarks.block_optimum`
-    returns for (j, c), and a side's optimum is exactly
-    ``max(0, g[j][c_j] over its members)``. Seller j's row costs
-    O(c + q_j) for its largest c.
+    Each unit count u in c+1..c+q_j is priced ``R(u) - u * v_j``, the
+    kernel's float expression, and ``max`` is exact, so every entry equals
+    the profit :func:`benchmarks.block_optimum` returns for (j, c), and a
+    side's optimum is exactly ``max(0, g[j][c_j] over its members)``. Only
+    the profits are thresholds; the counts reaching them are not kept. The
+    row comes from one profit row and its sliding-window maxima
+    (:func:`_window_maxima`), O(c + q_j) for its largest c, where calling
+    the kernel for every c would cost O(c * q_j).
     """
     rtable = instance.revenue_table
     g = []
@@ -311,7 +314,7 @@ def _min_side_by_enumeration(instance: Instance) -> float:
     reachable = {0}
     for b in instance.sorted_bids:
         v, q = b.valuation, b.capacity
-        g.append({c: benchmarks.block_optimum(rtable, v, q, c) for c in reachable})
+        g.append({c: benchmarks.block_optimum(rtable, v, q, c)[0] for c in reachable})
         reachable |= {c + q for c in reachable}
 
     def draw_minima():

@@ -118,6 +118,33 @@ def cap_t_oracle(instance):
     return best
 
 
+def per_unit_single_price_scan(pairs, rtable, lo=0, include_empty=True):
+    """Best single-price buy over unit counts u with lo < u <= total supply,
+    by a walk over every unit.
+
+    ``pairs`` is a (valuation, capacity) sequence sorted ascending; unit u is
+    priced at the valuation of the seller supplying it. A count replaces the
+    best only if strictly better, so ties resolve to the smallest count.
+    Returns (profit, units, winners, price); with ``include_empty`` the
+    no-trade option (0.0, 0, 0, 0.0) is a candidate, else None when no count
+    lies above ``lo``. It shares no code with
+    :func:`procure.benchmarks.scan_single_price`, which must return the same
+    four values: F is ``lo=0``, F^(2) is ``lo`` the cheapest seller's
+    capacity with no no-trade option.
+    """
+    best = (0.0, 0, 0, 0.0) if include_empty else None
+    u = 0
+    for j, (v, q) in enumerate(pairs):
+        for _ in range(q):
+            u += 1
+            if u <= lo:
+                continue
+            profit = rtable[u] - u * v
+            if best is None or profit > best[0]:
+                best = (profit, u, j + 1, v)
+    return best
+
+
 def min_side_profit_oracle(instance, flips, unit=True):
     """Profit the split auction must earn on a fixed draw: the smaller of
     the two sides' single-price optima (their common value when equal)."""

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from procure.benchmarks import (
     BenchmarkUndefinedError,
@@ -8,8 +8,9 @@ from procure.benchmarks import (
     optimal_multi_price,
     optimal_single_price,
     optimal_single_price_min2,
+    scan_single_price,
 )
-from procure.model import capped_curve, linear_curve, make_instance
+from procure.model import capped_curve, linear_curve, make_instance, pwl_curve
 from procure.simulation import generate
 
 from oracles import (
@@ -17,6 +18,7 @@ from oracles import (
     cap_f_oracle,
     cap_t_oracle,
     equal_margin_ratio_oracle,
+    per_unit_single_price_scan,
     unit_f2_oracle,
     unit_f_oracle,
     unit_t_oracle,
@@ -184,3 +186,53 @@ def test_multi_price_within_harmonic_factor_unit_case(seed):
     if f <= 0:
         return
     assert t <= f * harmonic(inst.n) + 1e-9
+
+
+# --- the single-price kernel against the per-unit walk --------------------------
+
+# Curves and valuations drawn from small sets, so that equal valuations,
+# profits that tie across blocks (linear_curve(r) with v = r), counts that
+# tie within a block (a capped curve's plateau at v = 0) and -0.0 profits
+# (linear_curve(-0.0) at v = 0) come up often.
+_TIE_CURVES = st.one_of(
+    st.sampled_from([0.5, 1.0, 2.0, 3.0, -0.0]).map(linear_curve),
+    st.tuples(st.sampled_from([1.0, 2.0, 3.0]), st.integers(min_value=1, max_value=12)).map(
+        lambda rd: capped_curve(*rd)
+    ),
+    st.just(pwl_curve([(4, 12.0), (8, 20.0)])),
+)
+_TIE_SELLERS = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), st.floats(min_value=0.0, max_value=3.0)),
+        st.integers(min_value=1, max_value=5),
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+def _hexed(scan):
+    if scan is None:
+        return None
+    profit, units, winners, price = scan
+    return profit.hex(), units, winners, price.hex()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TIE_SELLERS, _TIE_CURVES)
+@example([(1.0, 2), (1.0, 3), (1.0, 1)], linear_curve(1.0))
+@example([(0.0, 3), (0.0, 2)], linear_curve(-0.0))
+@example([(0.0, 1), (0.0, 4), (2.0, 2)], capped_curve(3.0, 2))
+@example([(2.0, 3), (1.0, 2), (2.0, 2), (2.0, 1)], pwl_curve([(4, 12.0), (8, 20.0)]))
+def test_scan_matches_per_unit_walk_bit_for_bit(sellers, curve):
+    inst = make_instance([v for v, _ in sellers], capacities=[q for _, q in sellers], curve=curve)
+    pairs = [(b.valuation, b.capacity) for b in inst.sorted_bids]
+    rtable = inst.revenue_table
+    f = scan_single_price(pairs, rtable)
+    assert _hexed(f) == _hexed(per_unit_single_price_scan(pairs, rtable))
+    f2 = scan_single_price(pairs, rtable, min2=True)
+    if len(pairs) < 2:
+        assert f2 is None
+    else:
+        oracle = per_unit_single_price_scan(pairs, rtable, lo=pairs[0][1], include_empty=False)
+        assert _hexed(f2) == _hexed(oracle)

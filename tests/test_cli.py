@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from procure import simulation
 from procure.cli import main
 from procure.model import dumps_instance, loads_instance
@@ -186,6 +188,117 @@ def test_allocation_monotonicity_golden_report():
     assert inst.total_supply == 1453
     report = simulation.audit_allocation_monotonicity(inst, "pepac", seed=3)
     assert report.to_json_dict() == {"mechanism": "pepac", "deviations_tested": 384, "violations": []}
+
+
+# benchmark reports pinned byte for byte against the per-unit scans, profits
+# and the units, k_winners and price each optimum picks among tied counts
+TIES_INSTANCE = {
+    "bids": [{"v": 2.0, "q": 3}, {"v": 1.0, "q": 2}, {"v": 2.0, "q": 2}, {"v": 2.0, "q": 1}],
+    "curve": {"kind": "pwl", "points": [[4, 12.0], [8, 20.0]]},
+}
+GOLDEN_BENCHMARK = {
+    "uniform-random:n=40,seed=3,qmax=8,curve=pwl": (
+        """{
+  "f": {
+    "profit": 12.291792057314083,
+    "k_winners": 6,
+    "units": 33,
+    "price": 0.16309962197106975
+  },
+  "t": {
+    "profit": 19.57506538844168,
+    "k_winners": 13,
+    "units": 61,
+    "price": null
+  },
+  "f2": {
+    "profit": 12.291792057314083,
+    "k_winners": 6,
+    "units": 33,
+    "price": 0.16309962197106975
+  },
+  "f2_note": null,
+  "opp": 0.16309962197106975
+}
+""",
+        "f,t,f2,opp\n12.291792057314083,19.57506538844168,12.291792057314083,0.16309962197106975\n",
+    ),
+    "example1:r=10,eps=1,n=4": (
+        """{
+  "f": {
+    "profit": 9.0,
+    "k_winners": 1,
+    "units": 1,
+    "price": 1.0
+  },
+  "t": {
+    "profit": 10.0,
+    "k_winners": 2,
+    "units": 2,
+    "price": null
+  },
+  "f2": {
+    "profit": 2.0,
+    "k_winners": 2,
+    "units": 2,
+    "price": 9.0
+  },
+  "f2_note": null,
+  "opp": 1.0
+}
+""",
+        "f,t,f2,opp\n9.0,10.0,2.0,1.0\n",
+    ),
+    # F ties over counts 2 and 4..8, F^(2) over 4..8 and T over 4..8
+    "ties": (
+        """{
+  "f": {
+    "profit": 4.0,
+    "k_winners": 1,
+    "units": 2,
+    "price": 1.0
+  },
+  "t": {
+    "profit": 6.0,
+    "k_winners": 2,
+    "units": 4,
+    "price": null
+  },
+  "f2": {
+    "profit": 4.0,
+    "k_winners": 2,
+    "units": 4,
+    "price": 2.0
+  },
+  "f2_note": null,
+  "opp": 1.0
+}
+""",
+        "f,t,f2,opp\n4.0,6.0,4.0,1.0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BENCHMARK))
+def test_benchmark_golden_output(capsys, tmp_path, name):
+    if name == "ties":
+        path = tmp_path / "ties.json"
+        path.write_text(json.dumps(TIES_INSTANCE))
+        source = ("--instance", str(path))
+    else:
+        source = ("--generate", name)
+    json_text, csv_text = GOLDEN_BENCHMARK[name]
+    assert run_cli(capsys, "benchmark", *source) == (0, json_text, "")
+    assert run_cli(capsys, "benchmark", *source, "--format", "csv") == (0, csv_text, "")
+
+
+@pytest.mark.parametrize("price", ["inf", "nan", "1e400", "-1"])
+def test_run_rejects_bad_posted_price(capsys, price):
+    code, out, err = run_cli(
+        capsys, "run", "--generate", "uniform-random:n=3,seed=1", "--mechanism", f"bid-independent:posted={price}"
+    )
+    assert (code, out) == (3, "")
+    assert err == f"error: bad posted price in 'bid-independent:posted={price}': {price} is not a finite price >= 0\n"
 
 
 def test_ratio_rejects_nonpositive_benchmark(capsys, tmp_path):

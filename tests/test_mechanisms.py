@@ -385,6 +385,9 @@ def test_registry_errors():
         resolve_mechanism("bid-independent:bogus")
     with pytest.raises(UnknownMechanismError):
         resolve_mechanism("bid-independent:posted=abc")
+    for bad in ("inf", "-inf", "nan", "1e400", "-1"):
+        with pytest.raises(UnknownMechanismError, match=f"posted={bad}.*{bad} is not a finite price"):
+            resolve_mechanism(f"bid-independent:posted={bad}")
     with pytest.raises(ValueError):
         resolve_mechanism("kth-price")  # missing demand cap
 
