@@ -9,12 +9,13 @@ constrained to buy from at least two sellers, which leaves out the cheapest
 seller's block and has no no-trade fallback.
 
 F, F^(2), a split auction side's optimum, the masked optimal single price
-and the engines' per-seller thresholds are all built on one kernel,
-:func:`block_optimum` (``simulation._side_thresholds`` computes the same
-floats for every preceding unit count at once). T and the bid-independent
-auction's phase II share :func:`scan_pay_as_bid`. Both resolve ties to the
-smallest unit count: a candidate replaces the best only if it is strictly
-larger.
+and the per-draw side walk (``mechanisms.side_optima_by_mask``, which the
+Monte Carlo engine and exact enumeration share) are all built on one
+kernel, :func:`block_optimum` (``simulation._side_thresholds`` computes the
+same floats for every preceding unit count at once, for threshold
+counting). T and the bid-independent auction's phase II share
+:func:`scan_pay_as_bid`. Both resolve ties to the smallest unit count: a
+candidate replaces the best only if it is strictly larger.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ def block_optimum(rtable, v: float, q: int, c: int) -> tuple[float, int]:
     counts c+1..c+q, each priced ``R(u) - u * v``. Returns (profit, u) with
     u the smallest count reaching the best profit: the comparison is a
     strict ``>``, so the first maximal float wins, -0.0 included. A side's
-    optimum, F, F^(2) and the engine's per-seller thresholds are all built
-    from it, so they share this float expression and this tie rule.
+    optimum, F, F^(2) and the per-draw side walk are all built from it, so
+    they share this float expression and this tie rule.
     """
     best, best_u = -math.inf, c + 1
     for u in range(c + 1, c + q + 1):

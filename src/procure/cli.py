@@ -92,10 +92,7 @@ def cmd_run(args) -> int:
     mech = resolve_mechanism(args.mechanism, demand_cap=args.demand_cap)
     seed = _resolve_seed(args) if mech.randomized else None
     run = mech.run(instance, seed)
-    utilities = [
-        (run.outcome.payment_per_unit[i] - instance.bids[i].valuation) * run.outcome.allocation[i]
-        for i in range(instance.n)
-    ]
+    utilities = [simulation.seller_utility(run, i, bid.valuation) for i, bid in enumerate(instance.bids)]
     _emit_json(
         args,
         {

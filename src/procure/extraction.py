@@ -36,33 +36,33 @@ class ExtractionResult:
 NO_TRADE = ExtractionResult(winners=(), price_per_unit=0.0, profit=0.0)
 
 
-def run_extraction(sorted_bids, rtable, target: float, maxima=None) -> ExtractionResult:
+def run_extraction(sorted_bids, rtable, target: float, maxima) -> ExtractionResult:
     """Extraction core over bids already sorted by (valuation, id).
 
-    Scans unit counts from the total supply downward and stops at the first
-    (hence largest) count u whose marginal supplier qualifies:
-    v <= (R(u) - target) / u. The first winners sell full capacity; the
-    marginal one sells the remainder. An empty bid list never trades.
+    Finds the largest unit count u whose marginal supplier qualifies,
+    v <= (R(u) - target) / u up to ``EPS``, searching the sellers' blocks
+    from the most expensive down. The first winners sell full capacity; the
+    marginal one sells the remainder, and every winner is paid
+    (R(u) - target) / u per unit. An empty bid list never trades.
 
-    With ``maxima``, the :class:`~procure.model.AverageRevenueMaxima` of a
-    table of which ``rtable`` is a prefix, the scan skips every range of
-    counts that the maxima prove holds no qualifying count, so its cost no
-    longer grows with how far below the total supply the winning count
-    lies. It finds the same count and computes the same price.
+    ``maxima`` are the :class:`~procure.model.AverageRevenueMaxima` of a
+    table of which ``rtable`` is a prefix. The search skips every range of
+    counts that the maxima prove holds no qualifying count and checks the
+    rest count by count, so its cost does not grow with how far below the
+    total supply the winning count lies. It finds the count, and computes
+    the price, that a count-by-count scan from the total supply downward
+    would.
     """
     target = float(target)
     if target < 0:
         raise ValueError(f"target profit must be >= 0, got {target}")
+    levels = maxima.levels
     cums = [0]
     for b in sorted_bids:
         cums.append(cums[-1] + b.capacity)
     for j in range(len(sorted_bids) - 1, -1, -1):
         v = sorted_bids[j].valuation
-        if maxima is None:
-            u = _last_qualifying(rtable, v, target, cums[j] + 1, cums[j + 1])
-        else:
-            levels = maxima.levels
-            u = _last_qualifying_in_node(rtable, levels, len(levels) - 1, 0, v, target, cums[j] + 1, cums[j + 1])
+        u = _last_qualifying_in_node(rtable, levels, len(levels) - 1, 0, v, target, cums[j] + 1, cums[j + 1])
         if u:
             winners = [(sorted_bids[i].id, sorted_bids[i].capacity) for i in range(j)]
             winners.append((sorted_bids[j].id, u - cums[j]))
@@ -71,7 +71,8 @@ def run_extraction(sorted_bids, rtable, target: float, maxima=None) -> Extractio
 
 
 def _last_qualifying(rtable, v: float, target: float, lo: int, hi: int) -> int:
-    """The largest u in lo..hi with v <= (R(u) - target) / u up to EPS, else 0."""
+    """The largest u in lo..hi with v <= (R(u) - target) / u up to EPS, else
+    0: the leaf check of :func:`_last_qualifying_in_node`."""
     for u in range(hi, lo - 1, -1):
         if leq(v, (rtable[u] - target) / u):
             return u
@@ -110,12 +111,15 @@ def _last_qualifying_in_node(rtable, levels, k: int, i: int, v: float, target: f
 
 
 def pe(instance: Instance, target: float) -> ExtractionResult:
-    """Unit-capacity extraction: the largest k cheapest sellers with v_[k] <= (R(k) - P) / k."""
+    """Unit-capacity extraction: the largest k cheapest sellers with
+    v_[k] <= (R(k) - P) / k. It is :func:`pec` once the capacities are
+    checked to be 1."""
     if not instance.is_unit_capacity:
         raise ValueError("pe requires unit capacities; use pec for capacitated instances")
-    return run_extraction(instance.sorted_bids, instance.revenue_table, target)
+    return pec(instance, target)
 
 
 def pec(instance: Instance, target: float) -> ExtractionResult:
-    """Capacitated extraction; reduces to :func:`pe` when all capacities are 1."""
-    return run_extraction(instance.sorted_bids, instance.revenue_table, target)
+    """Capacitated extraction: :func:`run_extraction` over the instance's
+    sorted bids and revenue table."""
+    return run_extraction(instance.sorted_bids, instance.revenue_table, target, instance.revenue_maxima)

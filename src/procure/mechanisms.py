@@ -98,13 +98,16 @@ class MechanismRun:
         }
 
 
+def _coin_bit_of(instance: Instance) -> dict[int, int]:
+    """Seller id -> the index of its coin in a draw's mask: bit i is the
+    coin for the bidder with the i-th smallest id."""
+    return {sid: i for i, sid in enumerate(sorted(b.id for b in instance.bids))}
+
+
 def draw_partition(instance: Instance, seed: int) -> PartitionDraw:
     bits = partition_mask(instance.n, seed)
-    by_id = sorted(range(instance.n), key=lambda pos: instance.bids[pos].id)
-    flips = [False] * instance.n
-    for rank, pos in enumerate(by_id):
-        flips[pos] = bool((bits >> rank) & 1)
-    return PartitionDraw(flips=tuple(flips), seed=seed)
+    bit_of = _coin_bit_of(instance)
+    return PartitionDraw(flips=tuple(bool(bits >> bit_of[b.id] & 1) for b in instance.bids), seed=seed)
 
 
 def _extract_better_side(side_a, side_b, rtable, f_prime: float, f_double: float, maxima):
@@ -177,24 +180,62 @@ def run_pepa(instance: Instance, seed: int | None = None, partition: PartitionDr
     return _run_partitioned(instance, _resolve_partition(instance, seed, partition))
 
 
+def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, float]]:
+    """The per-draw walk of the random-split auctions: a closure mapping a
+    coin mask to the two sides' single-price optima (f', f'').
+
+    Bit i of the mask set (for the bidder with the i-th smallest id) puts
+    that bidder on side b'. Both :func:`partition_profit_engine` and exact
+    enumeration (``simulation._min_side_by_enumeration``) take their side
+    optima from it, and on every draw they are the floats :func:`run_pepac`
+    computes.
+
+    A draw costs O(n). The sellers are walked cheapest first, and each
+    side's optimum is the largest of 0 and the block optima g(j, c_j) of its
+    members (the profit of :func:`block_optimum`, c_j the units the side
+    holds before seller j), compared with the same strict ``>`` as
+    :func:`scan_single_price`, so it is the float that scan returns for that
+    side. Each g(j, c) is computed on first use and kept in seller j's dict,
+    keyed by c. Seller j's dict has at most one entry per unit count that
+    its cheaper sellers can hold, so the memo never exceeds
+    sum_j (before_j + 1) entries, before_j the supply of the sellers cheaper
+    than j, nor n per draw evaluated.
+    """
+    rtable = instance.revenue_table
+    bit_of = _coin_bit_of(instance)
+    sellers = [(1 << bit_of[b.id], b.capacity, b.valuation, {}) for b in instance.sorted_bids]
+
+    def side_optima(mask: int) -> tuple[float, float]:
+        ca = cb = 0
+        fa = fb = 0.0
+        for bit, q, v, memo in sellers:
+            if mask & bit:
+                g = memo.get(ca)
+                if g is None:
+                    g = memo[ca] = block_optimum(rtable, v, q, ca)[0]
+                if g > fa:
+                    fa = g
+                ca += q
+            else:
+                g = memo.get(cb)
+                if g is None:
+                    g = memo[cb] = block_optimum(rtable, v, q, cb)[0]
+                if g > fb:
+                    fb = g
+                cb += q
+        return fa, fb
+
+    return side_optima
+
+
 def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
     """Profit-only fast path for the random-split auctions.
 
     Returns a closure mapping a partition bitmask to the buyer's profit,
-    where bit i (for the bidder with the i-th smallest id) set means side
-    b'. Used by the Monte Carlo estimator; on every draw it returns the
-    same float as :func:`run_pepac`.
-
-    A draw costs O(n). The sellers are walked cheapest first, and each
-    side's optimum f' or f'' is the largest of 0 and the block optima
-    g(j, c_j) of its members (the profit of :func:`block_optimum`, c_j the
-    units the side holds before seller j), compared with the same strict
-    ``>`` as :func:`scan_single_price`, so it is the float :func:`run_pepac`
-    computes for that side. Each g(j, c) is computed on first use and kept
-    in seller j's dict, keyed by c. Seller j's dict has at most one entry
-    per unit count that its cheaper sellers can hold, so the memo never
-    exceeds sum_j (before_j + 1) entries, before_j the supply of the
-    sellers cheaper than j, nor n per draw evaluated.
+    with the mask bits of :func:`side_optima_by_mask`. Used by the Monte
+    Carlo estimator; on every draw it returns the same float as
+    :func:`run_pepac`. It is that walk, which gives (f', f'') in O(n) per
+    draw, plus the tie band below and an extraction fallback inside it.
 
     The auction extracts each side's optimum from the other side and keeps
     the better sub-auction. Outside a band around a tie this earns exactly
@@ -227,41 +268,21 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
     :func:`_extract_better_side`, to both sides with the curve's
     average-revenue maxima, as :func:`run_pepac` does.
     """
+    side_optima = side_optima_by_mask(instance)
     rtable = instance.revenue_table
-    by_id_rank = sorted(range(instance.n), key=lambda pos: instance.bids[pos].id)
-    rank_of_pos = {pos: rank for rank, pos in enumerate(by_id_rank)}
     sorted_bids = instance.sorted_bids
     m = instance.total_supply
     band = 2 * m * EPS + 2.0**-40 * (max(rtable) + m * sorted_bids[-1].valuation)
-    sellers = [
-        (1 << rank_of_pos[instance.position_of(b.id)], b.capacity, b.valuation, {})
-        for b in sorted_bids
-    ]
+    bit_of = _coin_bit_of(instance)
 
     def profit_for_mask(mask: int) -> float:
-        ca = cb = 0
-        fa = fb = 0.0
-        for bit, q, v, memo in sellers:
-            if mask & bit:
-                g = memo.get(ca)
-                if g is None:
-                    g = memo[ca] = block_optimum(rtable, v, q, ca)[0]
-                if g > fa:
-                    fa = g
-                ca += q
-            else:
-                g = memo.get(cb)
-                if g is None:
-                    g = memo[cb] = block_optimum(rtable, v, q, cb)[0]
-                if g > fb:
-                    fb = g
-                cb += q
+        fa, fb = side_optima(mask)
         if fa - fb > band:
             return fb
         if fb - fa > band:
             return fa
-        side_a = [b for b, s in zip(sorted_bids, sellers) if mask & s[0]]
-        side_b = [b for b, s in zip(sorted_bids, sellers) if not mask & s[0]]
+        side_a = [b for b in sorted_bids if mask >> bit_of[b.id] & 1]
+        side_b = [b for b in sorted_bids if not mask >> bit_of[b.id] & 1]
         return _extract_better_side(side_a, side_b, rtable, fa, fb, instance.revenue_maxima)[0].profit
 
     return profit_for_mask

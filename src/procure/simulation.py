@@ -21,7 +21,14 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import benchmarks
-from .mechanisms import partition_mask, partition_profit_engine, require_unit_capacity, resolve_mechanism
+from .mechanisms import (
+    Mechanism,
+    partition_mask,
+    partition_profit_engine,
+    require_unit_capacity,
+    resolve_mechanism,
+    side_optima_by_mask,
+)
 from .model import Bid, Instance, capped_curve, instance_to_json_dict, linear_curve, make_instance, pwl_curve
 
 GAIN_TOL = 1e-6  # a deviation must beat truth by more than this to count as a violation
@@ -51,6 +58,19 @@ class RatioReport:
             "ratio_lower_bound_3sigma": self.ratio_lower_bound_3sigma,
             "instance_digest": self.instance_digest,
         }
+
+
+def _ratio_report(trials: int, mean: float, stderr: float, bench: float, digest: str) -> RatioReport:
+    """The report of a mean profit and its standard error against a benchmark."""
+    return RatioReport(
+        trials=trials,
+        mean_profit=mean,
+        std_error=stderr,
+        benchmark=bench,
+        ratio_estimate=mean / bench,
+        ratio_lower_bound_3sigma=(mean - 3.0 * stderr) / bench,
+        instance_digest=digest,
+    )
 
 
 RATIO_CSV_HEADER = "family,params,mechanism,benchmark,trials,mean,stderr,ratio"
@@ -147,6 +167,14 @@ def _instance_digest(instance: Instance, mechanism: str, benchmark: str, trials:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
+def _resolve_for(instance: Instance, mechanism: str, demand_cap: int | None) -> Mechanism:
+    """The named mechanism, once ``pepa``'s unit-capacity precondition holds."""
+    mech = resolve_mechanism(mechanism, demand_cap=demand_cap)
+    if mechanism == "pepa":
+        require_unit_capacity(instance)
+    return mech
+
+
 def estimate_ratio(
     instance: Instance,
     mechanism: str,
@@ -164,10 +192,8 @@ def estimate_ratio(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     bench = _positive_benchmark(instance, benchmark)
-    mech = resolve_mechanism(mechanism, demand_cap=demand_cap)
+    mech = _resolve_for(instance, mechanism, demand_cap)
     if mech.randomized:
-        if mechanism == "pepa":
-            require_unit_capacity(instance)
         engine = partition_profit_engine(instance)
         n = instance.n
         profits = [engine(partition_mask(n, trial_seed(seed, t))) for t in range(trials)]
@@ -177,15 +203,7 @@ def estimate_ratio(
     mean = math.fsum(profits) / trials
     std = statistics.stdev(profits) if trials > 1 else 0.0
     stderr = std / math.sqrt(trials)
-    return RatioReport(
-        trials=trials,
-        mean_profit=mean,
-        std_error=stderr,
-        benchmark=bench,
-        ratio_estimate=mean / bench,
-        ratio_lower_bound_3sigma=(mean - 3.0 * stderr) / bench,
-        instance_digest=_instance_digest(instance, mechanism, benchmark, trials, seed),
-    )
+    return _ratio_report(trials, mean, stderr, bench, _instance_digest(instance, mechanism, benchmark, trials, seed))
 
 
 def exhaustive_expected_profit(instance: Instance, mechanism: str, demand_cap: int | None = None) -> float:
@@ -196,30 +214,22 @@ def exhaustive_expected_profit(instance: Instance, mechanism: str, demand_cap: i
     supply, or by walking the 2^n draws when there are few sellers with
     large capacities. Deterministic mechanisms are evaluated once.
     """
-    mech = resolve_mechanism(mechanism, demand_cap=demand_cap)
+    mech = _resolve_for(instance, mechanism, demand_cap)
     if not mech.randomized:
         return mech.run(instance, None).outcome.profit
-    if mechanism == "pepa":
-        require_unit_capacity(instance)
     return _expected_min_side_optimum(instance)
 
 
 def exact_ratio(instance: Instance, mechanism: str, benchmark: str, demand_cap: int | None = None) -> RatioReport:
     """Exact expected profit relative to a benchmark, as a zero-trial report.
 
-    Rejects instances whose benchmark is not strictly positive.
+    Rejects instances whose benchmark is not strictly positive. The
+    standard error is 0.0, so the 3-sigma lower bound is the estimate, bit
+    for bit.
     """
     bench = _positive_benchmark(instance, benchmark)
     expected = exhaustive_expected_profit(instance, mechanism, demand_cap=demand_cap)
-    return RatioReport(
-        trials=0,
-        mean_profit=expected,
-        std_error=0.0,
-        benchmark=bench,
-        ratio_estimate=expected / bench,
-        ratio_lower_bound_3sigma=expected / bench,
-        instance_digest="",
-    )
+    return _ratio_report(0, expected, 0.0, bench, "")
 
 
 def _window_maxima(h: list[float], q: int) -> list[float]:
@@ -300,39 +310,17 @@ def _expected_min_side_optimum(instance: Instance) -> float:
 def _min_side_by_enumeration(instance: Instance) -> float:
     """``fsum`` of min(f', f'') over all 2^n draws, divided by 2^n.
 
-    Bit j of a draw puts the j-th cheapest seller on b'. The thresholds
-    g[j][c] of :func:`_side_thresholds` are needed only at the c that some
-    subset of cheaper sellers can hold, at most 2^j of them, so each is
-    computed directly by :func:`benchmarks.block_optimum`. That is at most
-    2^(n-1) * m float operations, and memory is O(1) in the number of
-    draws.
+    Each draw's (f', f'') comes from :func:`mechanisms.side_optima_by_mask`,
+    the walk the Monte Carlo engine runs, which computes each threshold
+    g(j, c) of :func:`_side_thresholds` on first use, only at the c that
+    some subset of cheaper sellers can hold: at most 2^(n-1) * m float
+    operations in all, and memory O(1) in the number of draws. The walk's
+    bit i is the bidder with the i-th smallest id, not the i-th cheapest,
+    but over all 2^n masks either order yields the same multiset of minima,
+    and ``fsum`` is correctly rounded, so the sum does not depend on it.
     """
-    rtable = instance.revenue_table
-    caps = [b.capacity for b in instance.sorted_bids]
-    n = instance.n
-    g = []
-    reachable = {0}
-    for b in instance.sorted_bids:
-        v, q = b.valuation, b.capacity
-        g.append({c: benchmarks.block_optimum(rtable, v, q, c)[0] for c in reachable})
-        reachable |= {c + q for c in reachable}
-
-    def draw_minima():
-        for mask in range(1 << n):
-            ca = cb = 0
-            fa = fb = 0.0
-            for j, (gj, q) in enumerate(zip(g, caps)):
-                if mask >> j & 1:
-                    if gj[ca] > fa:
-                        fa = gj[ca]
-                    ca += q
-                else:
-                    if gj[cb] > fb:
-                        fb = gj[cb]
-                    cb += q
-            yield fa if fa < fb else fb
-
-    return math.fsum(draw_minima()) / (1 << n)
+    side_optima = side_optima_by_mask(instance)
+    return math.fsum(min(side_optima(mask)) for mask in range(1 << instance.n)) / (1 << instance.n)
 
 
 def _min_side_by_counting(instance: Instance) -> float:
@@ -407,7 +395,10 @@ def _min_side_by_counting(instance: Instance) -> float:
 # --- audits -------------------------------------------------------------------
 
 
-def _utility(instance: Instance, run, position: int, true_valuation: float) -> float:
+def seller_utility(run, position: int, true_valuation: float) -> float:
+    """The utility in ``run`` of the seller at ``position`` whose true value
+    is ``true_valuation``; 0.0 when it sells nothing, where
+    (payment - value) * 0 would give -0.0."""
     x = run.outcome.allocation[position]
     if x == 0:
         return 0.0
@@ -475,7 +466,7 @@ def audit_truthfulness(
     tested = 0
     violations = []
     for pos, bid in enumerate(instance.bids):
-        base_utility = _utility(instance, truth_run, pos, bid.valuation)
+        base_utility = seller_utility(truth_run, pos, bid.valuation)
         deviations = []
         if "valuation" in dims:
             deviations.extend((v, bid.capacity) for v in _valuation_grid(instance, pos, truth_run))
@@ -484,7 +475,7 @@ def audit_truthfulness(
         for dev_v, dev_q in deviations:
             tested += 1
             dev_run = mech.run(_with_bid(instance, pos, dev_v, dev_q), seed)
-            gain = _utility(instance, dev_run, pos, bid.valuation) - base_utility
+            gain = seller_utility(dev_run, pos, bid.valuation) - base_utility
             if gain > GAIN_TOL:
                 dim = "capacity" if dev_q != bid.capacity else "valuation"
                 violations.append(

@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, fsum
 
+from procure.extraction import ExtractionResult
 from procure.model import EPS
 
 
@@ -240,6 +241,38 @@ def enumerated_expected_profit(instance):
     engine = per_unit_profit_engine(instance)
     n = instance.n
     return fsum(engine(mask) for mask in range(1 << n)) / (1 << n)
+
+
+def unit_qualifies(v, price):
+    """Whether a unit count's marginal seller, asking v, accepts the price
+    offered at that count, up to the library's ``EPS`` tolerance."""
+    return v <= price + EPS
+
+
+def per_unit_extraction(sorted_bids, rtable, target):
+    """Extraction of ``target`` by a scan over every unit count, from the
+    total supply down.
+
+    ``sorted_bids`` are sorted by (valuation, id). The first count u whose
+    marginal seller qualifies (:func:`unit_qualifies` at the price
+    (R(u) - target) / u) is bought at that price per unit: every cheaper
+    seller in full, the marginal seller the rest. It shares no code with
+    :func:`procure.extraction.run_extraction`, which must return the same
+    result, price bit for bit.
+    """
+    target = float(target)
+    u = sum(b.capacity for b in sorted_bids)
+    for j in range(len(sorted_bids) - 1, -1, -1):
+        bid = sorted_bids[j]
+        for _ in range(bid.capacity):
+            price = (rtable[u] - target) / u
+            if unit_qualifies(bid.valuation, price):
+                cheaper = sorted_bids[:j]
+                winners = tuple((b.id, b.capacity) for b in cheaper)
+                marginal = (bid.id, u - sum(b.capacity for b in cheaper))
+                return ExtractionResult(winners=winners + (marginal,), price_per_unit=price, profit=target)
+            u -= 1
+    return ExtractionResult(winners=(), price_per_unit=0.0, profit=0.0)
 
 
 def equal_margin_ratio_oracle(k):

@@ -50,6 +50,46 @@ def test_run_kth_price_demo_lists_utilities(capsys):
     assert payload["run"]["outcome"]["profit"] == 1000.0
 
 
+# a posted-price run with two losers: a seller who sells nothing has utility
+# 0.0, not (0.0 - v) * 0 = -0.0
+GOLDEN_RUN_LOSERS = """{
+  "mechanism": "bid-independent:posted=0.3",
+  "seed": null,
+  "run": {
+    "outcome": {
+      "allocation": [
+        1,
+        0,
+        0
+      ],
+      "payment_per_unit": [
+        0.3,
+        0.0,
+        0.0
+      ],
+      "profit": 0.7
+    },
+    "partition": null,
+    "f_prime": null,
+    "f_double_prime": null,
+    "chosen_side": null
+  },
+  "seller_utilities": [
+    0.18208129632893894,
+    0.0,
+    0.0
+  ]
+}
+"""
+
+
+def test_run_golden_output_with_losers(capsys):
+    code, out, err = run_cli(
+        capsys, "run", "--generate", "uniform-random:n=3,seed=1", "--mechanism", "bid-independent:posted=0.3"
+    )
+    assert (code, out, err) == (0, GOLDEN_RUN_LOSERS, "")
+
+
 def test_run_kth_price_requires_cap(capsys):
     code, _, err = run_cli(capsys, "run", "--generate", "kth-price-demo", "--mechanism", "kth-price")
     assert code == 2

@@ -10,6 +10,9 @@ from procure.extraction import pe, pec, run_extraction
 from procure.model import Bid, Instance, linear_curve, make_instance, pwl_curve
 from procure.simulation import generate
 
+import oracles
+from oracles import per_unit_extraction
+
 
 def _replace_bid(inst, pos, valuation=None, capacity=None):
     old = inst.bids[pos]
@@ -87,7 +90,8 @@ def test_largest_qualifying_count_matches_exhaustive_check():
             {"n": rng.randint(1, 6), "seed": seed, "qmax": 3, "vmax": 1.2, "curve": "mixed"},
         )
         target = rng.uniform(0.0, 1.2 * max(optimal_single_price(inst).profit, 0.1))
-        res = run_extraction(inst.sorted_bids, inst.revenue_table, target)
+        res = per_unit_extraction(inst.sorted_bids, inst.revenue_table, target)
+        assert run_extraction(inst.sorted_bids, inst.revenue_table, target, inst.revenue_maxima) == res
         # exhaustive qualification check over every unit count
         qualifying = []
         cum, j = 0, 0
@@ -210,21 +214,23 @@ def test_pruned_extraction_matches_the_full_scan(seed):
     )
     maxima = inst.revenue_maxima
     for target in _boundary_targets(inst, rng):
-        want = run_extraction(inst.sorted_bids, inst.revenue_table, target)
+        want = per_unit_extraction(inst.sorted_bids, inst.revenue_table, target)
         got = run_extraction(inst.sorted_bids, inst.revenue_table, target, maxima)
         assert got == want
         assert got.price_per_unit.hex() == want.price_per_unit.hex()
 
 
 def test_pruned_extraction_cost_does_not_follow_the_winning_count(monkeypatch):
-    """A deep winning count costs the full scan thousands of unit checks and
-    the pruned scan a few dozen."""
+    """A deep winning count costs the oracle's count-by-count scan thousands
+    of unit checks and the pruned scan a few dozen."""
     inst = make_instance([1.0, 9.8, 9.9], capacities=[500, 2000, 2500], curve=linear_curve(10.0))
     checks = []
     real_leq = extraction.leq
+    real_qualifies = oracles.unit_qualifies
     monkeypatch.setattr(extraction, "leq", lambda a, b: checks.append(1) or real_leq(a, b))
+    monkeypatch.setattr(oracles, "unit_qualifies", lambda v, p: checks.append(1) or real_qualifies(v, p))
     target = 600.0  # only the cheapest seller's units can leave the buyer this much
-    full = run_extraction(inst.sorted_bids, inst.revenue_table, target)
+    full = per_unit_extraction(inst.sorted_bids, inst.revenue_table, target)
     full_checks = len(checks)
     checks.clear()
     pruned = run_extraction(inst.sorted_bids, inst.revenue_table, target, inst.revenue_maxima)

@@ -12,6 +12,7 @@ from procure.mechanisms import (
     partition_mask,
     partition_profit_engine,
     resolve_mechanism,
+    side_optima_by_mask,
     run_bid_independent,
     run_kth_price,
     run_pepa,
@@ -150,9 +151,13 @@ def test_fast_path_matches_full_runs():
             {"n": 7, "seed": seed, "qmax": random.Random(seed).choice((1, 3)), "vmax": 1.0, "curve": "mixed"},
         )
         engine = partition_profit_engine(inst)
+        side_optima = side_optima_by_mask(inst)
         for run_seed in range(40):
             full = run_pepac(inst, seed=run_seed)
-            assert engine(partition_mask(inst.n, run_seed)) == full.outcome.profit
+            mask = partition_mask(inst.n, run_seed)
+            assert engine(mask) == full.outcome.profit
+            f_prime, f_double_prime = side_optima(mask)
+            assert (f_prime.hex(), f_double_prime.hex()) == (full.f_prime.hex(), full.f_double_prime.hex())
 
 
 def assert_engine_matches_oracle(inst, masks):
