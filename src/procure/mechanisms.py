@@ -125,14 +125,15 @@ def _extract_better_side(side_a, side_b, rtable, f_prime: float, f_double: float
 
 def _run_partitioned(instance: Instance, partition: PartitionDraw) -> MechanismRun:
     rtable = instance.revenue_table
+    pieces = instance.curve.pieces
     flips = partition.flips
     pos_of = instance.position_of
     side_a = []  # b'
     side_b = []  # b''
     for bid in instance.sorted_bids:
         (side_a if flips[pos_of(bid.id)] else side_b).append(bid)
-    f_prime = scan_single_price([(b.valuation, b.capacity) for b in side_a], rtable)[0]
-    f_double = scan_single_price([(b.valuation, b.capacity) for b in side_b], rtable)[0]
+    f_prime = scan_single_price([(b.valuation, b.capacity) for b in side_a], rtable, pieces)[0]
+    f_double = scan_single_price([(b.valuation, b.capacity) for b in side_b], rtable, pieces)[0]
     chosen, side_name = _extract_better_side(side_a, side_b, rtable, f_prime, f_double, instance.revenue_maxima)
     alloc = [0] * instance.n
     pays = [0.0] * instance.n
@@ -202,6 +203,7 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
     than j, nor n per draw evaluated.
     """
     rtable = instance.revenue_table
+    pieces = instance.curve.pieces
     bit_of = _coin_bit_of(instance)
     sellers = [(1 << bit_of[b.id], b.capacity, b.valuation, {}) for b in instance.sorted_bids]
 
@@ -212,14 +214,14 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
             if mask & bit:
                 g = memo.get(ca)
                 if g is None:
-                    g = memo[ca] = block_optimum(rtable, v, q, ca)[0]
+                    g = memo[ca] = block_optimum(rtable, pieces, v, q, ca)[0]
                 if g > fa:
                     fa = g
                 ca += q
             else:
                 g = memo.get(cb)
                 if g is None:
-                    g = memo[cb] = block_optimum(rtable, v, q, cb)[0]
+                    g = memo[cb] = block_optimum(rtable, pieces, v, q, cb)[0]
                 if g > fb:
                     fb = g
                 cb += q
@@ -344,7 +346,7 @@ def threshold_masked_opp(masked, curve) -> float:
     if total == 0:
         return 0.0
     rtable = curve.certified_table(total)
-    _, _, _, price = scan_single_price(pairs, rtable)
+    _, _, _, price = scan_single_price(pairs, rtable, curve.pieces)
     return price
 
 

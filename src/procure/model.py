@@ -45,6 +45,9 @@ class RevenueCurve:
         breakpoints, extended past the last breakpoint at the final
         segment's slope
 
+    Its affine pieces (:attr:`pieces`) let a scan read a few entries of
+    R(0..m) per seller block instead of one per unit.
+
     Construction rejects negative marginal revenue (revenue must be
     non-decreasing). Concavity is a separate, instance-level check done by
     :func:`validate_curve`, so that externally supplied curves can be
@@ -92,20 +95,44 @@ class RevenueCurve:
             return self.r * q
         if self.kind == "capped":
             return self.r * min(q, self.cap)
-        # pwl: walk segments from the implied (0, 0) origin
+        for last, base_q, base_rev, slope in self._pwl_segments:
+            if q <= last:
+                return base_rev + slope * (q - base_q)
+
+    @cached_property
+    def _pwl_segments(self) -> tuple[tuple[float, int, float, float], ...]:
+        """A pwl curve's segments as (last count, first point's count, first
+        point's revenue, slope): one per breakpoint, walked from the implied
+        (0, 0) origin, then the extension past the last breakpoint at the
+        final segment's slope (last count ``math.inf``). The one place the
+        slopes are computed, for :meth:`at` and :attr:`pieces`.
+        """
+        segments = []
         prev_q, prev_rev = 0, 0.0
         for bq, brev in self.points:
-            if q <= bq:
-                slope = (brev - prev_rev) / (bq - prev_q)
-                return prev_rev + slope * (q - prev_q)
+            segments.append((bq, prev_q, prev_rev, (brev - prev_rev) / (bq - prev_q)))
             prev_q, prev_rev = bq, brev
-        # beyond the last breakpoint: extend at the final slope
-        if len(self.points) == 1:
-            last_q0, last_rev0 = 0, 0.0
-        else:
-            last_q0, last_rev0 = self.points[-2]
-        slope = (prev_rev - last_rev0) / (prev_q - last_q0)
-        return prev_rev + slope * (q - prev_q)
+        segments.append((math.inf, prev_q, prev_rev, segments[-1][3]))
+        return tuple(segments)
+
+    @cached_property
+    def pieces(self) -> tuple[tuple[float, float], ...]:
+        """R's affine pieces in order, as (last unit count, slope) pairs.
+
+        A piece covers the counts after the previous piece's last count up
+        to its own; the last piece has no end (``math.inf``). On a piece,
+        :meth:`at` computes R(u) as a fixed base revenue plus this slope
+        float times (u - base count), so the exact value of that expression
+        grows by the slope per unit. A linear curve is one piece, a capped
+        curve two (the plateau has slope 0.0: R is the one float r * cap
+        there), and a pwl curve one per breakpoint plus its extension.
+        Cached per curve object.
+        """
+        if self.kind == "linear":
+            return ((math.inf, self.r),)
+        if self.kind == "capped":
+            return ((self.cap, self.r), (math.inf, 0.0))
+        return tuple((last, slope) for last, _, _, slope in self._pwl_segments)
 
     def table(self, max_q: int) -> tuple[float, ...]:
         """R(0..max_q) as a tuple, for scan loops."""

@@ -262,8 +262,9 @@ def _side_thresholds(instance: Instance) -> list[list[float]]:
     side's optimum is exactly ``max(0, g[j][c_j] over its members)``. Only
     the profits are thresholds; the counts reaching them are not kept. The
     row comes from one profit row and its sliding-window maxima
-    (:func:`_window_maxima`), O(c + q_j) for its largest c, where calling
-    the kernel for every c would cost O(c * q_j).
+    (:func:`_window_maxima`), O(c + q_j) list operations for its largest
+    c, where calling the kernel for every c would make one Python call,
+    with its piece search, per count.
     """
     rtable = instance.revenue_table
     g = []

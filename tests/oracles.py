@@ -9,7 +9,7 @@ auction could actually produce.
 
 from fractions import Fraction
 from itertools import product
-from math import comb, fsum
+from math import comb, fsum, inf
 
 from procure.extraction import ExtractionResult
 from procure.model import EPS
@@ -144,6 +144,19 @@ def per_unit_single_price_scan(pairs, rtable, lo=0, include_empty=True):
             if best is None or profit > best[0]:
                 best = (profit, u, j + 1, v)
     return best
+
+
+def per_unit_block_optimum(rtable, v, q, c):
+    """(profit, u): the first maximal ``R(u) - u * v`` over the counts
+    c+1..c+q, walking every unit. It shares no code with
+    :func:`procure.benchmarks.block_optimum`, which must return the same
+    float and count without reading most of these units."""
+    best, best_u = -inf, c + 1
+    for u in range(c + 1, c + q + 1):
+        profit = rtable[u] - u * v
+        if profit > best:
+            best, best_u = profit, u
+    return best, best_u
 
 
 def min_side_profit_oracle(instance, flips, unit=True):

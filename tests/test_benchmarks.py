@@ -1,8 +1,11 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from procure.benchmarks import (
     BenchmarkUndefinedError,
+    block_optimum,
     exact_pepa_ratio,
     harmonic,
     optimal_multi_price,
@@ -18,6 +21,7 @@ from oracles import (
     cap_f_oracle,
     cap_t_oracle,
     equal_margin_ratio_oracle,
+    per_unit_block_optimum,
     per_unit_single_price_scan,
     unit_f2_oracle,
     unit_f_oracle,
@@ -228,11 +232,95 @@ def test_scan_matches_per_unit_walk_bit_for_bit(sellers, curve):
     inst = make_instance([v for v, _ in sellers], capacities=[q for _, q in sellers], curve=curve)
     pairs = [(b.valuation, b.capacity) for b in inst.sorted_bids]
     rtable = inst.revenue_table
-    f = scan_single_price(pairs, rtable)
+    f = scan_single_price(pairs, rtable, curve.pieces)
     assert _hexed(f) == _hexed(per_unit_single_price_scan(pairs, rtable))
-    f2 = scan_single_price(pairs, rtable, min2=True)
+    f2 = scan_single_price(pairs, rtable, curve.pieces, min2=True)
     if len(pairs) < 2:
         assert f2 is None
     else:
         oracle = per_unit_single_price_scan(pairs, rtable, lo=pairs[0][1], include_empty=False)
         assert _hexed(f2) == _hexed(oracle)
+
+
+@st.composite
+def _near_tie_blocks(draw):
+    """(curve, v, q, c): a block of q units (up to about 20k) after c
+    cheaper ones, crossing none, some or all of the curve's breakpoints,
+    with the ask v at, one ulp from, or 1e-15..1e-11 (relative) from the
+    slope of one of the curve's pieces, and money scaled by 1e-6..1e9."""
+    scale = 10.0 ** draw(st.integers(min_value=-6, max_value=9))
+    slope = st.floats(min_value=0.0, max_value=3.0)
+    kind = draw(st.sampled_from(("linear", "capped", "pwl")))
+    if kind == "linear":
+        curve = linear_curve(scale * draw(slope))
+    elif kind == "capped":
+        curve = capped_curve(scale * draw(slope), draw(st.integers(min_value=1, max_value=12_000)))
+    else:
+        points, q_acc, rev = [], 0, 0.0
+        for marginal in sorted(draw(st.lists(slope, min_size=1, max_size=4)), reverse=True):
+            length = draw(st.integers(min_value=1, max_value=5_000))
+            q_acc, rev = q_acc + length, rev + scale * marginal * length
+            points.append((q_acc, rev))
+        curve = pwl_curve(points)
+    ends = [end for end, _ in curve.pieces[:-1]]
+    c = max(0, draw(st.sampled_from([0, *ends])) + draw(st.integers(min_value=-2, max_value=2)))
+    to_ends = [end - c for end in ends if end > c] or [1]
+    q = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=20_000),
+            st.tuples(st.sampled_from(to_ends), st.integers(min_value=-1, max_value=2)).map(lambda t: max(1, sum(t))),
+        )
+    )
+    s = draw(st.sampled_from(curve.pieces))[1]
+    how = draw(st.sampled_from(("at", "ulp", "relative")))
+    if how == "at":
+        v = s
+    elif how == "ulp":
+        v = math.nextafter(s, draw(st.sampled_from((math.inf, -math.inf))))
+    else:
+        v = s * (1.0 + draw(st.sampled_from((1.0, -1.0))) * 10.0 ** draw(st.floats(min_value=-15.0, max_value=-11.0)))
+    return curve, max(v, 0.0), q, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_tie_blocks())
+@example((linear_curve(0.1), 0.1, 20_000, 0))
+@example((linear_curve(3.0), 3.0, 7, 5))
+@example((capped_curve(3.0, 40), 0.0, 100, 10))
+@example((capped_curve(3.0, 40), 5e-324, 100, 10))
+@example((linear_curve(-0.0), 0.0, 50, 0))
+@example((linear_curve(1.0), 0.9999999999999999, 4, 0))
+@example((pwl_curve([(1, 1.3162763270174458)]), 1.316276327017446, 6, 0))
+@example((pwl_curve([(10, 30.0), (20, 40.0)]), 2.0, 15, 12))
+def test_block_optimum_matches_the_per_unit_walk_near_ties(case):
+    """Outside its band the kernel reads one count per piece; inside it, it
+    walks. Either way it returns the walk's first maximal float, on the
+    curve's own table (``table``: rescaled pwl curves need not certify)."""
+    curve, v, q, c = case
+    rtable = curve.table(c + q)
+    profit, u = block_optimum(rtable, curve.pieces, v, q, c)
+    want_profit, want_u = per_unit_block_optimum(rtable, v, q, c)
+    assert (profit.hex(), u) == (want_profit.hex(), want_u)
+
+
+class _CountingTable:
+    """A revenue table that counts the entries read from it."""
+
+    def __init__(self, rtable):
+        self.rtable = rtable
+        self.reads = 0
+
+    def __getitem__(self, u):
+        self.reads += 1
+        return self.rtable[u]
+
+
+def test_block_optimum_reads_at_most_two_entries_per_piece_crossed():
+    curve = pwl_curve([(20_000, 60_000.0), (40_000, 100_000.0), (60_000, 130_000.0), (80_000, 150_000.0)])
+    c, q = 5_000, 100_000  # crosses all four breakpoints: five pieces
+    rtable = _CountingTable(curve.table(c + q))
+    for v in (0.5, 1.7, 2.3, 4.0):  # off every slope (3, 2, 1.5, 1 and the extension's 1)
+        rtable.reads = 0
+        profit, u = block_optimum(rtable, curve.pieces, v, q, c)
+        assert (profit, u) == per_unit_block_optimum(rtable.rtable, v, q, c)
+        assert rtable.reads <= 2 * 5

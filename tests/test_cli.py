@@ -223,6 +223,159 @@ def test_audit_golden_output(capsys):
     assert (code, out, err) == (0, GOLDEN_AUDIT, "")
 
 
+# m = 10,096 in six blocks of 1,573-1,770 units; the pwl curve's four
+# breakpoints fall inside the blocks, and the audit finds violations.
+GOLDEN_AT_SCALE_SPEC = "uniform-random:n=6,seed=12,qmin=1500,qmax=1800,curve=pwl"
+GOLDEN_AUDIT_AT_SCALE = """{
+  "mechanism": "pepac",
+  "deviations_tested": 112,
+  "violations": [
+    {
+      "bidder": 2,
+      "dim": "valuation",
+      "true_bid": {
+        "v": 0.2740481394783314,
+        "q": 1770
+      },
+      "deviating_bid": {
+        "v": 0.31005906767629465,
+        "q": 1770
+      },
+      "gain": 0.11937195148589552
+    },
+    {
+      "bidder": 2,
+      "dim": "valuation",
+      "true_bid": {
+        "v": 0.2740481394783314,
+        "q": 1770
+      },
+      "deviating_bid": {
+        "v": 0.37475349206336445,
+        "q": 1770
+      },
+      "gain": 53.181351499607025
+    },
+    {
+      "bidder": 2,
+      "dim": "valuation",
+      "true_bid": {
+        "v": 0.2740481394783314,
+        "q": 1770
+      },
+      "deviating_bid": {
+        "v": 0.3747554920633644,
+        "q": 1770
+      },
+      "gain": 53.22977833675986
+    },
+    {
+      "bidder": 2,
+      "dim": "capacity",
+      "true_bid": {
+        "v": 0.2740481394783314,
+        "q": 1770
+      },
+      "deviating_bid": {
+        "v": 0.2740481394783314,
+        "q": 885
+      },
+      "gain": 60.07657745897328
+    },
+    {
+      "bidder": 2,
+      "dim": "capacity",
+      "true_bid": {
+        "v": 0.2740481394783314,
+        "q": 1770
+      },
+      "deviating_bid": {
+        "v": 0.2740481394783314,
+        "q": 1593
+      },
+      "gain": 19.699576910132826
+    },
+    {
+      "bidder": 2,
+      "dim": "capacity",
+      "true_bid": {
+        "v": 0.2740481394783314,
+        "q": 1770
+      },
+      "deviating_bid": {
+        "v": 0.2740481394783314,
+        "q": 1769
+      },
+      "gain": 0.11937195148589552
+    }
+  ],
+  "seed": 3,
+  "dims": [
+    "valuation",
+    "capacity"
+  ]
+}
+"""
+GOLDEN_RUN_AT_SCALE = """{
+  "mechanism": "pepac",
+  "seed": 3,
+  "run": {
+    "outcome": {
+      "allocation": [
+        1742,
+        0,
+        1770,
+        0,
+        0,
+        0
+      ],
+      "payment_per_unit": [
+        0.3100580676762947,
+        0.0,
+        0.3100580676762947,
+        0.0,
+        0.0,
+        0.0
+      ],
+      "profit": 900.8962521943408
+    },
+    "partition": {
+      "flips": [
+        true,
+        false,
+        true,
+        true,
+        false,
+        true
+      ],
+      "seed": 3
+    },
+    "f_prime": 1560.9949164338138,
+    "f_double_prime": 900.8962521943408,
+    "chosen_side": "b_prime"
+  },
+  "seller_utilities": [
+    521.202262029207,
+    0.0,
+    63.73757291039501,
+    0.0,
+    0.0,
+    0.0
+  ]
+}
+"""
+
+
+def test_audit_and_run_golden_output_at_workload_scale(capsys):
+    audit = run_cli(
+        capsys, "audit", "--mechanism", "pepac", "--dims", "valuation,capacity", "--seed", "3",
+        "--generate", GOLDEN_AT_SCALE_SPEC,
+    )
+    assert audit == (1, GOLDEN_AUDIT_AT_SCALE, "")
+    run = run_cli(capsys, "run", "--mechanism", "pepac", "--seed", "3", "--generate", GOLDEN_AT_SCALE_SPEC)
+    assert run == (0, GOLDEN_RUN_AT_SCALE, "")
+
+
 def test_allocation_monotonicity_golden_report():
     inst = simulation.generate("uniform-random", {"n": 6, "seed": 4, "qmin": 100, "qmax": 400, "curve": "pwl"})
     assert inst.total_supply == 1453

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from procure.benchmarks import optimal_single_price
 from procure import extraction
@@ -205,6 +205,8 @@ def _boundary_targets(inst, rng):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
+@example(5)  # with extraction._BOUND_SLACK = 0.0 both seeds prune away a qualifying count
+@example(80)
 def test_pruned_extraction_matches_the_full_scan(seed):
     rng = random.Random(seed)
     inst = generate(
