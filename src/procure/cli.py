@@ -2,8 +2,9 @@
 
 Subcommands: run, benchmark, ratio, audit, generate, validate.
 
-Exit codes: 0 clean, 1 audit violations found, 2 input error, 3 unknown
-mechanism, 4 benchmark invalid. Randomized commands take --seed, falling
+Exit codes: 0 clean, 1 audit violations found, 2 input error (a declared
+supply too large to tabulate in memory included), 3 unknown mechanism, 4
+benchmark invalid. Randomized commands take --seed, falling
 back to the PROCURE_SEED environment variable; if neither is set a seed is
 chosen and announced on stderr so every reported number stays replayable.
 """
@@ -261,6 +262,12 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print(
+            "error: out of memory: the revenue curve could not be tabulated over the declared supply",
+            file=sys.stderr,
+        )
         return EXIT_INPUT
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .benchmarks import block_optimum, scan_pay_as_bid, scan_single_price
 from .extraction import run_extraction
@@ -28,29 +28,44 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def partition_mask(n: int, seed: int) -> int:
-    """The n fair coin bits for a run seed, as a bitmask.
+def partition_masks(n: int, seeds: Iterable[int]) -> Iterator[int]:
+    """The n fair coin bits for each run seed in ``seeds``, as bitmasks.
 
-    Bits come from a SplitMix64 stream: the seed (folded into 64 bits word
-    by word if wider) is stepped by the golden-ratio increment and mixed;
-    bit i is the coin for the bidder with the i-th smallest id. Cheap to
-    reseed, so per-trial streams in the Monte Carlo loop stay independent
-    and individually replayable.
+    This is the one coin stream: every draw, a single run's
+    (:func:`partition_mask`) or a Monte Carlo trial's, takes its bits from
+    it. Each seed starts a SplitMix64 stream: the seed (folded into 64 bits
+    word by word with :func:`_mix64` if wider) is stepped by the
+    golden-ratio increment and mixed; bit i is the coin for the bidder with
+    the i-th smallest id. Cheap to reseed, so per-trial streams stay
+    independent and individually replayable. The mixer is inlined in the
+    per-word loop, which is the Monte Carlo loop's per-trial cost; it is
+    :func:`_mix64` step for step. A negative seed raises ``ValueError``
+    when its mask is due.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    state = seed & _M64
-    hi = seed >> 64
-    while hi:
-        state = _mix64(state ^ (hi & _M64))
-        hi >>= 64
-    out = 0
-    produced = 0
-    while produced < n:
-        state = (state + _GAMMA) & _M64
-        out |= _mix64(state) << produced
-        produced += 64
-    return out & ((1 << n) - 1)
+    keep = (1 << n) - 1
+    shifts = range(0, n, 64)
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        state = seed & _M64
+        hi = seed >> 64
+        while hi:
+            state = _mix64(state ^ (hi & _M64))
+            hi >>= 64
+        out = 0
+        for shift in shifts:
+            state = (state + _GAMMA) & _M64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+            out |= (z ^ (z >> 31)) << shift
+        yield out & keep
+
+
+def partition_mask(n: int, seed: int) -> int:
+    """The n fair coin bits for a run seed, as a bitmask: the mask
+    :func:`partition_masks` yields for that seed."""
+    [mask] = partition_masks(n, (seed,))
+    return mask
 
 
 class UnknownMechanismError(ValueError):
@@ -201,30 +216,52 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
     its cheaper sellers can hold, so the memo never exceeds
     sum_j (before_j + 1) entries, before_j the supply of the sellers cheaper
     than j, nor n per draw evaluated.
+
+    The walk ends early, once neither side can grow. After seller j, it
+    stops when both optima so far are at least the ceiling
+
+        ceiling_j = max over j' > j of block_optimum(R, pieces, v_j', m, 0),
+
+    m the total supply (-inf after the last seller). This is exact: every
+    later g(j', c) is the first maximal float of ``R(u) - u * v_j'`` over
+    counts c+1..c+q_j' inside 1..m, and the kernel returns the per-unit
+    walk's float bit for bit, so g(j', c) <= ceiling_j; an optimum changes
+    only on a strict ``>``, so no later member can change either side. The
+    ceilings cost n kernel calls, once per closure.
     """
     rtable = instance.revenue_table
     pieces = instance.curve.pieces
+    m = instance.total_supply
     bit_of = _coin_bit_of(instance)
-    sellers = [(1 << bit_of[b.id], b.capacity, b.valuation, {}) for b in instance.sorted_bids]
+    sellers = []
+    ceiling = -math.inf
+    for b in reversed(instance.sorted_bids):
+        sellers.append((1 << bit_of[b.id], b.capacity, b.valuation, {}, ceiling))
+        ceiling = max(ceiling, block_optimum(rtable, pieces, b.valuation, m, 0)[0])
+    sellers.reverse()
 
     def side_optima(mask: int) -> tuple[float, float]:
         ca = cb = 0
         fa = fb = 0.0
-        for bit, q, v, memo in sellers:
+        for bit, q, v, memo, ceiling in sellers:
             if mask & bit:
-                g = memo.get(ca)
-                if g is None:
+                try:
+                    g = memo[ca]
+                except KeyError:
                     g = memo[ca] = block_optimum(rtable, pieces, v, q, ca)[0]
                 if g > fa:
                     fa = g
                 ca += q
             else:
-                g = memo.get(cb)
-                if g is None:
+                try:
+                    g = memo[cb]
+                except KeyError:
                     g = memo[cb] = block_optimum(rtable, pieces, v, q, cb)[0]
                 if g > fb:
                     fb = g
                 cb += q
+            if fa >= ceiling and fb >= ceiling:
+                break
         return fa, fb
 
     return side_optima

@@ -3,9 +3,9 @@ generators for the worked instance families.
 
 Per-trial randomness derives from the master seed by a counter split:
 trial t uses seed ``master * 2**32 + t``. Trials are independent and their
-results are folded in trial-index order, so reports are reproducible for a
-fixed (instance, mechanism, seed) triple regardless of how the loop is
-scheduled.
+mean and standard deviation are computed exactly, so reports are
+reproducible for a fixed (instance, mechanism, seed) triple regardless of
+how the loop is scheduled.
 """
 
 from __future__ import annotations
@@ -16,14 +16,14 @@ import io
 import json
 import math
 import random
-import statistics
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
 from . import benchmarks
 from .mechanisms import (
     Mechanism,
-    partition_mask,
+    partition_masks,
     partition_profit_engine,
     require_unit_capacity,
     resolve_mechanism,
@@ -175,6 +175,55 @@ def _resolve_for(instance: Instance, mechanism: str, demand_cap: int | None) -> 
     return mech
 
 
+def _sqrt_of_fraction(num: int, den: int) -> float:
+    """The square root of num / den (num >= 0, den > 0), correctly rounded.
+
+    The integer square root of num / den scaled by 4^-q keeps at least 109
+    bits, and its last bit is set when the root is inexact (round to odd).
+    With more than twice the 53 bits of a float, round to odd followed by
+    the correctly rounded int division gives the correctly rounded root,
+    subnormals included. This is how ``statistics`` takes the root on
+    Python 3.11 and later.
+    """
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    if q >= 0:
+        return float(root << q)
+    return root / (1 << -q)
+
+
+def sample_stdev(counts: Counter) -> float:
+    """The sample standard deviation of a multiset of finite floats given as
+    value -> count, as ``statistics.stdev`` over the expanded list returns
+    it on Python 3.11 and later, bit for bit.
+
+    Every float is an integer times a power of two, so on the scale of the
+    largest denominator each value X is an exact int, and with N the count,
+    S1 = sum c X and S2 = sum c X^2, the sample variance is exactly
+    (N S2 - S1^2) / (N (N - 1)) over the squared scale. Its square root is
+    rounded once (:func:`_sqrt_of_fraction`). A Monte Carlo run's profits
+    take a few hundred distinct values, so this costs a pass over the
+    distinct values, not over the trials. On Python 3.10, whose ``stdev``
+    rounds the variance to a float before its square root, the result can
+    differ from that ``stdev`` in the last bit; it matches 3.11 and later.
+    Needs N >= 2.
+    """
+    ratios = [(x.as_integer_ratio(), c) for x, c in counts.items()]
+    scale = max(d for (_, d), _ in ratios)
+    n = s1 = s2 = 0
+    for (num, den), c in ratios:
+        x = num * (scale // den)
+        n += c
+        s1 += c * x
+        s2 += c * x * x
+    return _sqrt_of_fraction(n * s2 - s1 * s1, n * (n - 1) * scale * scale)
+
+
 def estimate_ratio(
     instance: Instance,
     mechanism: str,
@@ -188,20 +237,28 @@ def estimate_ratio(
     Rejects instances whose benchmark is not strictly positive. A
     deterministic mechanism is executed once and its profit replicated, so
     its standard error is exactly 0.
+
+    Trial t draws its coins from seed ``trial_seed(seed, t)``, which is
+    ``trial_seed(seed, 0) + t``, so the masks of all trials come from one
+    :func:`mechanisms.partition_masks` stream over that range. Both moments
+    are exact and do not depend on the order of the trials: the mean is the
+    correctly rounded sum (``math.fsum``) divided by the trial count, and
+    the standard deviation is :func:`sample_stdev` of the profits' value
+    counts, the correctly rounded square root of the exact sample variance.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     bench = _positive_benchmark(instance, benchmark)
     mech = _resolve_for(instance, mechanism, demand_cap)
     if mech.randomized:
-        engine = partition_profit_engine(instance)
-        n = instance.n
-        profits = [engine(partition_mask(n, trial_seed(seed, t))) for t in range(trials)]
+        base = trial_seed(seed, 0)
+        masks = partition_masks(instance.n, range(base, base + trials))
+        profits = list(map(partition_profit_engine(instance), masks))
     else:
         profit = mech.run(instance, None).outcome.profit
         profits = [profit] * trials
     mean = math.fsum(profits) / trials
-    std = statistics.stdev(profits) if trials > 1 else 0.0
+    std = sample_stdev(Counter(profits)) if trials > 1 else 0.0
     stderr = std / math.sqrt(trials)
     return _ratio_report(trials, mean, stderr, bench, _instance_digest(instance, mechanism, benchmark, trials, seed))
 
@@ -315,7 +372,8 @@ def _min_side_by_enumeration(instance: Instance) -> float:
     the walk the Monte Carlo engine runs, which computes each threshold
     g(j, c) of :func:`_side_thresholds` on first use, only at the c that
     some subset of cheaper sellers can hold: at most 2^(n-1) * m float
-    operations in all, and memory O(1) in the number of draws. The walk's
+    operations in all, and memory O(1) in the number of draws. A draw's
+    walk ends once no remaining seller can raise either side. The walk's
     bit i is the bidder with the i-th smallest id, not the i-th cheapest,
     but over all 2^n masks either order yields the same multiset of minima,
     and ``fsum`` is correctly rounded, so the sum does not depend on it.

@@ -634,6 +634,21 @@ def test_validate_rejects_nan_curve_point(capsys, tmp_path):
     assert "curve.points[0][1]" in err
 
 
+def test_supply_too_large_to_tabulate_is_an_input_error(capsys, tmp_path, monkeypatch):
+    from procure import model
+
+    def out_of_memory(curve, max_q):
+        raise MemoryError
+
+    path = tmp_path / "huge.json"
+    path.write_text('{"bids": [{"v": 1, "q": 100000000}, {"v": 2, "q": 1}], "curve": {"kind": "linear", "r": 3}}')
+    monkeypatch.setattr(model, "validate_curve", out_of_memory)
+    code, out, err = run_cli(capsys, "validate", "--instance", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "declared supply" in err and "Traceback" not in err
+
+
 def test_ratio_rejects_infinite_curve_slope(capsys, tmp_path):
     path = tmp_path / "inf.json"
     path.write_text('{"bids": [{"v": 1, "q": 1}, {"v": 2, "q": 1}], "curve": {"kind": "linear", "r": Infinity}}')

@@ -10,6 +10,7 @@ from procure.mechanisms import (
     draw_partition,
     make_threshold_posted,
     partition_mask,
+    partition_masks,
     partition_profit_engine,
     resolve_mechanism,
     side_optima_by_mask,
@@ -22,7 +23,7 @@ from procure.mechanisms import (
 )
 import procure.mechanisms as mechanisms
 from procure.model import Bid, Instance, RevenueCurve, capped_curve, linear_curve, make_instance
-from procure.simulation import generate
+from procure.simulation import generate, trial_seed
 
 from oracles import min_side_profit_oracle, pepa_expectation_oracle, per_unit_profit_engine
 
@@ -47,6 +48,20 @@ def test_partition_draw_is_reproducible():
 def test_partition_mask_rejects_negative_seed():
     with pytest.raises(ValueError):
         partition_mask(4, -1)
+    with pytest.raises(ValueError):
+        list(partition_masks(4, [3, -1]))
+
+
+def test_mask_stream_matches_one_mask_per_seed():
+    wide = [2**64, 2**64 + 1, 2**64 - 1, 3 * 2**64 + 5, 2**128 + 2**64 + 7, 2**200 - 1]
+    counter = [trial_seed(2**33, t) for t in range(300)]
+    for n in (1, 63, 64, 65, 130):
+        for seeds in (wide, counter, [0, 1, 2**32]):
+            assert list(partition_masks(n, seeds)) == [partition_mask(n, s) for s in seeds], n
+    # the coin bits themselves: SplitMix64's first outputs (seed 0 gives the
+    # reference generator's 0xe220a8397b1dcdaf) and a folded 200-bit seed
+    assert list(partition_masks(64, [0, 1, 2**64])) == [0xE220A8397B1DCDAF, 0x910A2DEC89025CC1, 0xBFEF8030DDC2D772]
+    assert list(partition_masks(130, [2**200 - 1])) == [0x9CD0A7FE4AD9142C4300DB347C138AF0]
 
 
 def test_same_seed_same_run():
@@ -145,11 +160,32 @@ def test_expectation_matches_oracle_enumeration():
 
 
 def test_fast_path_matches_full_runs():
-    for seed in range(10):
-        inst = generate(
+    instances = [
+        generate(
             "uniform-random",
             {"n": 7, "seed": seed, "qmax": random.Random(seed).choice((1, 3)), "vmax": 1.0, "curve": "mixed"},
         )
+        for seed in range(10)
+    ]
+    # walks that end early at many depths: spread sizes, sellers priced at
+    # or above the margin, and capped plateaus on which blocks tie at 0.0
+    for seed in range(10, 30):
+        rng = random.Random(seed)
+        instances.append(
+            generate(
+                "uniform-random",
+                {"n": rng.randint(2, 14), "seed": seed, "qmax": rng.choice((1, 3, 8)), "vmax": rng.choice((0.5, 1.5)),
+                 "curve": "mixed"},
+            )
+        )
+    instances += [
+        generate("example1", {"r": 10.0, "eps": 1.0, "n": 6}),
+        generate("tightness", {"l": 10.0, "eps": 1.0, "n": 6}),
+        generate("lowball", {"r": 10.0, "L": 9.0}),
+        generate("kth-price-demo"),
+        make_instance([1.0, 3.0, 5.0, 5.0, 5.0], capacities=[2, 2, 1, 3, 2], curve=capped_curve(5.0, 4)),
+    ]
+    for inst in instances:
         engine = partition_profit_engine(inst)
         side_optima = side_optima_by_mask(inst)
         for run_seed in range(40):
@@ -158,6 +194,35 @@ def test_fast_path_matches_full_runs():
             assert engine(mask) == full.outcome.profit
             f_prime, f_double_prime = side_optima(mask)
             assert (f_prime.hex(), f_double_prime.hex()) == (full.f_prime.hex(), full.f_double_prime.hex())
+
+
+def test_walk_stops_once_neither_side_can_grow(monkeypatch):
+    # two cheap sellers dominate: every other seller asks at least the
+    # curve's slope, so no later block earns more than 0.0
+    for n in (10, 40, 160):
+        inst = make_instance(
+            [1.0, 2.0] + [10.0 + (i % 3) for i in range(n - 2)],
+            capacities=[10, 10] + [1 + i % 4 for i in range(n - 2)],
+            curve=linear_curve(10.0),
+        )
+        rng = random.Random(n)
+        masks = [rng.getrandbits(n) & ~0b11 | rng.choice((0b01, 0b10)) for _ in range(50)]  # the cheap pair split
+        runs = [run_pepac(inst, partition=PartitionDraw(tuple(bool(mask >> i & 1) for i in range(n))))
+                for mask in masks]
+        side_optima = side_optima_by_mask(inst)
+        calls = []
+        original = mechanisms.block_optimum
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mechanisms, "block_optimum", counted)
+        optima = [side_optima(mask) for mask in masks]
+        monkeypatch.undo()
+        assert len(calls) <= 2, (n, len(calls))
+        for (fa, fb), run in zip(optima, runs):
+            assert (fa.hex(), fb.hex()) == (run.f_prime.hex(), run.f_double_prime.hex())
 
 
 def assert_engine_matches_oracle(inst, masks):

@@ -1,8 +1,13 @@
+import math
 import random
+import statistics
+import sys
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from procure.mechanisms import resolve_mechanism
+from procure.mechanisms import partition_mask, partition_profit_engine, resolve_mechanism
 from procure.model import Bid, Instance, RevenueCurve, linear_curve, make_instance, pwl_curve
 import procure.simulation as simulation
 from procure.simulation import (
@@ -15,6 +20,7 @@ from procure.simulation import (
     exhaustive_expected_profit,
     generate,
     ratio_csv_row,
+    sample_stdev,
     trial_seed,
 )
 
@@ -44,6 +50,39 @@ def test_estimate_ratio_deterministic_mechanism_has_zero_stderr():
     report = estimate_ratio(demo, "kth-price", "f2", trials=100, seed=0, demand_cap=200)
     assert report.std_error == 0.0
     assert report.mean_profit == 1000.0
+
+
+def test_estimate_ratio_standard_error_is_the_stdev_of_the_trials():
+    inst = generate("uniform-random", {"n": 12, "seed": 5, "qmax": 4, "vmax": 0.9, "curve": "pwl"})
+    for seed, trials in ((0, 2), (3, 300), (2**33, 50)):
+        report = estimate_ratio(inst, "pepac", "f", trials=trials, seed=seed)
+        engine = partition_profit_engine(inst)
+        profits = [engine(partition_mask(inst.n, trial_seed(seed, t))) for t in range(trials)]
+        assert report.mean_profit == math.fsum(profits) / trials
+        assert report.std_error == sample_stdev(Counter(profits)) / math.sqrt(trials)
+
+
+# floats from about 1e-300 to 1e300, a few per list so that values repeat
+_stdev_pools = st.lists(
+    st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
+              st.floats(-10.0, 10.0), st.integers(-300, 299)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.stdev rounds twice before Python 3.11")
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_sample_stdev_is_statistics_stdev_bit_for_bit(data):
+    pool = data.draw(_stdev_pools)
+    xs = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=300))
+    assert sample_stdev(Counter(xs)).hex() == statistics.stdev(xs).hex()
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(2, 10_000))
+def test_sample_stdev_of_equal_values_is_zero(x, count):
+    assert sample_stdev(Counter({x: count})).hex() == "0x0.0p+0"
 
 
 def test_estimate_ratio_rejects_nonpositive_benchmark():
@@ -98,19 +137,46 @@ def test_exhaustive_matches_enumeration_bit_for_bit():
         assert exhaustive_expected_profit(inst, mechanism) == enumerated_expected_profit(inst), seed
 
 
+def _acceptance_instances(seeds):
+    """The instance generators of acceptance criteria 4 (unit capacities)
+    and 5 (equal and spread capacities)."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        yield generate("uniform-random", {"n": rng.randint(2, 12), "seed": seed, "vmax": 0.9, "curve": "mixed"})
+        rng = random.Random(f"equal-{seed}")
+        q = rng.randint(1, 4)
+        yield generate(
+            "uniform-random",
+            {"n": rng.randint(2, 10), "seed": seed, "qmin": q, "qmax": q, "vmax": 0.9, "curve": "mixed"},
+        )
+        for qmax in (2, 4):
+            rng = random.Random(f"range-{qmax}-{seed}")
+            yield generate(
+                "uniform-random",
+                {"n": rng.randint(2, 10), "seed": seed, "qmax": qmax, "vmax": 0.9,
+                 "curve": rng.choice(("linear", "mixed"))},
+            )
+
+
 def test_enumeration_and_counting_agree_bit_for_bit():
     # capacities up to 60 units per seller, where the two methods build
-    # their thresholds differently
+    # their thresholds differently, and the acceptance criteria's
+    # generators, on which the draw walk ends early at many depths
+    instances = []
     for seed in range(60):
         rng = random.Random(f"methods-{seed}")
         qmax = rng.choice((1, 4, 60))
-        inst = generate(
-            "uniform-random",
-            {"n": rng.randint(1, 7), "seed": seed, "qmax": qmax, "vmax": 0.9, "curve": "mixed"},
+        instances.append(
+            generate(
+                "uniform-random",
+                {"n": rng.randint(1, 7), "seed": seed, "qmax": qmax, "vmax": 0.9, "curve": "mixed"},
+            )
         )
+    instances += _acceptance_instances(range(40))
+    for seed, inst in enumerate(instances):
         enumerated = enumerated_expected_profit(inst)
-        assert simulation._min_side_by_enumeration(inst) == enumerated, seed
-        assert simulation._min_side_by_counting(inst) == enumerated, seed
+        assert simulation._min_side_by_enumeration(inst).hex() == enumerated.hex(), seed
+        assert simulation._min_side_by_counting(inst).hex() == enumerated.hex(), seed
 
 
 def test_exact_method_follows_the_shape_of_the_instance(monkeypatch):
