@@ -21,6 +21,10 @@ the band the part is walked, which keeps exact ties exact). A single-price
 scan over n sellers thus costs O(n (log k + k)) for a curve of k pieces,
 whatever the supply.
 
+The cut of a block at the pieces, :func:`block_parts`, is shared by the
+kernel and by profit extraction (``extraction.run_extraction``), which
+searches each part for the last count whose seller accepts the offer.
+
 T and the bid-independent auction's phase II share
 :func:`scan_pay_as_bid`. Both scans resolve ties to the smallest unit
 count: a candidate replaces the best only if it is strictly larger.
@@ -64,15 +68,15 @@ def block_optimum(rtable, pieces, v: float, q: int, c: int) -> tuple[float, int]
     Seller j asks v per unit for q >= 1 units, so its block covers the unit
     counts c+1..c+q, each priced ``R(u) - u * v`` with R(u) = ``rtable[u]``.
     Returns (profit, u) with u the smallest count reaching the best profit:
-    the first maximal float of that walk, -0.0 included. A side's optimum,
-    F, F^(2) and the per-draw side walk are all built from it, so they
-    share this float expression and this tie rule.
+    the walk's first maximum, -0.0 included. A side's optimum, F, F^(2)
+    and the per-draw side walk are all built from it, so they share this
+    float expression and this tie rule.
 
     ``pieces`` are the curve's affine pieces (:attr:`RevenueCurve.pieces`).
-    The block is cut where it crosses them, and on each part the kernel
-    reads only the counts that can hold that part's first maximal float:
-    the right end if s - v > ``band``, the left end if v - s > ``band``,
-    and every count otherwise, s the piece's slope and
+    The block is cut where it crosses them (:func:`block_parts`), and on
+    each part the kernel reads only the counts that can hold that part's
+    first maximum: the right end if s - v > ``band``, the left end if
+    v - s > ``band``, and every count otherwise, s the piece's slope and
 
         band = 2^-40 (R(c+q) + (c+q) v).
 
@@ -116,24 +120,39 @@ def block_optimum(rtable, pieces, v: float, q: int, c: int) -> tuple[float, int]
     else:
         band = 2.0**-40 * (rtable[last] + last * v)
         counts = []
-        lo = c + 1
-        i = bisect_left(pieces, lo, key=_piece_end)
-        while lo <= last:
-            end, s = pieces[i]
-            hi = min(end, last)
+        for lo, hi, s in block_parts(pieces, c + 1, last):
             if s - v > band:
                 counts.append(hi)
             elif v - s > band:
                 counts.append(lo)
             else:
                 counts += range(lo, hi + 1)
-            lo, i = hi + 1, i + 1
     best, best_u = -math.inf, c + 1
     for u in counts:
         profit = rtable[u] - u * v
         if profit > best:
             best, best_u = profit, u
     return best, best_u
+
+
+def block_parts(pieces, lo: int, hi: int) -> list[tuple[int, int, float]]:
+    """The unit counts lo..hi (lo <= hi) cut where they cross the curve's
+    affine ``pieces`` (:attr:`RevenueCurve.pieces`): one (first count,
+    last count, slope) triple per part, in increasing order of counts.
+
+    The one piece cut: :func:`block_optimum` and
+    :func:`procure.extraction.run_extraction` both read a seller block
+    through it. Costs a piece search, O(log k) for k pieces, plus one step
+    per piece the block crosses.
+    """
+    parts = []
+    i = bisect_left(pieces, lo, key=_piece_end)
+    while lo <= hi:
+        end, s = pieces[i]
+        last = min(end, hi)
+        parts.append((lo, last, s))
+        lo, i = last + 1, i + 1
+    return parts
 
 
 _piece_end = itemgetter(0)

@@ -5,12 +5,21 @@ supplying the u-th unit (cheapest first) values it at no more than
 (R(u) - P) / u. Buy those u units at that uniform per-unit price: the buyer
 keeps exactly P, and no seller is paid below their ask. If no unit count
 qualifies, nobody trades.
+
+Each seller block is searched on the parts where it crosses the revenue
+curve's affine pieces (``benchmarks.block_parts``, shared with the
+single-price kernel). On a part the acceptance check is monotone in the
+unit count outside a proven band, so such a part costs one or two checks
+and at most one bisection, and the search costs O(pieces) per block, not
+one check per unit. Inside the band a part is walked count by count, but
+only down to a count that, like the part's first, fails by a margin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .benchmarks import block_parts
 from .model import EPS, Instance, leq
 
 
@@ -36,33 +45,30 @@ class ExtractionResult:
 NO_TRADE = ExtractionResult(winners=(), price_per_unit=0.0, profit=0.0)
 
 
-def run_extraction(sorted_bids, rtable, target: float, maxima) -> ExtractionResult:
+def run_extraction(sorted_bids, rtable, pieces, target: float) -> ExtractionResult:
     """Extraction core over bids already sorted by (valuation, id).
 
     Finds the largest unit count u whose marginal supplier qualifies,
-    v <= (R(u) - target) / u up to ``EPS``, searching the sellers' blocks
-    from the most expensive down. The first winners sell full capacity; the
-    marginal one sells the remainder, and every winner is paid
-    (R(u) - target) / u per unit. An empty bid list never trades.
+    v <= (R(u) - target) / u up to ``EPS`` (the check ``leq``), searching
+    the sellers' blocks from the most expensive down. The first winners sell
+    full capacity; the marginal one sells the remainder, and every winner is
+    paid (R(u) - target) / u per unit. An empty bid list never trades. The
+    result, price bit for bit, is that of a count-by-count scan from the
+    total supply downward.
 
-    ``maxima`` are the :class:`~procure.model.AverageRevenueMaxima` of a
-    table of which ``rtable`` is a prefix. The search skips every range of
-    counts that the maxima prove holds no qualifying count and checks the
-    rest count by count, so its cost does not grow with how far below the
-    total supply the winning count lies. It finds the count, and computes
-    the price, that a count-by-count scan from the total supply downward
-    would.
+    ``pieces`` are the curve's affine pieces (:attr:`RevenueCurve.pieces`),
+    and ``rtable`` holds R(0..m). Each block is searched on the parts where
+    it crosses them (:func:`_last_qualifying_in_block`), so its cost does
+    not grow with its supply.
     """
     target = float(target)
     if target < 0:
         raise ValueError(f"target profit must be >= 0, got {target}")
-    levels = maxima.levels
     cums = [0]
     for b in sorted_bids:
         cums.append(cums[-1] + b.capacity)
     for j in range(len(sorted_bids) - 1, -1, -1):
-        v = sorted_bids[j].valuation
-        u = _last_qualifying_in_node(rtable, levels, len(levels) - 1, 0, v, target, cums[j] + 1, cums[j + 1])
+        u = _last_qualifying_in_block(rtable, pieces, sorted_bids[j].valuation, target, cums[j] + 1, cums[j + 1])
         if u:
             winners = [(sorted_bids[i].id, sorted_bids[i].capacity) for i in range(j)]
             winners.append((sorted_bids[j].id, u - cums[j]))
@@ -70,44 +76,94 @@ def run_extraction(sorted_bids, rtable, target: float, maxima) -> ExtractionResu
     return NO_TRADE
 
 
-def _last_qualifying(rtable, v: float, target: float, lo: int, hi: int) -> int:
-    """The largest u in lo..hi with v <= (R(u) - target) / u up to EPS, else
-    0: the leaf check of :func:`_last_qualifying_in_node`."""
-    for u in range(hi, lo - 1, -1):
-        if leq(v, (rtable[u] - target) / u):
-            return u
-    return 0
+def _last_qualifying_in_block(rtable, pieces, v: float, target: float, first: int, last: int) -> int:
+    """The largest u in first..last with v <= (R(u) - target) / u up to
+    EPS, else 0: one seller block of :func:`run_extraction`'s search.
 
+    The block's counts are cut at the curve's ``pieces``
+    (:func:`~procure.benchmarks.block_parts`), and its parts lo..hi are
+    searched from right to left. With w = v - EPS, s the part's slope and
 
-# Ranges of at most this many unit counts are checked count by count.
-_LEAF_UNITS = 16
-# Relative slack on a node's price bound (see _last_qualifying_in_node).
-_BOUND_SLACK = 2.0**-40
+        band = 2^-40 (R(last) + target + last (v + EPS)),
 
+    a part returns hi if hi qualifies. Otherwise, if s - w > ``band`` the
+    part rises and nothing else in it qualifies; if w - s > ``band`` it
+    falls, and if lo qualifies, a bisection finds the last qualifying
+    count. Inside the band its counts are checked one by one from hi down,
+    which keeps exact ties exact, but the walk stops at a count u that
+    fails the check with the ask lowered by band / u if lo fails it too
+    (so an ask at a slope, v = s, with a target away from the edge costs
+    three checks). A block thus costs a piece search, one table read for
+    the band, at most three checks per part it crosses and one bisection,
+    whatever its supply, except where h (below) stays within about a band
+    of 0 over many counts of a part inside the band.
 
-def _last_qualifying_in_node(rtable, levels, k: int, i: int, v: float, target: float, lo: int, hi: int) -> int:
-    """:func:`_last_qualifying` over the counts of lo..hi in node i of level k.
+    Proof that outside the band the check is monotone on a part, and that
+    the counts an in-band walk leaves do not qualify, with e = 2^-53 the
+    rounding unit, P = target >= 0 and EPS > 0. On a piece, R(u) is
+    A(u) = B + s (u - b) evaluated in floats, and as in
+    :func:`~procure.benchmarks.block_optimum`'s proof, R(u) lies within
+    2.01 e A(u) of A(u) and A(u) <= (1 + 4.1 e) R(last) on the block. So
 
-    For counts a <= u <= b of the node, the price (R(u) - target) / u is at
-    most top - target / b, top = levels[k][i]. The computed price and the
-    computed bound each differ from the exact ones by a few units of 2^-53
-    of top + target / a + EPS, which the slack 2^-40 of that sum exceeds.
-    So when v exceeds the bound plus EPS and the slack, no count of the
-    node passes the count-by-count check; otherwise the node's right half
-    is searched before its left.
+        h(u) = A(u) - P - u (v - EPS)
+
+    is affine on a part, with slope s - v + EPS. The check compares v with
+    fl(fl(fl(R(u) - P) / u) + EPS): a difference, a quotient by a positive
+    integer and a sum, each with relative error at most e. That value lies
+    within D(u) / u of h(u) / u + v, where D(u) = 5.04 e A(u) + 3.02 e P +
+    1.01 e u EPS <= 5.1 e (R(last) + P + last EPS) = D. Hence a qualifying
+    count has h(u) >= -D, and a count with h(u) >= D qualifies.
+
+    - Rising, s - v + EPS > 2 D: hi fails, so h(hi) < D, and every u < hi
+      has h(u) <= h(hi) - (s - v + EPS) < -D: none qualifies.
+    - Falling, v - EPS - s > 2 D: if u qualifies, every u' < u has
+      h(u') > -D + 2 D = D and qualifies. So the qualifying counts are a
+      prefix of the part: empty if lo fails, and otherwise ending at the
+      count the bisection finds between lo (qualifies) and hi (fails).
+    - Inside the band, if v lowered by band / u fails at u, then
+      h(u) < -band (1 - 2e) + u e v + D < -D, since u e v <= 2^-13 band and
+      2 D <= 2^-9 band (below). If that holds at lo and at u, it holds on
+      lo..u, as h is affine, and no count there qualifies.
+    - The tests are made in floats on w = fl(v - EPS). fl(s - w) > fl(band)
+      implies s - v + EPS > fl(band) (1 - e) - e (v + EPS), and
+      band >= 2^-40 (v + EPS) since last >= 1, so s - v + EPS >
+      2^-40 (R(last) + P + last (v + EPS)) (1 - 2^-12), far above 2 D
+      (likewise for w - s). The band is at least 2^-40 EPS, a normal float.
+      An overflowing band is infinite, and every part is walked.
+
+    A block of one unit checks its one count, with no piece search and no
+    band.
     """
-    a = max(lo, i << k)
-    b = min(hi, ((i + 1) << k) - 1)
-    if a > b:
-        return 0
-    if b - a < _LEAF_UNITS:
-        return _last_qualifying(rtable, v, target, a, b)
-    top = levels[k][i]
-    if v > top - target / b + EPS + _BOUND_SLACK * (top + target / a + EPS):
-        return 0
-    return _last_qualifying_in_node(rtable, levels, k - 1, 2 * i + 1, v, target, lo, hi) or _last_qualifying_in_node(
-        rtable, levels, k - 1, 2 * i, v, target, lo, hi
-    )
+    if first == last:
+        return last if leq(v, (rtable[last] - target) / last) else 0
+
+    def price(u):
+        return (rtable[u] - target) / u
+
+    w = v - EPS
+    band = 2.0**-40 * (rtable[last] + target + last * (v + EPS))
+    for lo, hi, s in reversed(block_parts(pieces, first, last)):
+        if leq(v, price(hi)):
+            return hi
+        if s - w > band:
+            continue
+        if w - s > band:
+            if leq(v, price(lo)):
+                while hi - lo > 1:  # lo qualifies, hi does not
+                    mid = (lo + hi) // 2
+                    if leq(v, price(mid)):
+                        lo = mid
+                    else:
+                        hi = mid
+                return lo
+            continue
+        lo_fails = not leq(v - band / lo, price(lo))
+        for u in range(hi, lo - 1, -1):
+            if u < hi and leq(v, price(u)):
+                return u
+            if lo_fails and not leq(v - band / u, price(u)):
+                break  # lo..u all fail
+    return 0
 
 
 def pe(instance: Instance, target: float) -> ExtractionResult:
@@ -122,4 +178,4 @@ def pe(instance: Instance, target: float) -> ExtractionResult:
 def pec(instance: Instance, target: float) -> ExtractionResult:
     """Capacitated extraction: :func:`run_extraction` over the instance's
     sorted bids and revenue table."""
-    return run_extraction(instance.sorted_bids, instance.revenue_table, target, instance.revenue_maxima)
+    return run_extraction(instance.sorted_bids, instance.revenue_table, instance.curve.pieces, target)

@@ -125,14 +125,14 @@ def draw_partition(instance: Instance, seed: int) -> PartitionDraw:
     return PartitionDraw(flips=tuple(bool(bits >> bit_of[b.id] & 1) for b in instance.bids), seed=seed)
 
 
-def _extract_better_side(side_a, side_b, rtable, f_prime: float, f_double: float, maxima):
+def _extract_better_side(side_a, side_b, rtable, pieces, f_prime: float, f_double: float):
     """The split auction's choice rule: extract f'' from b' and f' from b'',
     and keep the sub-auction with the higher buyer profit, b' on a tie.
 
     Returns the chosen :class:`ExtractionResult` and the chosen side's name.
     """
-    res_a = run_extraction(side_a, rtable, f_double, maxima)
-    res_b = run_extraction(side_b, rtable, f_prime, maxima)
+    res_a = run_extraction(side_a, rtable, pieces, f_double)
+    res_b = run_extraction(side_b, rtable, pieces, f_prime)
     if res_a.profit >= res_b.profit:
         return res_a, "b_prime"
     return res_b, "b_double_prime"
@@ -149,7 +149,7 @@ def _run_partitioned(instance: Instance, partition: PartitionDraw) -> MechanismR
         (side_a if flips[pos_of(bid.id)] else side_b).append(bid)
     f_prime = scan_single_price([(b.valuation, b.capacity) for b in side_a], rtable, pieces)[0]
     f_double = scan_single_price([(b.valuation, b.capacity) for b in side_b], rtable, pieces)[0]
-    chosen, side_name = _extract_better_side(side_a, side_b, rtable, f_prime, f_double, instance.revenue_maxima)
+    chosen, side_name = _extract_better_side(side_a, side_b, rtable, pieces, f_prime, f_double)
     alloc = [0] * instance.n
     pays = [0.0] * instance.n
     for sid, units in chosen.winners:
@@ -223,7 +223,7 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
         ceiling_j = max over j' > j of block_optimum(R, pieces, v_j', m, 0),
 
     m the total supply (-inf after the last seller). This is exact: every
-    later g(j', c) is the first maximal float of ``R(u) - u * v_j'`` over
+    later g(j', c) is the first maximum of ``R(u) - u * v_j'`` over
     counts c+1..c+q_j' inside 1..m, and the kernel returns the per-unit
     walk's float bit for bit, so g(j', c) <= ceiling_j; an optimum changes
     only on a strict ``>``, so no later member can change either side. The
@@ -304,11 +304,11 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
       slack in both terms of the band covers that loss.
 
     Inside the band the engine applies :func:`run_pepac`'s choice rule,
-    :func:`_extract_better_side`, to both sides with the curve's
-    average-revenue maxima, as :func:`run_pepac` does.
+    :func:`_extract_better_side`, to both sides, as :func:`run_pepac` does.
     """
     side_optima = side_optima_by_mask(instance)
     rtable = instance.revenue_table
+    pieces = instance.curve.pieces
     sorted_bids = instance.sorted_bids
     m = instance.total_supply
     band = 2 * m * EPS + 2.0**-40 * (max(rtable) + m * sorted_bids[-1].valuation)
@@ -322,7 +322,7 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
             return fa
         side_a = [b for b in sorted_bids if mask >> bit_of[b.id] & 1]
         side_b = [b for b in sorted_bids if not mask >> bit_of[b.id] & 1]
-        return _extract_better_side(side_a, side_b, rtable, fa, fb, instance.revenue_maxima)[0].profit
+        return _extract_better_side(side_a, side_b, rtable, pieces, fa, fb)[0].profit
 
     return profit_for_mask
 

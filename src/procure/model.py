@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -141,13 +139,12 @@ class RevenueCurve:
     @cached_property
     def _certified(self) -> list:
         """Holder for R(0..M), the longest table :func:`validate_curve` has
-        accepted for this curve object, and its :class:`AverageRevenueMaxima`
-        (None until first asked for).
+        accepted for this curve object.
 
         Kept per object, not keyed on the curve's fields: equal curves can
         have different tables (``linear_curve(-0.0) == linear_curve(0.0)``).
         """
-        return [(), None]
+        return [()]
 
     def certified_table(self, max_q: int) -> tuple[float, ...]:
         """R(0..max_q), after certifying the curve concave over 0..max_q.
@@ -166,41 +163,6 @@ class RevenueCurve:
                 raise ValueError(f"revenue curve rejected: {check.message}")
         table = certified[0]
         return table if len(table) == max_q + 1 else table[: max_q + 1]
-
-    def certified_maxima(self, max_q: int) -> AverageRevenueMaxima:
-        """The :class:`AverageRevenueMaxima` of the certified table, which
-        covers 0..max_q; built once per certified table."""
-        self.certified_table(max_q)
-        certified = self._certified
-        if certified[1] is None:
-            certified[1] = AverageRevenueMaxima(certified[0])
-        return certified[1]
-
-
-class AverageRevenueMaxima:
-    """Largest average revenue R(u) / u over aligned ranges of unit counts.
-
-    ``levels[k][i]`` is the largest computed ``R(u) / u`` over the counts
-    i 2^k <= u < (i + 1) 2^k of the table, u = 0 and the padding past the
-    table counting as -inf. Built in O(M) from a table of finite
-    non-negative revenues. Over counts a <= u <= b of a node of level k,
-    (R(u) - P) / u <= levels[k][i] - P / b for any P >= 0, which lets a scan
-    rule out a whole range with one comparison
-    (:func:`procure.extraction.run_extraction`). Every curve kind's table is
-    finite and non-negative: R(0) = 0 and the slopes are non-negative.
-    """
-
-    __slots__ = ("levels",)
-
-    def __init__(self, rtable):
-        level = array("d", [-math.inf])
-        level.extend(map(operator.truediv, rtable[1:], range(1, len(rtable))))
-        self.levels = [level]
-        while len(level) > 1:
-            if len(level) % 2:
-                level.append(-math.inf)
-            level = array("d", map(max, level[::2], level[1::2]))
-            self.levels.append(level)
 
 
 def linear_curve(r: float) -> RevenueCurve:
@@ -246,7 +208,7 @@ def validate_curve(curve: RevenueCurve, max_q: int) -> CurveValidation:
         table.append(rev)
     certified = curve._certified
     if len(table) > len(certified[0]):
-        certified[:] = [tuple(table), None]
+        certified[0] = tuple(table)
     return CurveValidation(True)
 
 
@@ -279,7 +241,9 @@ class Instance:
     table it has been certified over and every instance sharing that curve
     with a supply no larger (such as the deviations an audit derives) takes
     its ``revenue_table`` as a slice of it, without evaluating the curve
-    again. See :meth:`RevenueCurve.certified_table`.
+    again. See :meth:`RevenueCurve.certified_table`. Besides that table,
+    the scans and extraction read only the curve's affine pieces
+    (:attr:`RevenueCurve.pieces`), which the curve caches.
     """
 
     bids: tuple[Bid, ...]
@@ -314,11 +278,6 @@ class Instance:
     def revenue_table(self) -> tuple[float, ...]:
         """R(0..m) for the scan loops: a prefix of the curve's certified table."""
         return self.curve.certified_table(self.total_supply)
-
-    @cached_property
-    def revenue_maxima(self) -> AverageRevenueMaxima:
-        """Average-revenue maxima over a table of which ``revenue_table`` is a prefix."""
-        return self.curve.certified_maxima(self.total_supply)
 
     def position_of(self, seller_id: int) -> int:
         return self._pos_by_id[seller_id]
@@ -421,6 +380,20 @@ def _finite(value, field: str):
     return value
 
 
+def _number(value, field: str):
+    """Reject anything but a JSON number (bools excluded) by field name."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InstanceFormatError(f"{field} must be a number, got {value!r}")
+    return value
+
+
+def _integer(value, field: str) -> int:
+    """Reject anything but a JSON integer (bools excluded) by field name."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InstanceFormatError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_json_dict(data) -> Instance:
     if not isinstance(data, dict):
         raise InstanceFormatError("top level must be an object")
@@ -434,11 +407,7 @@ def instance_from_json_dict(data) -> Instance:
     for i, rb in enumerate(raw_bids):
         if not isinstance(rb, dict) or "v" not in rb or "q" not in rb:
             raise InstanceFormatError(f"bids[{i}] must be an object with fields 'v' and 'q'")
-        v, q = rb["v"], rb["q"]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise InstanceFormatError(f"bids[{i}].v must be a number, got {v!r}")
-        if not isinstance(q, int) or isinstance(q, bool):
-            raise InstanceFormatError(f"bids[{i}].q must be an integer, got {q!r}")
+        v, q = _number(rb["v"], f"bids[{i}].v"), _integer(rb["q"], f"bids[{i}].q")
         try:
             bids.append(Bid(float(v), q, i))
         except ValueError as exc:
@@ -451,18 +420,17 @@ def instance_from_json_dict(data) -> Instance:
         if kind == "linear":
             curve = linear_curve(float(_finite(raw_curve["r"], "curve.r")))
         elif kind == "capped":
-            d = raw_curve["D"]
-            if not isinstance(d, int) or isinstance(d, bool):
-                raise InstanceFormatError(f"curve.D must be an integer, got {d!r}")
+            d = _integer(raw_curve["D"], "curve.D")
             curve = capped_curve(float(_finite(raw_curve["r"], "curve.r")), d)
         elif kind == "pwl":
             pts = raw_curve["points"]
             if not isinstance(pts, list):
                 raise InstanceFormatError("curve.points must be an array of [q, R] pairs")
             for i, pt in enumerate(pts):
-                if isinstance(pt, list):
-                    for k, x in enumerate(pt):
-                        _finite(x, f"curve.points[{i}][{k}]")
+                if not isinstance(pt, list) or len(pt) != 2:
+                    raise InstanceFormatError(f"curve.points[{i}] must be a [q, R] pair, got {pt!r}")
+                _integer(pt[0], f"curve.points[{i}][0]")
+                _finite(_number(pt[1], f"curve.points[{i}][1]"), f"curve.points[{i}][1]")
             curve = pwl_curve(pts)
         else:
             raise InstanceFormatError(f"curve.kind must be one of linear/capped/pwl, got {kind!r}")

@@ -245,12 +245,15 @@ def estimate_ratio(
     correctly rounded sum (``math.fsum``) divided by the trial count, and
     the standard deviation is :func:`sample_stdev` of the profits' value
     counts, the correctly rounded square root of the exact sample variance.
+    A randomized mechanism rejects a negative seed, naming it.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     bench = _positive_benchmark(instance, benchmark)
     mech = _resolve_for(instance, mechanism, demand_cap)
     if mech.randomized:
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
         base = trial_seed(seed, 0)
         masks = partition_masks(instance.n, range(base, base + trials))
         profits = list(map(partition_profit_engine(instance), masks))
@@ -289,10 +292,10 @@ def exact_ratio(instance: Instance, mechanism: str, benchmark: str, demand_cap: 
     return _ratio_report(0, expected, 0.0, bench, "")
 
 
-def _window_maxima(h: list[float], q: int) -> list[float]:
+def _window_max(h: list[float], q: int) -> list[float]:
     """``max(h[c:c + q])`` for every c, in O(len(h)).
 
-    Van Herk / Gil-Werman: cut h into blocks of q and take running maxima
+    Van Herk / Gil-Werman: cut h into blocks of q and take the running max
     inside each block from the left (``ahead``) and from the right
     (``behind``). A window either is one block or straddles two, so it is
     ``max(behind[c], ahead[c + q - 1])``. ``max`` is exact, so every entry
@@ -318,8 +321,8 @@ def _side_thresholds(instance: Instance) -> list[list[float]]:
     the profit :func:`benchmarks.block_optimum` returns for (j, c), and a
     side's optimum is exactly ``max(0, g[j][c_j] over its members)``. Only
     the profits are thresholds; the counts reaching them are not kept. The
-    row comes from one profit row and its sliding-window maxima
-    (:func:`_window_maxima`), O(c + q_j) list operations for its largest
+    row comes from one profit row and its sliding-window maximums
+    (:func:`_window_max`), O(c + q_j) list operations for its largest
     c, where calling the kernel for every c would make one Python call,
     with its piece search, per count.
     """
@@ -328,7 +331,7 @@ def _side_thresholds(instance: Instance) -> list[list[float]]:
     before = 0
     for b in instance.sorted_bids:
         v, q = b.valuation, b.capacity
-        g.append(_window_maxima([rtable[u] - u * v for u in range(1, before + q + 1)], q))
+        g.append(_window_max([rtable[u] - u * v for u in range(1, before + q + 1)], q))
         before += q
     return g
 

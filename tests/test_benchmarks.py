@@ -243,11 +243,12 @@ def test_scan_matches_per_unit_walk_bit_for_bit(sellers, curve):
 
 
 @st.composite
-def _near_tie_blocks(draw):
+def _near_tie_blocks(draw, offsets=(0.0,)):
     """(curve, v, q, c): a block of q units (up to about 20k) after c
     cheaper ones, crossing none, some or all of the curve's breakpoints,
     with the ask v at, one ulp from, or 1e-15..1e-11 (relative) from the
-    slope of one of the curve's pieces, and money scaled by 1e-6..1e9."""
+    slope of one of the curve's pieces plus one of ``offsets``, and money
+    scaled by 1e-6..1e9."""
     scale = 10.0 ** draw(st.integers(min_value=-6, max_value=9))
     slope = st.floats(min_value=0.0, max_value=3.0)
     kind = draw(st.sampled_from(("linear", "capped", "pwl")))
@@ -271,7 +272,7 @@ def _near_tie_blocks(draw):
             st.tuples(st.sampled_from(to_ends), st.integers(min_value=-1, max_value=2)).map(lambda t: max(1, sum(t))),
         )
     )
-    s = draw(st.sampled_from(curve.pieces))[1]
+    s = draw(st.sampled_from(curve.pieces))[1] + draw(st.sampled_from(offsets))
     how = draw(st.sampled_from(("at", "ulp", "relative")))
     if how == "at":
         v = s

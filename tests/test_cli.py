@@ -626,12 +626,24 @@ def test_validate_rejects_bad_file(capsys, tmp_path):
     assert "bids[0]" in err
 
 
-def test_validate_rejects_nan_curve_point(capsys, tmp_path):
-    path = tmp_path / "nan.json"
-    path.write_text('{"bids": [{"v": 1, "q": 1}, {"v": 2, "q": 1}], "curve": {"kind": "pwl", "points": [[1, NaN], [2, 3]]}}')
+@pytest.mark.parametrize(
+    "points, field",
+    [
+        ("[[1, NaN], [2, 3]]", "curve.points[0][1]"),
+        ("[[2.7, 10.0], [4, 12.0]]", "curve.points[0][0]"),
+        ("[[true, 10.0]]", "curve.points[0][0]"),
+        ('[["3", 10.0]]', "curve.points[0][0]"),
+        ('[[1, 2], [2, "14"]]', "curve.points[1][1]"),
+        ("[[1, true]]", "curve.points[0][1]"),
+    ],
+    ids=["nan", "fractional-q", "bool-q", "string-q", "string-R", "bool-R"],
+)
+def test_validate_rejects_nan_curve_point(capsys, tmp_path, points, field):
+    path = tmp_path / "bad_point.json"
+    path.write_text('{"bids": [{"v": 1, "q": 1}, {"v": 2, "q": 1}], "curve": {"kind": "pwl", "points": %s}}' % points)
     code, _, err = run_cli(capsys, "validate", "--instance", str(path))
     assert code == 2
-    assert "curve.points[0][1]" in err
+    assert field in err
 
 
 def test_supply_too_large_to_tabulate_is_an_input_error(capsys, tmp_path, monkeypatch):
@@ -687,6 +699,19 @@ def test_env_seed_fallback(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["seed"] == 77
     assert "auto-chosen" not in err
+
+
+@pytest.mark.parametrize("seed_from", ["flag", "env"])
+def test_ratio_rejects_a_negative_seed_by_the_value_given(capsys, monkeypatch, seed_from):
+    argv = ["ratio", "--generate", "tightness:l=10,eps=1,n=4", "--mechanism", "pepa", "--trials", "5"]
+    if seed_from == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("PROCURE_SEED", "-1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer, got -1\n"
 
 
 def test_auto_seed_is_announced(capsys, monkeypatch):

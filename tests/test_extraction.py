@@ -7,11 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from procure.benchmarks import optimal_single_price
 from procure import extraction
 from procure.extraction import pe, pec, run_extraction
-from procure.model import Bid, Instance, linear_curve, make_instance, pwl_curve
+from procure.model import EPS, Bid, Instance, capped_curve, linear_curve, make_instance, pwl_curve
 from procure.simulation import generate
 
 import oracles
 from oracles import per_unit_extraction
+from test_benchmarks import _CountingTable, _near_tie_blocks
 
 
 def _replace_bid(inst, pos, valuation=None, capacity=None):
@@ -91,7 +92,7 @@ def test_largest_qualifying_count_matches_exhaustive_check():
         )
         target = rng.uniform(0.0, 1.2 * max(optimal_single_price(inst).profit, 0.1))
         res = per_unit_extraction(inst.sorted_bids, inst.revenue_table, target)
-        assert run_extraction(inst.sorted_bids, inst.revenue_table, target, inst.revenue_maxima) == res
+        assert run_extraction(inst.sorted_bids, inst.revenue_table, inst.curve.pieces, target) == res
         # exhaustive qualification check over every unit count
         qualifying = []
         cum, j = 0, 0
@@ -205,7 +206,7 @@ def _boundary_targets(inst, rng):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
-@example(5)  # with extraction._BOUND_SLACK = 0.0 both seeds prune away a qualifying count
+@example(5)  # regression seeds: a pruning bound without rounding slack lost their edge targets
 @example(80)
 def test_pruned_extraction_matches_the_full_scan(seed):
     rng = random.Random(seed)
@@ -214,10 +215,9 @@ def test_pruned_extraction_matches_the_full_scan(seed):
         {"n": rng.randint(1, 7), "seed": seed, "qmin": 1, "qmax": rng.choice((1, 40, 600)),
          "vmax": rng.choice((0.5, 1.0, 1.5)), "curve": rng.choice(("linear", "capped", "pwl", "mixed"))},
     )
-    maxima = inst.revenue_maxima
     for target in _boundary_targets(inst, rng):
         want = per_unit_extraction(inst.sorted_bids, inst.revenue_table, target)
-        got = run_extraction(inst.sorted_bids, inst.revenue_table, target, maxima)
+        got = run_extraction(inst.sorted_bids, inst.revenue_table, inst.curve.pieces, target)
         assert got == want
         assert got.price_per_unit.hex() == want.price_per_unit.hex()
 
@@ -235,20 +235,74 @@ def test_pruned_extraction_cost_does_not_follow_the_winning_count(monkeypatch):
     full = per_unit_extraction(inst.sorted_bids, inst.revenue_table, target)
     full_checks = len(checks)
     checks.clear()
-    pruned = run_extraction(inst.sorted_bids, inst.revenue_table, target, inst.revenue_maxima)
+    pruned = run_extraction(inst.sorted_bids, inst.revenue_table, inst.curve.pieces, target)
     assert pruned == full and full.winners == ((0, 500),)
     assert full_checks == 4501
     assert len(checks) <= 64
 
 
+def test_an_ask_at_a_slope_costs_a_few_checks_when_the_target_is_off_the_edge(monkeypatch):
+    """An ask equal to the curve's slope puts its part inside the band. The
+    part is still left after three checks when both of its ends fail by a
+    margin, instead of one check per unit; the cheaper block then wins
+    with one more."""
+    inst = make_instance([1.0, 10.0], capacities=[500, 100_000], curve=linear_curve(10.0))
+    checks = []
+    real_leq = extraction.leq
+    monkeypatch.setattr(extraction, "leq", lambda a, b: checks.append(1) or real_leq(a, b))
+    got = run_extraction(inst.sorted_bids, inst.revenue_table, inst.curve.pieces, 600.0)
+    assert got == per_unit_extraction(inst.sorted_bids, inst.revenue_table, 600.0)
+    assert got.winners == ((0, 500),)
+    assert len(checks) <= 4
 
-@pytest.mark.parametrize("curve", [linear_curve(3.0), linear_curve(-0.0), pwl_curve([(7, 20.0), (30, 41.5), (45, 44.0)])])
-def test_average_revenue_maxima_cover_their_aligned_ranges(curve):
-    rt = curve.certified_table(45)
-    levels = curve.certified_maxima(45).levels
-    averages = [-math.inf] + [rt[u] / u for u in range(1, 46)]
-    for k, level in enumerate(levels):
-        for i, top in enumerate(level):
-            span = averages[i << k:(i + 1) << k] or [-math.inf]
-            assert top == max(span), (k, i)
-    assert len(levels[-1]) == 1
+
+@st.composite
+def _near_tie_extractions(draw):
+    """(curve, sorted bids, target): a block of :func:`_near_tie_blocks`,
+    whose ask v is near a piece's slope s or near s + EPS (where the check
+    v - EPS <= (R(u) - P) / u is flat in u), sold after c units of a
+    cheaper seller, and a target on the qualification edge of a count u of
+    the block: R(u) - u (v - EPS), its float neighbours, or R(u) - u v."""
+    curve, v, q, c = draw(_near_tie_blocks(offsets=(0.0, EPS)))
+    bids = ((Bid(draw(st.sampled_from((0.0, v))), c, 0),) if c else ()) + (Bid(v, q, 1),)
+    u = c + draw(st.integers(min_value=1, max_value=q))
+    r = curve.at(u)
+    edge = r - u * (v - EPS)
+    target = draw(st.sampled_from((edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf), r - u * v)))
+    return curve, bids, max(target, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_tie_extractions())
+@example((pwl_curve([(1, 0.1)]), (Bid(0.10000000100000002, 4, 1),), 0.0))  # v = s + EPS: both fail with band 0
+@example((linear_curve(0.6288679520425204), (Bid(0.6288679530425205, 52, 1),), 0.0))
+@example(  # an in-band plateau falling by 2 EPS a unit: the walk may stop at a failing count only if lo fails too
+    (capped_curve(25.837271135944597, 1888), (Bid(3.0000000000000004e-09, 2098, 1),), 48780.76790055614)
+)
+def test_extraction_matches_the_per_unit_scan_near_ties(case):
+    """Outside its band a part of a block is checked at its ends and by
+    bisection; inside it, count by count down to a count that fails by a
+    margin, if lo does too. Either way the result is the count-by-count
+    scan's, price bit for bit, on the curve's own table (``table``:
+    rescaled pwl curves need not certify)."""
+    curve, bids, target = case
+    rtable = curve.table(sum(b.capacity for b in bids))
+    got = run_extraction(bids, rtable, curve.pieces, target)
+    want = per_unit_extraction(bids, rtable, target)
+    assert got == want
+    assert got.price_per_unit.hex() == want.price_per_unit.hex()
+
+
+def test_extraction_reads_a_few_entries_per_part_crossed_plus_a_bisection():
+    """On the five-piece curve of the kernel's read-count test, a block of
+    100,000 units costs at most two reads per part it crosses, one for the
+    band and about log2(100,000) for the bisection on the winning part."""
+    curve = pwl_curve([(20_000, 60_000.0), (40_000, 100_000.0), (60_000, 130_000.0), (80_000, 150_000.0)])
+    c, q = 5_000, 100_000  # the block crosses all four breakpoints: five parts
+    bids = (Bid(0.0, c, 0), Bid(1.7, q, 1))
+    rtable = _CountingTable(curve.table(c + q))
+    for target in (0.0, 20_000.0, 25_000.0, 30_000.0, 31_999.0, 40_000.0):
+        rtable.reads = 0
+        got = run_extraction(bids, rtable, curve.pieces, target)
+        assert got == per_unit_extraction(bids, rtable.rtable, target)
+        assert rtable.reads <= 1 + 2 * 5 + math.ceil(math.log2(q)) + 1, (target, rtable.reads)

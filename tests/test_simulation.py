@@ -197,7 +197,7 @@ def test_window_maxima_match_slices():
     for _ in range(200):
         h = [rng.choice((-1.0, 0.0, 0.5, 2.0, rng.uniform(-3, 3))) for _ in range(rng.randint(1, 30))]
         q = rng.randint(1, len(h))
-        assert simulation._window_maxima(h, q) == [max(h[c : c + q]) for c in range(len(h) - q + 1)]
+        assert simulation._window_max(h, q) == [max(h[c : c + q]) for c in range(len(h) - q + 1)]
 
 
 def test_exhaustive_near_tie_is_the_min_side_optimum():
