@@ -8,18 +8,17 @@ valuation; ``optimal_single_price_min2`` (F^(2)) is the single-price optimum
 constrained to buy from at least two sellers, which leaves out the cheapest
 seller's block and has no no-trade fallback.
 
-F, F^(2), a split auction side's optimum, the masked optimal single price
-and the per-draw side walk (``mechanisms.side_optima_by_mask``, which the
-Monte Carlo engine and exact enumeration share) are all built on one
-kernel, :func:`block_optimum` (``simulation._side_thresholds`` computes the
-same floats for every preceding unit count at once, for threshold
-counting). The kernel reads O(pieces) counts per seller block, not one
-per unit: on each affine piece of the revenue curve that a block crosses,
-the profit is strictly monotone unless the ask lies within a proven band of
-the piece's slope, so one end of that part holds its best float (inside
-the band the part is walked, which keeps exact ties exact). A single-price
-scan over n sellers thus costs O(n (log k + k)) for a curve of k pieces,
-whatever the supply.
+F, F^(2), a split auction side's optimum, the masked optimal single price,
+the per-draw side walk (``mechanisms.side_optima_by_mask``, which the
+Monte Carlo engine and exact enumeration share) and the thresholds of
+exact counting (``simulation._side_thresholds``) are all built on one
+kernel, :func:`block_optimum`. The kernel reads O(pieces) counts per
+seller block, not one per unit: on each affine piece of the revenue curve
+that a block crosses, the profit is strictly monotone unless the ask lies
+within a proven band of the piece's slope, so one end of that part holds
+its best float (inside the band the part is walked, which keeps exact ties
+exact). A single-price scan over n sellers thus costs O(n (log k + k)) for
+a curve of k pieces, whatever the supply.
 
 The cut of a block at the pieces, :func:`block_parts`, is shared by the
 kernel and by profit extraction (``extraction.run_extraction``), which
@@ -68,9 +67,9 @@ def block_optimum(rtable, pieces, v: float, q: int, c: int) -> tuple[float, int]
     Seller j asks v per unit for q >= 1 units, so its block covers the unit
     counts c+1..c+q, each priced ``R(u) - u * v`` with R(u) = ``rtable[u]``.
     Returns (profit, u) with u the smallest count reaching the best profit:
-    the walk's first maximum, -0.0 included. A side's optimum, F, F^(2)
-    and the per-draw side walk are all built from it, so they share this
-    float expression and this tie rule.
+    the walk's first maximum, -0.0 included. A side's optimum, F, F^(2),
+    the per-draw side walk and the thresholds of exact counting are all
+    built from it, so they share this float expression and this tie rule.
 
     ``pieces`` are the curve's affine pieces (:attr:`RevenueCurve.pieces`).
     The block is cut where it crosses them (:func:`block_parts`), and on

@@ -19,7 +19,7 @@ import secrets
 import sys
 
 from . import benchmarks, simulation
-from .mechanisms import UndefinedPriceError, UnknownMechanismError, resolve_mechanism
+from .mechanisms import UnknownMechanismError, resolve_mechanism
 from .model import Instance, InstanceFormatError, dumps_instance, load_instance
 from .simulation import BenchmarkNotPositiveError
 
@@ -257,10 +257,7 @@ def main(argv=None) -> int:
     except BenchmarkNotPositiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_BENCHMARK
-    except (InstanceFormatError, FileNotFoundError, UndefinedPriceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:

@@ -119,26 +119,19 @@ def _coin_bit_of(instance: Instance) -> dict[int, int]:
     return {sid: i for i, sid in enumerate(sorted(b.id for b in instance.bids))}
 
 
-def draw_partition(instance: Instance, seed: int) -> PartitionDraw:
-    bits = partition_mask(instance.n, seed)
+def _draw_of_mask(instance: Instance, mask: int, seed: int | None = None) -> PartitionDraw:
+    """The draw whose coins are the bits of ``mask``, aligned to the bid order."""
     bit_of = _coin_bit_of(instance)
-    return PartitionDraw(flips=tuple(bool(bits >> bit_of[b.id] & 1) for b in instance.bids), seed=seed)
+    return PartitionDraw(flips=tuple(bool(mask >> bit_of[b.id] & 1) for b in instance.bids), seed=seed)
 
 
-def _extract_better_side(side_a, side_b, rtable, pieces, f_prime: float, f_double: float):
-    """The split auction's choice rule: extract f'' from b' and f' from b'',
-    and keep the sub-auction with the higher buyer profit, b' on a tie.
-
-    Returns the chosen :class:`ExtractionResult` and the chosen side's name.
-    """
-    res_a = run_extraction(side_a, rtable, pieces, f_double)
-    res_b = run_extraction(side_b, rtable, pieces, f_prime)
-    if res_a.profit >= res_b.profit:
-        return res_a, "b_prime"
-    return res_b, "b_double_prime"
+def draw_partition(instance: Instance, seed: int) -> PartitionDraw:
+    return _draw_of_mask(instance, partition_mask(instance.n, seed), seed)
 
 
 def _run_partitioned(instance: Instance, partition: PartitionDraw) -> MechanismRun:
+    """The split auction on a draw: extract f'' from b' and f' from b'', and
+    keep the sub-auction with the higher buyer profit, b' on a tie."""
     rtable = instance.revenue_table
     pieces = instance.curve.pieces
     flips = partition.flips
@@ -149,7 +142,9 @@ def _run_partitioned(instance: Instance, partition: PartitionDraw) -> MechanismR
         (side_a if flips[pos_of(bid.id)] else side_b).append(bid)
     f_prime = scan_single_price([(b.valuation, b.capacity) for b in side_a], rtable, pieces)[0]
     f_double = scan_single_price([(b.valuation, b.capacity) for b in side_b], rtable, pieces)[0]
-    chosen, side_name = _extract_better_side(side_a, side_b, rtable, pieces, f_prime, f_double)
+    res_a = run_extraction(side_a, rtable, pieces, f_double)
+    res_b = run_extraction(side_b, rtable, pieces, f_prime)
+    chosen, side_name = (res_a, "b_prime") if res_a.profit >= res_b.profit else (res_b, "b_double_prime")
     alloc = [0] * instance.n
     pays = [0.0] * instance.n
     for sid, units in chosen.winners:
@@ -201,10 +196,12 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
     coin mask to the two sides' single-price optima (f', f'').
 
     Bit i of the mask set (for the bidder with the i-th smallest id) puts
-    that bidder on side b'. Both :func:`partition_profit_engine` and exact
-    enumeration (``simulation._min_side_by_enumeration``) take their side
-    optima from it, and on every draw they are the floats :func:`run_pepac`
-    computes.
+    that bidder on side b', as in :func:`_draw_of_mask`. Both
+    :func:`partition_profit_engine` and exact enumeration
+    (``simulation._min_side_by_enumeration``) take their side optima from
+    it, and on every draw they are the floats :func:`run_pepac` computes.
+    Threshold counting (``simulation._side_thresholds``) tabulates the same
+    g(j, c) below with the same kernel call, for every c at once.
 
     A draw costs O(n). The sellers are walked cheapest first, and each
     side's optimum is the largest of 0 and the block optima g(j, c_j) of its
@@ -274,7 +271,7 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
     with the mask bits of :func:`side_optima_by_mask`. Used by the Monte
     Carlo estimator; on every draw it returns the same float as
     :func:`run_pepac`. It is that walk, which gives (f', f'') in O(n) per
-    draw, plus the tie band below and an extraction fallback inside it.
+    draw, plus the tie band below, inside which it runs the auction.
 
     The auction extracts each side's optimum from the other side and keeps
     the better sub-auction. Outside a band around a tie this earns exactly
@@ -303,16 +300,15 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
     - fl(f' - f'') > fl(band) implies f' - f'' > band (1 - 4e), and the
       slack in both terms of the band covers that loss.
 
-    Inside the band the engine applies :func:`run_pepac`'s choice rule,
-    :func:`_extract_better_side`, to both sides, as :func:`run_pepac` does.
+    Inside the band the engine runs the auction itself: the profit of
+    :func:`run_pepac` on the draw of that mask. So the engine returns
+    :func:`run_pepac`'s float on every draw by construction, the band only
+    deciding which draws may skip the run.
     """
     side_optima = side_optima_by_mask(instance)
     rtable = instance.revenue_table
-    pieces = instance.curve.pieces
-    sorted_bids = instance.sorted_bids
     m = instance.total_supply
-    band = 2 * m * EPS + 2.0**-40 * (max(rtable) + m * sorted_bids[-1].valuation)
-    bit_of = _coin_bit_of(instance)
+    band = 2 * m * EPS + 2.0**-40 * (max(rtable) + m * instance.sorted_bids[-1].valuation)
 
     def profit_for_mask(mask: int) -> float:
         fa, fb = side_optima(mask)
@@ -320,9 +316,7 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
             return fb
         if fb - fa > band:
             return fa
-        side_a = [b for b in sorted_bids if mask >> bit_of[b.id] & 1]
-        side_b = [b for b in sorted_bids if not mask >> bit_of[b.id] & 1]
-        return _extract_better_side(side_a, side_b, rtable, pieces, fa, fb)[0].profit
+        return _run_partitioned(instance, _draw_of_mask(instance, mask)).outcome.profit
 
     return profit_for_mask
 

@@ -326,7 +326,29 @@ def make_outcome(instance: Instance, allocation, payment_per_unit, profit: float
 
     A mechanism that knows its exact profit (e.g. a target it extracted) may
     declare it; the declared value must agree with the recomputation
-    R(sum x) - sum p_i * x_i to within EPS.
+    R(sum x) - sum p_i * x_i to within
+
+        EPS + (n + 4) 2^-52 (R(sum x) + V),
+
+    n the number of bids and V the sum of |fl(p_i * x_i)|. The second term
+    exceeds EPS only once R(sum x) + V exceeds 4.5e6 / (n + 4). It bounds
+    the rounding of the recomputation and of a price of the form
+    fl(fl(R(u) - P) / u), the one extraction pays for a declared target P.
+    With e = 2^-53 the rounding unit and R = R(sum x) >= 0:
+
+    - A product fl(p_i x_i) is exact or within e |p_i x_i| of p_i x_i (an
+      integer x_i >= 0 cannot take it below the subnormal grid), and the
+      n terms are summed with n - 1 roundings, so ``paid`` lies within
+      1.01 n e V of sum p_i x_i, and |paid| <= 1.01 V.
+    - The final difference adds at most e |R - paid|, so the recomputation
+      lies within 1.01 (n + 1) e (R + V) of the exact R - sum p_i x_i.
+    - A price p = fl(fl(R - P) / u) paid on all u units makes u p lie
+      within 2.01 e |R - P| of R - P, and |R - P| <= 1.01 u |p| <= 1.02 V,
+      so the exact profit R - u p of such an outcome lies within 2.06 e V
+      of P.
+
+    Together that is at most 1.01 (n + 4) e (R + V), half the second term;
+    the other half covers the rounding of the check itself.
     """
     allocation = tuple(int(x) for x in allocation)
     payment_per_unit = tuple(float(p) for p in payment_per_unit)
@@ -343,11 +365,14 @@ def make_outcome(instance: Instance, allocation, payment_per_unit, profit: float
             raise ValueError(f"seller {bid.id}: losing seller must be paid 0, got {p}")
         total += x
         paid += p * x
-    recomputed = instance.revenue_table[total] - paid
+    revenue = instance.revenue_table[total]
+    recomputed = revenue - paid
     if profit is None:
         profit = recomputed
-    elif abs(profit - recomputed) > EPS:
-        raise ValueError(f"declared profit {profit} disagrees with recomputation {recomputed}")
+    elif abs(profit - recomputed) > EPS:  # the rounding bound is needed only past EPS
+        volume = sum(abs(p * x) for x, p in zip(allocation, payment_per_unit))
+        if abs(profit - recomputed) > EPS + (instance.n + 4) * 2.0**-52 * (revenue + volume):
+            raise ValueError(f"declared profit {profit} disagrees with recomputation {recomputed}")
     return AuctionOutcome(allocation=allocation, payment_per_unit=payment_per_unit, profit=profit)
 
 
@@ -394,6 +419,11 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _slope(raw_curve) -> float:
+    """A linear or capped curve's ``r``: a finite JSON number (bools excluded)."""
+    return float(_finite(_number(raw_curve["r"], "curve.r"), "curve.r"))
+
+
 def instance_from_json_dict(data) -> Instance:
     if not isinstance(data, dict):
         raise InstanceFormatError("top level must be an object")
@@ -418,10 +448,10 @@ def instance_from_json_dict(data) -> Instance:
     kind = raw_curve["kind"]
     try:
         if kind == "linear":
-            curve = linear_curve(float(_finite(raw_curve["r"], "curve.r")))
+            curve = linear_curve(_slope(raw_curve))
         elif kind == "capped":
             d = _integer(raw_curve["D"], "curve.D")
-            curve = capped_curve(float(_finite(raw_curve["r"], "curve.r")), d)
+            curve = capped_curve(_slope(raw_curve), d)
         elif kind == "pwl":
             pts = raw_curve["points"]
             if not isinstance(pts, list):

@@ -197,27 +197,37 @@ def _sqrt_of_fraction(num: int, den: int) -> float:
     return root / (1 << -q)
 
 
+def _on_one_scale(values) -> tuple[list[int], int]:
+    """Finite floats as exact ints on one power-of-two scale: (ints, scale)
+    with ints[i] / scale equal to values[i] as rationals.
+
+    Every float is an integer times a power of two, so the largest
+    denominator of their ``as_integer_ratio`` is a multiple of every other.
+    The scale is 1 when ``values`` is empty.
+    """
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = max((den for _, den in ratios), default=1)
+    return [num * (scale // den) for num, den in ratios], scale
+
+
 def sample_stdev(counts: Counter) -> float:
     """The sample standard deviation of a multiset of finite floats given as
     value -> count, as ``statistics.stdev`` over the expanded list returns
     it on Python 3.11 and later, bit for bit.
 
-    Every float is an integer times a power of two, so on the scale of the
-    largest denominator each value X is an exact int, and with N the count,
-    S1 = sum c X and S2 = sum c X^2, the sample variance is exactly
-    (N S2 - S1^2) / (N (N - 1)) over the squared scale. Its square root is
-    rounded once (:func:`_sqrt_of_fraction`). A Monte Carlo run's profits
-    take a few hundred distinct values, so this costs a pass over the
-    distinct values, not over the trials. On Python 3.10, whose ``stdev``
-    rounds the variance to a float before its square root, the result can
-    differ from that ``stdev`` in the last bit; it matches 3.11 and later.
-    Needs N >= 2.
+    On one scale (:func:`_on_one_scale`) each value X is an exact int, and
+    with N the count, S1 = sum c X and S2 = sum c X^2, the sample variance
+    is exactly (N S2 - S1^2) / (N (N - 1)) over the squared scale. Its
+    square root is rounded once (:func:`_sqrt_of_fraction`). A Monte Carlo
+    run's profits take a few hundred distinct values, so this costs a pass
+    over the distinct values, not over the trials. On Python 3.10, whose
+    ``stdev`` rounds the variance to a float before its square root, the
+    result can differ from that ``stdev`` in the last bit; it matches 3.11
+    and later. Needs N >= 2.
     """
-    ratios = [(x.as_integer_ratio(), c) for x, c in counts.items()]
-    scale = max(d for (_, d), _ in ratios)
+    xs, scale = _on_one_scale(counts)
     n = s1 = s2 = 0
-    for (num, den), c in ratios:
-        x = num * (scale // den)
+    for x, c in zip(xs, counts.values()):
         n += c
         s1 += c * x
         s2 += c * x * x
@@ -292,46 +302,25 @@ def exact_ratio(instance: Instance, mechanism: str, benchmark: str, demand_cap: 
     return _ratio_report(0, expected, 0.0, bench, "")
 
 
-def _window_max(h: list[float], q: int) -> list[float]:
-    """``max(h[c:c + q])`` for every c, in O(len(h)).
-
-    Van Herk / Gil-Werman: cut h into blocks of q and take the running max
-    inside each block from the left (``ahead``) and from the right
-    (``behind``). A window either is one block or straddles two, so it is
-    ``max(behind[c], ahead[c + q - 1])``. ``max`` is exact, so every entry
-    is one of the floats of h.
-    """
-    if q == 1:
-        return h
-    ahead: list[float] = []
-    behind: list[float] = []
-    for start in range(0, len(h), q):
-        block = h[start : start + q]
-        ahead += accumulate(block, max)
-        behind += reversed(list(accumulate(reversed(block), max)))
-    return [max(behind[c], ahead[c + q - 1]) for c in range(len(h) - q + 1)]
-
-
 def _side_thresholds(instance: Instance) -> list[list[float]]:
     """g[j][c]: the best single-price profit ending in the block of the j-th
     cheapest seller, when c units of cheaper sellers precede it on its side.
 
-    Each unit count u in c+1..c+q_j is priced ``R(u) - u * v_j``, the
-    kernel's float expression, and ``max`` is exact, so every entry equals
-    the profit :func:`benchmarks.block_optimum` returns for (j, c), and a
-    side's optimum is exactly ``max(0, g[j][c_j] over its members)``. Only
-    the profits are thresholds; the counts reaching them are not kept. The
-    row comes from one profit row and its sliding-window maximums
-    (:func:`_window_max`), O(c + q_j) list operations for its largest
-    c, where calling the kernel for every c would make one Python call,
-    with its piece search, per count.
+    Each entry is the profit :func:`benchmarks.block_optimum` returns for
+    (j, c), the float the per-draw walk (:func:`side_optima_by_mask`) and
+    :func:`mechanisms.run_pepac` compute, so a side's optimum is exactly
+    ``max(0, g[j][c_j] over its members)``. Only the profits are
+    thresholds; the counts reaching them are not kept. Row j has one entry
+    per count c in 0..before_j, the supply of the sellers cheaper than j,
+    each a kernel call that reads O(pieces) counts of the block.
     """
     rtable = instance.revenue_table
+    pieces = instance.curve.pieces
     g = []
     before = 0
     for b in instance.sorted_bids:
         v, q = b.valuation, b.capacity
-        g.append(_window_max([rtable[u] - u * v for u in range(1, before + q + 1)], q))
+        g.append([benchmarks.block_optimum(rtable, pieces, v, q, c)[0] for c in range(before + 1)])
         before += q
     return g
 
@@ -397,7 +386,8 @@ def _min_side_by_counting(instance: Instance) -> float:
     whose state c is the number of units on b' so far. Only the positive
     g-values can be thresholds. They are swept in ascending order until no
     draw reaches one, and t times the number of draws whose minimum is t is
-    summed in rationals and rounded once: the same float as ``fsum`` over
+    summed exactly, as ints on one power-of-two scale (:func:`_on_one_scale`),
+    and rounded once by an int division: the same float as ``fsum`` over
     all 2^n draws divided by 2^n.
 
     A DP row holds one count per state c. It is packed into one int,
@@ -410,8 +400,6 @@ def _min_side_by_counting(instance: Instance) -> float:
     carry into each other and the total of a row is the int modulo
     2^width - 1.
     """
-    from fractions import Fraction
-
     g = _side_thresholds(instance)
     n = instance.n
     width = n + 1
@@ -448,10 +436,9 @@ def _min_side_by_counting(instance: Instance) -> float:
         while k < len(sweep) and sweep[k][0] == t:
             allow(*sweep[k][1:])
             k += 1
-    total = Fraction(0)
-    for (t, reached), (_, above) in zip(levels, levels[1:] + [(None, 0)]):
-        total += Fraction(t) * (reached - above)
-    return float(total / (1 << n))
+    ts, scale = _on_one_scale([t for t, _ in levels])
+    total = sum(t * (reached - above) for t, (_, reached), (_, above) in zip(ts, levels, levels[1:] + [(None, 0)]))
+    return total / (scale << n)
 
 
 # --- audits -------------------------------------------------------------------

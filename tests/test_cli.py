@@ -4,6 +4,7 @@ import pytest
 
 from procure import simulation
 from procure.cli import main
+from procure.mechanisms import partition_mask, partition_profit_engine
 from procure.model import dumps_instance, loads_instance
 
 
@@ -627,20 +628,27 @@ def test_validate_rejects_bad_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "points, field",
+    "curve, field",
     [
-        ("[[1, NaN], [2, 3]]", "curve.points[0][1]"),
-        ("[[2.7, 10.0], [4, 12.0]]", "curve.points[0][0]"),
-        ("[[true, 10.0]]", "curve.points[0][0]"),
-        ('[["3", 10.0]]', "curve.points[0][0]"),
-        ('[[1, 2], [2, "14"]]', "curve.points[1][1]"),
-        ("[[1, true]]", "curve.points[0][1]"),
+        ('{"kind": "pwl", "points": [[1, NaN], [2, 3]]}', "curve.points[0][1]"),
+        ('{"kind": "pwl", "points": [[2.7, 10.0], [4, 12.0]]}', "curve.points[0][0]"),
+        ('{"kind": "pwl", "points": [[true, 10.0]]}', "curve.points[0][0]"),
+        ('{"kind": "pwl", "points": [["3", 10.0]]}', "curve.points[0][0]"),
+        ('{"kind": "pwl", "points": [[1, 2], [2, "14"]]}', "curve.points[1][1]"),
+        ('{"kind": "pwl", "points": [[1, true]]}', "curve.points[0][1]"),
+        ('{"kind": "linear", "r": "3"}', "curve.r"),
+        ('{"kind": "linear", "r": true}', "curve.r"),
+        ('{"kind": "capped", "r": "3", "D": 2}', "curve.r"),
+        ('{"kind": "capped", "r": true, "D": 2}', "curve.r"),
     ],
-    ids=["nan", "fractional-q", "bool-q", "string-q", "string-R", "bool-R"],
+    ids=[
+        "nan", "fractional-q", "bool-q", "string-q", "string-R", "bool-R",
+        "string-r-linear", "bool-r-linear", "string-r-capped", "bool-r-capped",
+    ],
 )
-def test_validate_rejects_nan_curve_point(capsys, tmp_path, points, field):
+def test_validate_rejects_nan_curve_point(capsys, tmp_path, curve, field):
     path = tmp_path / "bad_point.json"
-    path.write_text('{"bids": [{"v": 1, "q": 1}, {"v": 2, "q": 1}], "curve": {"kind": "pwl", "points": %s}}' % points)
+    path.write_text('{"bids": [{"v": 1, "q": 1}, {"v": 2, "q": 1}], "curve": %s}' % curve)
     code, _, err = run_cli(capsys, "validate", "--instance", str(path))
     assert code == 2
     assert field in err
@@ -669,6 +677,21 @@ def test_ratio_rejects_infinite_curve_slope(capsys, tmp_path):
     )
     assert code == 2
     assert "curve.r" in err
+
+
+def test_pepac_runs_when_money_is_large(capsys, tmp_path):
+    # the extracted price's rounding, about 3e-8 here, is far above EPS
+    path = tmp_path / "large.json"
+    path.write_text(
+        '{"bids": [{"v": 51800000.0, "q": 1}, {"v": 155400000.0, "q": 2}],'
+        ' "curve": {"kind": "linear", "r": 258999999.99999997}}'
+    )
+    inst = loads_instance(path.read_text())
+    engine = partition_profit_engine(inst)
+    for seed in range(1, 6):
+        code, out, err = run_cli(capsys, "run", "--instance", str(path), "--mechanism", "pepac", "--seed", str(seed))
+        assert code == 0, err
+        assert json.loads(out)["run"]["outcome"]["profit"] == engine(partition_mask(inst.n, seed)), seed
 
 
 def test_same_seed_byte_identical_output(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from procure.model import (
+    EPS,
     Bid,
     Instance,
     InstanceFormatError,
@@ -186,6 +187,18 @@ def test_outcome_rejects_ir_violation():
         make_outcome(inst, [0, 0], [1.0, 0.0])  # loser paid
     with pytest.raises(ValueError):
         make_outcome(inst, [2, 0], [5.0, 0.0])  # over capacity
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e9])
+def test_outcome_rejects_a_declared_profit_off_by_more_than_the_rounding_bound(scale):
+    inst = make_instance([1.0 * scale, 9.0 * scale], curve=linear_curve(10.0 * scale))
+    pays = [9.0 * scale] * 2
+    profit = make_outcome(inst, [1, 1], pays).profit
+    bound = EPS + (inst.n + 4) * 2.0**-52 * (20.0 * scale + 18.0 * scale)
+    assert make_outcome(inst, [1, 1], pays, profit=profit + bound / 2).profit == profit + bound / 2
+    for off in (2 * bound, -2 * bound):
+        with pytest.raises(ValueError, match="disagrees with recomputation"):
+            make_outcome(inst, [1, 1], pays, profit=profit + off)
 
 
 def test_json_round_trip_is_bit_identical():

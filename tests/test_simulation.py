@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from procure.mechanisms import partition_mask, partition_profit_engine, resolve_mechanism
-from procure.model import Bid, Instance, RevenueCurve, linear_curve, make_instance, pwl_curve
+from procure.model import Bid, Instance, RevenueCurve, capped_curve, linear_curve, make_instance, pwl_curve
 import procure.simulation as simulation
 from procure.simulation import (
     BenchmarkNotPositiveError,
@@ -159,10 +159,21 @@ def _acceptance_instances(seeds):
 
 
 def test_enumeration_and_counting_agree_bit_for_bit():
-    # capacities up to 60 units per seller, where the two methods build
-    # their thresholds differently, and the acceptance criteria's
-    # generators, on which the draw walk ends early at many depths
-    instances = []
+    # capacities up to 60 units per seller; multi-unit blocks asking a
+    # piece's slope (v = r on a linear curve, a pwl slope, 0.0 on a capped
+    # plateau), where the kernel walks the in-band parts for both methods;
+    # and the acceptance criteria's generators, on which the draw walk ends
+    # early at many depths
+    instances = [
+        make_instance([1.0, 3.0, 2.0, 3.0, 3.0], capacities=[2, 3, 4, 2, 1], curve=linear_curve(3.0)),
+        make_instance([0.1, 0.3, 0.3, 0.2, 0.3], capacities=[2, 3, 4, 2, 5], curve=linear_curve(0.3)),
+        make_instance([1.0, 0.5, 1.0, 2.0, 1.0], capacities=[3, 2, 5, 4, 2], curve=pwl_curve([(4, 8.0), (10, 14.0)])),
+        make_instance(
+            [0.7, 0.2, 0.7, 0.7, 0.3, 0.7], capacities=[3, 2, 5, 4, 2, 6], curve=pwl_curve([(5, 4.5), (12, 9.4)])
+        ),
+        make_instance([0.0, 0.0, 1.0, 0.5, 0.0], capacities=[3, 4, 2, 3, 2], curve=capped_curve(2.0, 5)),
+        make_instance([0.0, 0.0, 0.3, 0.1], capacities=[3, 4, 2, 3], curve=capped_curve(0.7, 4)),
+    ]
     for seed in range(60):
         rng = random.Random(f"methods-{seed}")
         qmax = rng.choice((1, 4, 60))
@@ -190,14 +201,6 @@ def test_exact_method_follows_the_shape_of_the_instance(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(simulation, "_min_side_by_enumeration", refuse)
     assert exhaustive_expected_profit(many_small, "pepa") > 0
-
-
-def test_window_maxima_match_slices():
-    rng = random.Random(5)
-    for _ in range(200):
-        h = [rng.choice((-1.0, 0.0, 0.5, 2.0, rng.uniform(-3, 3))) for _ in range(rng.randint(1, 30))]
-        q = rng.randint(1, len(h))
-        assert simulation._window_max(h, q) == [max(h[c : c + q]) for c in range(len(h) - q + 1)]
 
 
 def test_exhaustive_near_tie_is_the_min_side_optimum():
