@@ -34,9 +34,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 
-from .model import Instance
+from .model import Instance, piece_end, piece_revenue
 
 
 class BenchmarkUndefinedError(ValueError):
@@ -59,13 +58,14 @@ class BenchmarkResult:
         }
 
 
-def block_optimum(rtable, pieces, v: float, q: int, c: int) -> tuple[float, int]:
+def block_optimum(pieces, v: float, q: int, c: int) -> tuple[float, int]:
     """g(j, c) and its unit count: the best single-price profit whose
     marginal unit falls in seller j's block, when c cheaper units precede
     it on its side.
 
     Seller j asks v per unit for q >= 1 units, so its block covers the unit
-    counts c+1..c+q, each priced ``R(u) - u * v`` with R(u) = ``rtable[u]``.
+    counts c+1..c+q, each priced ``R(u) - u * v`` with R(u) from
+    :func:`~procure.model.piece_revenue`.
     Returns (profit, u) with u the smallest count reaching the best profit:
     the walk's first maximum, -0.0 included. A side's optimum, F, F^(2),
     the per-draw side walk and the thresholds of exact counting are all
@@ -80,21 +80,22 @@ def block_optimum(rtable, pieces, v: float, q: int, c: int) -> tuple[float, int]
         band = 2^-40 (R(c+q) + (c+q) v).
 
     So a block costs a piece search over the k pieces, O(log k), plus one
-    table read for the band and one per piece it crosses, except on a piece
-    whose slope is within the band of v. The result is the walk's bit for
+    evaluation of R for the band and one per piece it crosses, except on a
+    piece whose slope is within the band of v, whose counts are walked one
+    at a time without being collected. The result is the walk's bit for
     bit: the walk's first maximum is the first maximum of its part, and
     the parts' candidates, taken in order and each replacing the best only
     if strictly larger, reach it. A one-unit block reads its one count,
-    with no piece search and no band.
+    with no band.
 
     Proof that outside the band a part is strictly monotone, with e = 2^-53
     the rounding unit. On a piece, R(u) is A(u) = B + s (u - b) evaluated
     in floats, for a base count b, base revenue B >= 0 and slope s >= 0
-    (b = B = 0 on a linear curve and below a cap; on a cap's plateau s = 0
-    and B is the float r * cap), and A grows by exactly s per unit. Every
-    operation here is a sum or a product of a float by a positive integer,
-    so none loses accuracy to underflow, and each has relative error at
-    most e:
+    (b = 0 and B = r * 0.0 on a linear curve and below a cap; on a cap's
+    plateau s = r * 0.0 and B is the float r * cap), and A grows by
+    exactly s per unit. Every operation here is a sum or a product of a
+    float by a positive integer, so none loses accuracy to underflow, and
+    each has relative error at most e:
 
     - R(u) lies within 2.01 e A(u) of A(u), and the computed profit
       fl(R(u) - fl(u v)) within d(u) = 3.03 e (A(u) + u v) of A(u) - u v.
@@ -115,29 +116,31 @@ def block_optimum(rtable, pieces, v: float, q: int, c: int) -> tuple[float, int]
     """
     last = c + q
     if q == 1:
-        counts = (last,)
-    else:
-        band = 2.0**-40 * (rtable[last] + last * v)
-        counts = []
-        for lo, hi, s in block_parts(pieces, c + 1, last):
-            if s - v > band:
-                counts.append(hi)
-            elif v - s > band:
-                counts.append(lo)
-            else:
-                counts += range(lo, hi + 1)
+        return piece_revenue(pieces[bisect_left(pieces, last, key=piece_end)], last) - last * v, last
+    parts = block_parts(pieces, c + 1, last)
+    band = 2.0**-40 * (piece_revenue(parts[-1][2], last) + last * v)
     best, best_u = -math.inf, c + 1
-    for u in counts:
-        profit = rtable[u] - u * v
-        if profit > best:
-            best, best_u = profit, u
+    for lo, hi, piece in parts:
+        s = piece[1]
+        if s - v > band:
+            counts = (hi,)
+        elif v - s > band:
+            counts = (lo,)
+        else:
+            counts = range(lo, hi + 1)
+        for u in counts:
+            profit = piece_revenue(piece, u) - u * v
+            if profit > best:
+                best, best_u = profit, u
     return best, best_u
 
 
-def block_parts(pieces, lo: int, hi: int) -> list[tuple[int, int, float]]:
+def block_parts(pieces, lo: int, hi: int) -> list[tuple[int, int, tuple]]:
     """The unit counts lo..hi (lo <= hi) cut where they cross the curve's
     affine ``pieces`` (:attr:`RevenueCurve.pieces`): one (first count,
-    last count, slope) triple per part, in increasing order of counts.
+    last count, piece) triple per part, in increasing order of counts, so
+    a reader evaluates R on a part with :func:`~procure.model.piece_revenue`
+    and the part's own piece.
 
     The one piece cut: :func:`block_optimum` and
     :func:`procure.extraction.run_extraction` both read a seller block
@@ -145,19 +148,16 @@ def block_parts(pieces, lo: int, hi: int) -> list[tuple[int, int, float]]:
     per piece the block crosses.
     """
     parts = []
-    i = bisect_left(pieces, lo, key=_piece_end)
+    i = bisect_left(pieces, lo, key=piece_end)
     while lo <= hi:
-        end, s = pieces[i]
-        last = min(end, hi)
-        parts.append((lo, last, s))
+        piece = pieces[i]
+        last = min(piece[0], hi)
+        parts.append((lo, last, piece))
         lo, i = last + 1, i + 1
     return parts
 
 
-_piece_end = itemgetter(0)
-
-
-def scan_single_price(pairs, rtable, pieces, min2: bool = False):
+def scan_single_price(pairs, pieces, min2: bool = False):
     """Best single-price buy over the unit counts of ``pairs``.
 
     ``pairs`` is a (valuation, capacity) sequence already sorted ascending by
@@ -178,32 +178,36 @@ def scan_single_price(pairs, rtable, pieces, min2: bool = False):
     c = 0
     for j, (v, q) in enumerate(pairs):
         if j or not min2:
-            profit, u = block_optimum(rtable, pieces, v, q, c)
+            profit, u = block_optimum(pieces, v, q, c)
             if best is None or profit > best[0]:
                 best = (profit, u, j + 1, v)
         c += q
     return best
 
 
-def scan_pay_as_bid(pairs, rtable) -> tuple[float, int, int]:
+def scan_pay_as_bid(pairs, pieces) -> tuple[float, int, int]:
     """Best pay-as-bid buy over the unit counts of ``pairs``.
 
-    ``pairs`` is an (ask, capacity) sequence in the order units are bought.
-    Buying u units costs the sum of the asks of the first u units, added up
-    unit by unit in that order. A count replaces the best only if strictly
-    better, so ties resolve to the smallest count, and no trade
-    (0.0, 0, 0) is the starting candidate. Returns (profit, units, winners).
+    ``pairs`` is an (ask, capacity) sequence in the order units are bought,
+    and ``pieces`` the curve's affine pieces. Buying u units costs the sum
+    of the asks of the first u units, added up unit by unit in that order,
+    so the scan takes a step per unit, with R(u) evaluated on each seller
+    block's parts as it goes and nothing tabulated. A count replaces the
+    best only if strictly better, so ties resolve to the smallest count,
+    and no trade (0.0, 0, 0) is the starting candidate. Returns (profit,
+    units, winners).
     """
     best_profit, best_units, best_winners = 0.0, 0, 0
-    u = 0
+    c = 0
     cost = 0.0
     for j, (v, q) in enumerate(pairs):
-        for _ in range(q):
-            u += 1
-            cost += v
-            profit = rtable[u] - cost
-            if profit > best_profit:
-                best_profit, best_units, best_winners = profit, u, j + 1
+        for lo, hi, piece in block_parts(pieces, c + 1, c + q):
+            for u in range(lo, hi + 1):
+                cost += v
+                profit = piece_revenue(piece, u) - cost
+                if profit > best_profit:
+                    best_profit, best_units, best_winners = profit, u, j + 1
+        c += q
     return best_profit, best_units, best_winners
 
 
@@ -214,7 +218,7 @@ def optimal_single_price(instance: Instance) -> BenchmarkResult:
     profit 0 with price 0.
     """
     pairs = [(b.valuation, b.capacity) for b in instance.sorted_bids]
-    profit, units, winners, price = scan_single_price(pairs, instance.revenue_table, instance.curve.pieces)
+    profit, units, winners, price = scan_single_price(pairs, instance.curve.pieces)
     return BenchmarkResult(profit=profit, k_winners=winners, units=units, price=price)
 
 
@@ -225,7 +229,7 @@ def optimal_multi_price(instance: Instance) -> BenchmarkResult:
     single-price optimum pointwise.
     """
     pairs = [(b.valuation, b.capacity) for b in instance.sorted_bids]
-    profit, units, winners = scan_pay_as_bid(pairs, instance.revenue_table)
+    profit, units, winners = scan_pay_as_bid(pairs, instance.curve.pieces)
     return BenchmarkResult(profit=profit, k_winners=winners, units=units, price=None)
 
 
@@ -240,7 +244,7 @@ def optimal_single_price_min2(instance: Instance) -> BenchmarkResult:
     if instance.n < 2:
         raise BenchmarkUndefinedError("needs at least 2 bidders")
     pairs = [(b.valuation, b.capacity) for b in instance.sorted_bids]
-    profit, units, winners, price = scan_single_price(pairs, instance.revenue_table, instance.curve.pieces, min2=True)
+    profit, units, winners, price = scan_single_price(pairs, instance.curve.pieces, min2=True)
     return BenchmarkResult(profit=profit, k_winners=winners, units=units, price=price)
 
 

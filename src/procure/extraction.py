@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .benchmarks import block_parts
-from .model import EPS, Instance, leq
+from .model import EPS, Instance, leq, piece_revenue
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class ExtractionResult:
 NO_TRADE = ExtractionResult(winners=(), price_per_unit=0.0, profit=0.0)
 
 
-def run_extraction(sorted_bids, rtable, pieces, target: float) -> ExtractionResult:
+def run_extraction(sorted_bids, pieces, target: float) -> ExtractionResult:
     """Extraction core over bids already sorted by (valuation, id).
 
     Finds the largest unit count u whose marginal supplier qualifies,
@@ -56,10 +56,10 @@ def run_extraction(sorted_bids, rtable, pieces, target: float) -> ExtractionResu
     result, price bit for bit, is that of a count-by-count scan from the
     total supply downward.
 
-    ``pieces`` are the curve's affine pieces (:attr:`RevenueCurve.pieces`),
-    and ``rtable`` holds R(0..m). Each block is searched on the parts where
-    it crosses them (:func:`_last_qualifying_in_block`), so its cost does
-    not grow with its supply.
+    ``pieces`` are the curve's affine pieces (:attr:`RevenueCurve.pieces`).
+    Each block is searched on the parts where it crosses them
+    (:func:`_last_qualifying_in_block`), so its cost does not grow with its
+    supply.
     """
     target = float(target)
     if target < 0:
@@ -68,17 +68,25 @@ def run_extraction(sorted_bids, rtable, pieces, target: float) -> ExtractionResu
     for b in sorted_bids:
         cums.append(cums[-1] + b.capacity)
     for j in range(len(sorted_bids) - 1, -1, -1):
-        u = _last_qualifying_in_block(rtable, pieces, sorted_bids[j].valuation, target, cums[j] + 1, cums[j + 1])
-        if u:
+        found = _last_qualifying_in_block(pieces, sorted_bids[j].valuation, target, cums[j] + 1, cums[j + 1])
+        if found:
+            u, price = found
             winners = [(sorted_bids[i].id, sorted_bids[i].capacity) for i in range(j)]
             winners.append((sorted_bids[j].id, u - cums[j]))
-            return ExtractionResult(winners=tuple(winners), price_per_unit=(rtable[u] - target) / u, profit=target)
+            return ExtractionResult(winners=tuple(winners), price_per_unit=price, profit=target)
     return NO_TRADE
 
 
-def _last_qualifying_in_block(rtable, pieces, v: float, target: float, first: int, last: int) -> int:
-    """The largest u in first..last with v <= (R(u) - target) / u up to
-    EPS, else 0: one seller block of :func:`run_extraction`'s search.
+def _offer(piece, u: int, target: float) -> float:
+    """The per-unit price (R(u) - target) / u that leaves the buyer
+    ``target`` when u units are bought, R(u) on the ``piece`` holding u."""
+    return (piece_revenue(piece, u) - target) / u
+
+
+def _last_qualifying_in_block(pieces, v: float, target: float, first: int, last: int) -> tuple[int, float] | None:
+    """(u, price) for the largest u in first..last with
+    v <= price = (R(u) - target) / u up to EPS, else None: one seller
+    block of :func:`run_extraction`'s search.
 
     The block's counts are cut at the curve's ``pieces``
     (:func:`~procure.benchmarks.block_parts`), and its parts lo..hi are
@@ -93,8 +101,8 @@ def _last_qualifying_in_block(rtable, pieces, v: float, target: float, first: in
     which keeps exact ties exact, but the walk stops at a count u that
     fails the check with the ask lowered by band / u if lo fails it too
     (so an ask at a slope, v = s, with a target away from the edge costs
-    three checks). A block thus costs a piece search, one table read for
-    the band, at most three checks per part it crosses and one bisection,
+    three checks). A block thus costs a piece search, one evaluation of R
+    for the band, at most three checks per part it crosses and one bisection,
     whatever its supply, except where h (below) stays within about a band
     of 0 over many counts of a part inside the band.
 
@@ -131,39 +139,41 @@ def _last_qualifying_in_block(rtable, pieces, v: float, target: float, first: in
       (likewise for w - s). The band is at least 2^-40 EPS, a normal float.
       An overflowing band is infinite, and every part is walked.
 
-    A block of one unit checks its one count, with no piece search and no
-    band.
+    A block of one unit checks its one count, with no band.
     """
+    parts = block_parts(pieces, first, last)
     if first == last:
-        return last if leq(v, (rtable[last] - target) / last) else 0
-
-    def price(u):
-        return (rtable[u] - target) / u
-
+        price = _offer(parts[0][2], last, target)
+        return (last, price) if leq(v, price) else None
     w = v - EPS
-    band = 2.0**-40 * (rtable[last] + target + last * (v + EPS))
-    for lo, hi, s in reversed(block_parts(pieces, first, last)):
-        if leq(v, price(hi)):
-            return hi
+    band = 2.0**-40 * (piece_revenue(parts[-1][2], last) + target + last * (v + EPS))
+    for lo, hi, piece in reversed(parts):
+        price = _offer(piece, hi, target)
+        if leq(v, price):
+            return hi, price
+        s = piece[1]
         if s - w > band:
             continue
         if w - s > band:
-            if leq(v, price(lo)):
+            price = _offer(piece, lo, target)
+            if leq(v, price):
                 while hi - lo > 1:  # lo qualifies, hi does not
                     mid = (lo + hi) // 2
-                    if leq(v, price(mid)):
-                        lo = mid
+                    mid_price = _offer(piece, mid, target)
+                    if leq(v, mid_price):
+                        lo, price = mid, mid_price
                     else:
                         hi = mid
-                return lo
+                return lo, price
             continue
-        lo_fails = not leq(v - band / lo, price(lo))
+        lo_fails = not leq(v - band / lo, _offer(piece, lo, target))
         for u in range(hi, lo - 1, -1):
-            if u < hi and leq(v, price(u)):
-                return u
-            if lo_fails and not leq(v - band / u, price(u)):
+            price = _offer(piece, u, target)
+            if u < hi and leq(v, price):
+                return u, price
+            if lo_fails and not leq(v - band / u, price):
                 break  # lo..u all fail
-    return 0
+    return None
 
 
 def pe(instance: Instance, target: float) -> ExtractionResult:
@@ -177,5 +187,5 @@ def pe(instance: Instance, target: float) -> ExtractionResult:
 
 def pec(instance: Instance, target: float) -> ExtractionResult:
     """Capacitated extraction: :func:`run_extraction` over the instance's
-    sorted bids and revenue table."""
-    return run_extraction(instance.sorted_bids, instance.revenue_table, instance.curve.pieces, target)
+    sorted bids and revenue curve."""
+    return run_extraction(instance.sorted_bids, instance.curve.pieces, target)

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .benchmarks import block_optimum, scan_pay_as_bid, scan_single_price
+from .benchmarks import block_optimum, block_parts, scan_pay_as_bid, scan_single_price
 from .extraction import run_extraction
-from .model import EPS, AuctionOutcome, Bid, Instance, RevenueCurve, leq, make_outcome
+from .model import EPS, AuctionOutcome, Bid, Instance, RevenueCurve, leq, make_outcome, piece_revenue
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -132,7 +132,6 @@ def draw_partition(instance: Instance, seed: int) -> PartitionDraw:
 def _run_partitioned(instance: Instance, partition: PartitionDraw) -> MechanismRun:
     """The split auction on a draw: extract f'' from b' and f' from b'', and
     keep the sub-auction with the higher buyer profit, b' on a tie."""
-    rtable = instance.revenue_table
     pieces = instance.curve.pieces
     flips = partition.flips
     pos_of = instance.position_of
@@ -140,10 +139,10 @@ def _run_partitioned(instance: Instance, partition: PartitionDraw) -> MechanismR
     side_b = []  # b''
     for bid in instance.sorted_bids:
         (side_a if flips[pos_of(bid.id)] else side_b).append(bid)
-    f_prime = scan_single_price([(b.valuation, b.capacity) for b in side_a], rtable, pieces)[0]
-    f_double = scan_single_price([(b.valuation, b.capacity) for b in side_b], rtable, pieces)[0]
-    res_a = run_extraction(side_a, rtable, pieces, f_double)
-    res_b = run_extraction(side_b, rtable, pieces, f_prime)
+    f_prime = scan_single_price([(b.valuation, b.capacity) for b in side_a], pieces)[0]
+    f_double = scan_single_price([(b.valuation, b.capacity) for b in side_b], pieces)[0]
+    res_a = run_extraction(side_a, pieces, f_double)
+    res_b = run_extraction(side_b, pieces, f_prime)
     chosen, side_name = (res_a, "b_prime") if res_a.profit >= res_b.profit else (res_b, "b_double_prime")
     alloc = [0] * instance.n
     pays = [0.0] * instance.n
@@ -217,7 +216,7 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
     The walk ends early, once neither side can grow. After seller j, it
     stops when both optima so far are at least the ceiling
 
-        ceiling_j = max over j' > j of block_optimum(R, pieces, v_j', m, 0),
+        ceiling_j = max over j' > j of block_optimum(pieces, v_j', m, 0),
 
     m the total supply (-inf after the last seller). This is exact: every
     later g(j', c) is the first maximum of ``R(u) - u * v_j'`` over
@@ -226,7 +225,6 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
     only on a strict ``>``, so no later member can change either side. The
     ceilings cost n kernel calls, once per closure.
     """
-    rtable = instance.revenue_table
     pieces = instance.curve.pieces
     m = instance.total_supply
     bit_of = _coin_bit_of(instance)
@@ -234,7 +232,7 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
     ceiling = -math.inf
     for b in reversed(instance.sorted_bids):
         sellers.append((1 << bit_of[b.id], b.capacity, b.valuation, {}, ceiling))
-        ceiling = max(ceiling, block_optimum(rtable, pieces, b.valuation, m, 0)[0])
+        ceiling = max(ceiling, block_optimum(pieces, b.valuation, m, 0)[0])
     sellers.reverse()
 
     def side_optima(mask: int) -> tuple[float, float]:
@@ -245,7 +243,7 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
                 try:
                     g = memo[ca]
                 except KeyError:
-                    g = memo[ca] = block_optimum(rtable, pieces, v, q, ca)[0]
+                    g = memo[ca] = block_optimum(pieces, v, q, ca)[0]
                 if g > fa:
                     fa = g
                 ca += q
@@ -253,7 +251,7 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
                 try:
                     g = memo[cb]
                 except KeyError:
-                    g = memo[cb] = block_optimum(rtable, pieces, v, q, cb)[0]
+                    g = memo[cb] = block_optimum(pieces, v, q, cb)[0]
                 if g > fb:
                     fb = g
                 cb += q
@@ -279,9 +277,11 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
 
         band = 2 m EPS + 2^-40 (R* + m V),
 
-    m the total supply, R* the largest R(u) and V the largest valuation,
-    the larger side trades at the smaller optimum and the smaller side
-    cannot extract the larger one. Proof for f' - f'' > band (the other
+    m the total supply, R* the largest R(u) over 1..m and V the largest
+    valuation, the larger side trades at the smaller optimum and the
+    smaller side cannot extract the larger one. R is non-decreasing on each
+    affine piece, so R* is the largest R at a piece's last count, clipped
+    to m. Proof for f' - f'' > band (the other
     case is symmetric), with e = 2^-53 the rounding unit; revenues,
     valuations and targets are non-negative, R(u) <= R*, v <= V and
     u <= m:
@@ -306,9 +306,9 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
     deciding which draws may skip the run.
     """
     side_optima = side_optima_by_mask(instance)
-    rtable = instance.revenue_table
     m = instance.total_supply
-    band = 2 * m * EPS + 2.0**-40 * (max(rtable) + m * instance.sorted_bids[-1].valuation)
+    top = max(piece_revenue(piece, hi) for _, hi, piece in block_parts(instance.curve.pieces, 1, m))
+    band = 2 * m * EPS + 2.0**-40 * (top + m * instance.sorted_bids[-1].valuation)
 
     def profit_for_mask(mask: int) -> float:
         fa, fb = side_optima(mask)
@@ -345,7 +345,7 @@ def run_bid_independent(instance: Instance, f: ThresholdFunction) -> AuctionOutc
         if leq(instance.bids[pos].valuation, thresholds[pos])
     ]
     survivors.sort(key=lambda s: (s[0], s[1]))
-    _, best_units, _ = scan_pay_as_bid([(t, q) for t, _, _, q in survivors], instance.revenue_table)
+    _, best_units, _ = scan_pay_as_bid([(t, q) for t, _, _, q in survivors], instance.curve.pieces)
     alloc = [0] * instance.n
     pays = [0.0] * instance.n
     remaining = best_units
@@ -373,11 +373,7 @@ def make_threshold_posted(price: float) -> ThresholdFunction:
 def threshold_masked_opp(masked, curve) -> float:
     """The optimal single-price of the masked vector, as a payment offer."""
     pairs = sorted((b.valuation, b.capacity) for b in masked)
-    total = sum(q for _, q in pairs)
-    if total == 0:
-        return 0.0
-    rtable = curve.certified_table(total)
-    _, _, _, price = scan_single_price(pairs, rtable, curve.pieces)
+    _, _, _, price = scan_single_price(pairs, curve.pieces)
     return price
 
 

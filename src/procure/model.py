@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 EPS = 1e-9
@@ -43,8 +45,9 @@ class RevenueCurve:
         breakpoints, extended past the last breakpoint at the final
         segment's slope
 
-    Its affine pieces (:attr:`pieces`) let a scan read a few entries of
-    R(0..m) per seller block instead of one per unit.
+    The curve is held as its affine pieces (:attr:`pieces`), so a scan
+    reads a few values of R per seller block instead of one per unit, and
+    nothing is tabulated over the supply.
 
     Construction rejects negative marginal revenue (revenue must be
     non-decreasing). Concavity is a separate, instance-level check done by
@@ -84,85 +87,58 @@ class RevenueCurve:
             raise ValueError(f"unknown curve kind {self.kind!r}")
 
     def at(self, q: int) -> float:
-        """R(q) for a non-negative integer unit count."""
+        """R(q) for a non-negative integer unit count: :func:`piece_revenue`
+        on the piece holding q."""
         if q < 0:
             raise ValueError(f"unit count must be >= 0, got {q}")
         if q == 0:
             return 0.0
-        if self.kind == "linear":
-            return self.r * q
-        if self.kind == "capped":
-            return self.r * min(q, self.cap)
-        for last, base_q, base_rev, slope in self._pwl_segments:
-            if q <= last:
-                return base_rev + slope * (q - base_q)
+        pieces = self.pieces
+        return piece_revenue(pieces[bisect_left(pieces, q, key=piece_end)], q)
 
     @cached_property
-    def _pwl_segments(self) -> tuple[tuple[float, int, float, float], ...]:
-        """A pwl curve's segments as (last count, first point's count, first
-        point's revenue, slope): one per breakpoint, walked from the implied
-        (0, 0) origin, then the extension past the last breakpoint at the
-        final segment's slope (last count ``math.inf``). The one place the
-        slopes are computed, for :meth:`at` and :attr:`pieces`.
-        """
-        segments = []
-        prev_q, prev_rev = 0, 0.0
-        for bq, brev in self.points:
-            segments.append((bq, prev_q, prev_rev, (brev - prev_rev) / (bq - prev_q)))
-            prev_q, prev_rev = bq, brev
-        segments.append((math.inf, prev_q, prev_rev, segments[-1][3]))
-        return tuple(segments)
-
-    @cached_property
-    def pieces(self) -> tuple[tuple[float, float], ...]:
-        """R's affine pieces in order, as (last unit count, slope) pairs.
+    def pieces(self) -> tuple[tuple[float, float, int, float], ...]:
+        """R's affine pieces in order, as (last count, slope, base count,
+        base revenue): the curve's one representation.
 
         A piece covers the counts after the previous piece's last count up
-        to its own; the last piece has no end (``math.inf``). On a piece,
-        :meth:`at` computes R(u) as a fixed base revenue plus this slope
-        float times (u - base count), so the exact value of that expression
-        grows by the slope per unit. A linear curve is one piece, a capped
-        curve two (the plateau has slope 0.0: R is the one float r * cap
-        there), and a pwl curve one per breakpoint plus its extension.
-        Cached per curve object.
+        to its own; the last piece has no end (``math.inf``). On a piece, R(u)
+        is :func:`piece_revenue`, the base revenue plus the slope float times
+        (u - base count), so the exact value of that expression grows by the
+        slope per unit. A linear curve is one piece and a capped curve two,
+        with base revenue ``r * 0.0`` below the cap and, on the plateau, base
+        revenue ``r * cap`` and slope ``r * 0.0`` (so R(u) keeps the sign of
+        zero that ``r * u`` and ``r * min(u, cap)`` give, r = -0.0
+        included). A pwl curve has one piece per breakpoint, walked from the
+        implied (0, 0) origin, then the extension past the last breakpoint
+        at the final segment's slope. Cached per curve object.
         """
+        r = self.r
         if self.kind == "linear":
-            return ((math.inf, self.r),)
+            return ((math.inf, r, 0, r * 0.0),)
         if self.kind == "capped":
-            return ((self.cap, self.r), (math.inf, 0.0))
-        return tuple((last, slope) for last, _, _, slope in self._pwl_segments)
+            return ((self.cap, r, 0, r * 0.0), (math.inf, r * 0.0, self.cap, r * self.cap))
+        pieces = []
+        base, base_revenue = 0, 0.0
+        for q, rev in self.points:
+            pieces.append((q, (rev - base_revenue) / (q - base), base, base_revenue))
+            base, base_revenue = q, rev
+        pieces.append((math.inf, pieces[-1][1], base, base_revenue))
+        return tuple(pieces)
 
-    def table(self, max_q: int) -> tuple[float, ...]:
-        """R(0..max_q) as a tuple, for scan loops."""
-        return tuple(self.at(q) for q in range(max_q + 1))
 
-    @cached_property
-    def _certified(self) -> list:
-        """Holder for R(0..M), the longest table :func:`validate_curve` has
-        accepted for this curve object.
+def piece_revenue(piece, u: int) -> float:
+    """R(u) on one of a curve's affine pieces (:attr:`RevenueCurve.pieces`)
+    that holds the count u: base revenue + slope * (u - base count).
 
-        Kept per object, not keyed on the curve's fields: equal curves can
-        have different tables (``linear_curve(-0.0) == linear_curve(0.0)``).
-        """
-        return [()]
+    The one evaluation of the revenue curve: :meth:`RevenueCurve.at`, the
+    single-price kernel, extraction and the pay-as-bid scan all read R here.
+    """
+    _, slope, base, base_revenue = piece
+    return base_revenue + slope * (u - base)
 
-    def certified_table(self, max_q: int) -> tuple[float, ...]:
-        """R(0..max_q), after certifying the curve concave over 0..max_q.
 
-        Certification is prefix-closed: a curve accepted over 0..M is
-        accepted over 0..m for every m <= M, and its table for m is the first
-        m + 1 entries of the table for M. So this runs :func:`validate_curve`
-        only when max_q is past every supply certified so far, and otherwise
-        returns a slice of the certified table. Raises ``ValueError`` naming
-        the violation when the curve is rejected.
-        """
-        certified = self._certified
-        if max_q >= len(certified[0]):
-            check = validate_curve(self, max_q)
-            if not check.ok:
-                raise ValueError(f"revenue curve rejected: {check.message}")
-        table = certified[0]
-        return table if len(table) == max_q + 1 else table[: max_q + 1]
+piece_end = itemgetter(0)  # a piece's last count, the key its bisections search on
 
 
 def linear_curve(r: float) -> RevenueCurve:
@@ -178,37 +154,34 @@ def pwl_curve(points) -> RevenueCurve:
 
 
 def validate_curve(curve: RevenueCurve, max_q: int) -> CurveValidation:
-    """Certify R(0) = 0 and non-increasing marginals over 0..max_q.
+    """Certify non-increasing marginal revenue over 0..max_q (R(0) = 0 by
+    construction), in O(k) for a curve of k pieces.
 
-    On rejection, ``violation_at`` is the first k >= 1 with
-    R(k+1) - R(k) > R(k) - R(k-1).
-
-    The check is prefix-closed: acceptance over 0..max_q implies acceptance
-    over every shorter range. Each R(k) is evaluated once, into the table
-    the marginals are checked on; on acceptance that table becomes the
-    curve's certified table (see :meth:`RevenueCurve.certified_table`) if it
-    is longer than the one already held.
+    R grows by a piece's slope per unit on that piece, so the marginals
+    can rise only where a piece ends. The check rejects at the first piece
+    end b < max_q whose next piece's slope exceeds its own by more than
+    ``EPS``, and whose marginals R(b+1) - R(b) and R(b) - R(b-1), which the
+    message names, do too; ``violation_at`` is b. The second test keeps a
+    slope rise within rounding of ``EPS`` from rejecting a curve whose
+    every marginal is within ``EPS`` of the one before. The check is
+    prefix-closed: acceptance over 0..max_q implies acceptance over every
+    shorter range.
     """
     if max_q < 1:
         raise ValueError(f"max_q must be >= 1, got {max_q}")
-    table = [curve.at(0)]
-    if table[0] != 0.0:
-        return CurveValidation(False, 0, "R(0) must be 0")
-    prev_marginal = None
-    for k in range(1, max_q + 1):
-        rev = curve.at(k)
-        marginal = rev - table[-1]
-        if prev_marginal is not None and marginal > prev_marginal + EPS:
-            return CurveValidation(
-                False, k - 1,
-                f"marginal revenue increases at k={k - 1}: "
-                f"R({k})-R({k - 1})={marginal:.12g} > R({k - 1})-R({k - 2})={prev_marginal:.12g}",
-            )
-        prev_marginal = marginal
-        table.append(rev)
-    certified = curve._certified
-    if len(table) > len(certified[0]):
-        certified[0] = tuple(table)
+    pieces = curve.pieces
+    for (b, slope, _, _), (_, next_slope, _, _) in zip(pieces, pieces[1:]):
+        if b >= max_q:
+            break
+        if next_slope > slope + EPS:
+            rev = curve.at(b)
+            before, after = rev - curve.at(b - 1), curve.at(b + 1) - rev
+            if after > before + EPS:
+                return CurveValidation(
+                    False, b,
+                    f"marginal revenue increases at k={b}: "
+                    f"R({b + 1})-R({b})={after:.12g} > R({b})-R({b - 1})={before:.12g}",
+                )
     return CurveValidation(True)
 
 
@@ -234,16 +207,11 @@ class Instance:
 
     Construction certifies the model assumptions: at least one bid, unique
     seller ids, and a revenue curve that is concave with R(0) = 0 over the
-    instance's total supply m. Instances are immutable; sorted views are
-    derived on demand and cached.
-
-    Certification is prefix-closed, so the curve object keeps the longest
-    table it has been certified over and every instance sharing that curve
-    with a supply no larger (such as the deviations an audit derives) takes
-    its ``revenue_table`` as a slice of it, without evaluating the curve
-    again. See :meth:`RevenueCurve.certified_table`. Besides that table,
-    the scans and extraction read only the curve's affine pieces
-    (:attr:`RevenueCurve.pieces`), which the curve caches.
+    instance's total supply m, which :func:`validate_curve` checks on the
+    curve's pieces in O(k), whatever m. Instances are immutable; sorted
+    views are derived on demand and cached. The scans and extraction read
+    the curve through its affine pieces (:attr:`RevenueCurve.pieces`),
+    which the curve caches.
     """
 
     bids: tuple[Bid, ...]
@@ -255,7 +223,9 @@ class Instance:
         ids = [b.id for b in self.bids]
         if len(set(ids)) != len(ids):
             raise ValueError("seller ids must be unique")
-        self.revenue_table  # certifies the curve over 0..m or raises
+        check = validate_curve(self.curve, self.total_supply)
+        if not check.ok:
+            raise ValueError(f"revenue curve rejected: {check.message}")
 
     @property
     def n(self) -> int:
@@ -273,11 +243,6 @@ class Instance:
     def sorted_bids(self) -> tuple[Bid, ...]:
         """Bids by ascending valuation, ties by ascending id."""
         return tuple(sorted(self.bids, key=lambda b: (b.valuation, b.id)))
-
-    @cached_property
-    def revenue_table(self) -> tuple[float, ...]:
-        """R(0..m) for the scan loops: a prefix of the curve's certified table."""
-        return self.curve.certified_table(self.total_supply)
 
     def position_of(self, seller_id: int) -> int:
         return self._pos_by_id[seller_id]
@@ -365,7 +330,7 @@ def make_outcome(instance: Instance, allocation, payment_per_unit, profit: float
             raise ValueError(f"seller {bid.id}: losing seller must be paid 0, got {p}")
         total += x
         paid += p * x
-    revenue = instance.revenue_table[total]
+    revenue = instance.curve.at(total)
     recomputed = revenue - paid
     if profit is None:
         profit = recomputed

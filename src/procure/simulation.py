@@ -314,13 +314,12 @@ def _side_thresholds(instance: Instance) -> list[list[float]]:
     per count c in 0..before_j, the supply of the sellers cheaper than j,
     each a kernel call that reads O(pieces) counts of the block.
     """
-    rtable = instance.revenue_table
     pieces = instance.curve.pieces
     g = []
     before = 0
     for b in instance.sorted_bids:
         v, q = b.valuation, b.capacity
-        g.append([benchmarks.block_optimum(rtable, pieces, v, q, c)[0] for c in range(before + 1)])
+        g.append([benchmarks.block_optimum(pieces, v, q, c)[0] for c in range(before + 1)])
         before += q
     return g
 

@@ -12,13 +12,62 @@ from itertools import product
 from math import comb, fsum, inf
 
 from procure.extraction import ExtractionResult
-from procure.model import EPS
+from procure.model import EPS, CurveValidation
+
+
+def revenue_table(curve, m):
+    """R(0..m) as a tuple, one curve evaluation per count, by the per-kind
+    formulas: ``r * u`` on a linear curve, ``r * min(u, cap)`` on a capped
+    one, and on a pwl curve the segment's first point's revenue plus its
+    slope times the counts past that point (the last segment extended past
+    the final breakpoint). It shares no code with
+    :attr:`procure.model.RevenueCurve.pieces` or
+    :func:`procure.model.piece_revenue`, which must give the same floats.
+    """
+    if curve.kind == "linear":
+        values = [curve.r * u for u in range(1, m + 1)]
+    elif curve.kind == "capped":
+        values = [curve.r * min(u, curve.cap) for u in range(1, m + 1)]
+    else:
+        segments = []  # (last count, first point's count, first point's revenue, slope)
+        prev_q, prev_rev = 0, 0.0
+        for bq, brev in curve.points:
+            segments.append((bq, prev_q, prev_rev, (brev - prev_rev) / (bq - prev_q)))
+            prev_q, prev_rev = bq, brev
+        segments.append((inf, prev_q, prev_rev, segments[-1][3]))
+        values = []
+        for u in range(1, m + 1):
+            _, base_q, base_rev, slope = next(seg for seg in segments if u <= seg[0])
+            values.append(base_rev + slope * (u - base_q))
+    return (0.0, *values)
+
+
+def per_unit_validate_curve(curve, max_q):
+    """Concavity of R over 0..max_q by a check of every marginal: rejects
+    at the first k >= 1 with R(k+1) - R(k) > R(k) - R(k-1) + EPS, with
+    the message of :func:`procure.model.validate_curve`, which checks the
+    curve's slopes instead and must agree wherever rounding does not move
+    a marginal by a sizeable part of EPS."""
+    table = revenue_table(curve, max_q)
+    for k in range(1, max_q):
+        before, after = table[k] - table[k - 1], table[k + 1] - table[k]
+        if after > before + EPS:
+            return CurveValidation(
+                False, k,
+                f"marginal revenue increases at k={k}: "
+                f"R({k + 1})-R({k})={after:.12g} > R({k})-R({k - 1})={before:.12g}",
+            )
+    return CurveValidation(True)
+
+
+def _table_of(instance):
+    return revenue_table(instance.curve, sum(b.capacity for b in instance.bids))
 
 
 def unit_f_oracle(instance):
     """Best single-price buy by subset enumeration (unit capacities)."""
     vals = [b.valuation for b in instance.bids]
-    rt = instance.revenue_table
+    rt = _table_of(instance)
     best = 0.0
     n = len(vals)
     for mask in range(1, 1 << n):
@@ -32,7 +81,7 @@ def unit_f_oracle(instance):
 def unit_f2_oracle(instance):
     """Subset enumeration restricted to at least two winners."""
     vals = [b.valuation for b in instance.bids]
-    rt = instance.revenue_table
+    rt = _table_of(instance)
     n = len(vals)
     best = None
     for mask in range(1, 1 << n):
@@ -48,7 +97,7 @@ def unit_f2_oracle(instance):
 def unit_t_oracle(instance):
     """Best pay-your-bid buy by subset enumeration (unit capacities)."""
     vals = [b.valuation for b in instance.bids]
-    rt = instance.revenue_table
+    rt = _table_of(instance)
     best = 0.0
     n = len(vals)
     for mask in range(1, 1 << n):
@@ -75,7 +124,7 @@ def _single_price_feasible(bids, alloc):
 def cap_f_oracle(instance):
     """Best single-price buy by allocation-vector enumeration."""
     bids = instance.bids
-    rt = instance.revenue_table
+    rt = _table_of(instance)
     best = 0.0
     for alloc in product(*(range(b.capacity + 1) for b in bids)):
         price = _single_price_feasible(bids, alloc)
@@ -91,7 +140,7 @@ def cap_f_oracle(instance):
 def cap_f2_oracle(instance):
     """Allocation-vector enumeration restricted to at least two winning sellers."""
     bids = instance.bids
-    rt = instance.revenue_table
+    rt = _table_of(instance)
     best = None
     for alloc in product(*(range(b.capacity + 1) for b in bids)):
         if sum(1 for x in alloc if x > 0) < 2:
@@ -109,7 +158,7 @@ def cap_f2_oracle(instance):
 def cap_t_oracle(instance):
     """Best pay-your-bid buy over all allocation vectors."""
     bids = instance.bids
-    rt = instance.revenue_table
+    rt = _table_of(instance)
     best = 0.0
     for alloc in product(*(range(b.capacity + 1) for b in bids)):
         u = sum(alloc)
@@ -179,7 +228,7 @@ class _SubInstance:
 
     def __init__(self, instance, positions):
         self.bids = [instance.bids[i] for i in positions]
-        self.revenue_table = instance.revenue_table
+        self.curve = instance.curve
 
 
 def pepa_expectation_oracle(instance, unit=True):
@@ -203,7 +252,7 @@ def per_unit_profit_engine(instance):
     no code with :func:`procure.mechanisms.partition_profit_engine`, which
     must return the same float on every mask.
     """
-    rtable = instance.revenue_table
+    rtable = _table_of(instance)
     by_id_rank = sorted(range(instance.n), key=lambda pos: instance.bids[pos].id)
     rank_of_pos = {pos: rank for rank, pos in enumerate(by_id_rank)}
     sorted_items = [

@@ -13,6 +13,7 @@ from procure.benchmarks import (
     optimal_single_price_min2,
     scan_single_price,
 )
+from procure import benchmarks, model
 from procure.model import capped_curve, linear_curve, make_instance, pwl_curve
 from procure.simulation import generate
 
@@ -23,6 +24,7 @@ from oracles import (
     equal_margin_ratio_oracle,
     per_unit_block_optimum,
     per_unit_single_price_scan,
+    revenue_table,
     unit_f2_oracle,
     unit_f_oracle,
     unit_t_oracle,
@@ -231,10 +233,10 @@ def _hexed(scan):
 def test_scan_matches_per_unit_walk_bit_for_bit(sellers, curve):
     inst = make_instance([v for v, _ in sellers], capacities=[q for _, q in sellers], curve=curve)
     pairs = [(b.valuation, b.capacity) for b in inst.sorted_bids]
-    rtable = inst.revenue_table
-    f = scan_single_price(pairs, rtable, curve.pieces)
+    rtable = revenue_table(curve, inst.total_supply)
+    f = scan_single_price(pairs, curve.pieces)
     assert _hexed(f) == _hexed(per_unit_single_price_scan(pairs, rtable))
-    f2 = scan_single_price(pairs, rtable, curve.pieces, min2=True)
+    f2 = scan_single_price(pairs, curve.pieces, min2=True)
     if len(pairs) < 2:
         assert f2 is None
     else:
@@ -263,7 +265,7 @@ def _near_tie_blocks(draw, offsets=(0.0,)):
             q_acc, rev = q_acc + length, rev + scale * marginal * length
             points.append((q_acc, rev))
         curve = pwl_curve(points)
-    ends = [end for end, _ in curve.pieces[:-1]]
+    ends = [piece[0] for piece in curve.pieces[:-1]]
     c = max(0, draw(st.sampled_from([0, *ends])) + draw(st.integers(min_value=-2, max_value=2)))
     to_ends = [end - c for end in ends if end > c] or [1]
     q = draw(
@@ -296,32 +298,30 @@ def _near_tie_blocks(draw, offsets=(0.0,)):
 def test_block_optimum_matches_the_per_unit_walk_near_ties(case):
     """Outside its band the kernel reads one count per piece; inside it, it
     walks. Either way it returns the walk's first maximal float, on the
-    curve's own table (``table``: rescaled pwl curves need not certify)."""
+    oracle's table of the curve (rescaled pwl curves need not certify)."""
     curve, v, q, c = case
-    rtable = curve.table(c + q)
-    profit, u = block_optimum(rtable, curve.pieces, v, q, c)
+    rtable = revenue_table(curve, c + q)
+    profit, u = block_optimum(curve.pieces, v, q, c)
     want_profit, want_u = per_unit_block_optimum(rtable, v, q, c)
     assert (profit.hex(), u) == (want_profit.hex(), want_u)
 
 
-class _CountingTable:
-    """A revenue table that counts the entries read from it."""
-
-    def __init__(self, rtable):
-        self.rtable = rtable
-        self.reads = 0
-
-    def __getitem__(self, u):
-        self.reads += 1
-        return self.rtable[u]
+def count_revenue_reads(monkeypatch, module):
+    """The counts at which ``module`` evaluates the revenue curve: a list
+    that grows by one on each of its calls of ``piece_revenue``."""
+    reads = []
+    real = model.piece_revenue
+    monkeypatch.setattr(module, "piece_revenue", lambda piece, u: reads.append(u) or real(piece, u))
+    return reads
 
 
-def test_block_optimum_reads_at_most_two_entries_per_piece_crossed():
+def test_block_optimum_reads_at_most_two_entries_per_piece_crossed(monkeypatch):
     curve = pwl_curve([(20_000, 60_000.0), (40_000, 100_000.0), (60_000, 130_000.0), (80_000, 150_000.0)])
     c, q = 5_000, 100_000  # crosses all four breakpoints: five pieces
-    rtable = _CountingTable(curve.table(c + q))
+    rtable = revenue_table(curve, c + q)
+    reads = count_revenue_reads(monkeypatch, benchmarks)
     for v in (0.5, 1.7, 2.3, 4.0):  # off every slope (3, 2, 1.5, 1 and the extension's 1)
-        rtable.reads = 0
-        profit, u = block_optimum(rtable, curve.pieces, v, q, c)
-        assert (profit, u) == per_unit_block_optimum(rtable.rtable, v, q, c)
-        assert rtable.reads <= 2 * 5
+        reads.clear()
+        profit, u = block_optimum(curve.pieces, v, q, c)
+        assert (profit, u) == per_unit_block_optimum(rtable, v, q, c)
+        assert len(reads) <= 2 * 5

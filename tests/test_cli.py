@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import procure
 from procure import simulation
 from procure.cli import main
 from procure.mechanisms import partition_mask, partition_profit_engine
@@ -667,6 +673,31 @@ def test_supply_too_large_to_tabulate_is_an_input_error(capsys, tmp_path, monkey
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "declared supply" in err and "Traceback" not in err
+
+
+def test_a_supply_of_10_8_units_validates_and_runs_in_bounded_memory(tmp_path):
+    """Nothing on these paths grows with the declared supply: in a fresh
+    ``python -m procure`` process limited to 1 GiB of address space, a file
+    declaring 10^8 units validates and runs pepac. (``benchmark`` is left
+    out: T sums the asks unit by unit, by design.)"""
+    path = tmp_path / "huge.json"
+    path.write_text('{"bids": [{"v": 1, "q": 100000000}, {"v": 2, "q": 1}], "curve": {"kind": "linear", "r": 3}}')
+    env = {**os.environ, "PYTHONPATH": str(Path(procure.__file__).resolve().parent.parent)}
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    def procure_cli(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "procure", *argv],
+            env=env, preexec_fn=limit_memory, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        return json.loads(done.stdout)
+
+    assert procure_cli("validate", "--instance", str(path))["total_supply"] == 100_000_001
+    run = procure_cli("run", "--instance", str(path), "--mechanism", "pepac", "--seed", "1")["run"]
+    assert run["outcome"]["profit"] == min(run["f_prime"], run["f_double_prime"])
 
 
 def test_ratio_rejects_infinite_curve_slope(capsys, tmp_path):

@@ -11,8 +11,8 @@ from procure.model import EPS, Bid, Instance, capped_curve, linear_curve, make_i
 from procure.simulation import generate
 
 import oracles
-from oracles import per_unit_extraction
-from test_benchmarks import _CountingTable, _near_tie_blocks
+from oracles import per_unit_extraction, revenue_table
+from test_benchmarks import _near_tie_blocks, count_revenue_reads
 
 
 def _replace_bid(inst, pos, valuation=None, capacity=None):
@@ -91,8 +91,9 @@ def test_largest_qualifying_count_matches_exhaustive_check():
             {"n": rng.randint(1, 6), "seed": seed, "qmax": 3, "vmax": 1.2, "curve": "mixed"},
         )
         target = rng.uniform(0.0, 1.2 * max(optimal_single_price(inst).profit, 0.1))
-        res = per_unit_extraction(inst.sorted_bids, inst.revenue_table, target)
-        assert run_extraction(inst.sorted_bids, inst.revenue_table, inst.curve.pieces, target) == res
+        rtable = revenue_table(inst.curve, inst.total_supply)
+        res = per_unit_extraction(inst.sorted_bids, rtable, target)
+        assert run_extraction(inst.sorted_bids, inst.curve.pieces, target) == res
         # exhaustive qualification check over every unit count
         qualifying = []
         cum, j = 0, 0
@@ -101,7 +102,7 @@ def test_largest_qualifying_count_matches_exhaustive_check():
             while u > cum + sorted_bids[j].capacity:
                 cum += sorted_bids[j].capacity
                 j += 1
-            price = (inst.revenue_table[u] - target) / u
+            price = (rtable[u] - target) / u
             if sorted_bids[j].valuation <= price + 1e-9:
                 qualifying.append(u)
         if not qualifying:
@@ -193,7 +194,7 @@ def test_capacity_underreport_never_pays_under_linear_curves():
 
 def _boundary_targets(inst, rng):
     """Targets at which some unit count sits exactly on its qualification edge."""
-    rt = inst.revenue_table
+    rt = revenue_table(inst.curve, inst.total_supply)
     targets = [0.0, rng.uniform(0.0, rt[-1])]
     cum = 0
     for b in inst.sorted_bids:
@@ -215,9 +216,10 @@ def test_pruned_extraction_matches_the_full_scan(seed):
         {"n": rng.randint(1, 7), "seed": seed, "qmin": 1, "qmax": rng.choice((1, 40, 600)),
          "vmax": rng.choice((0.5, 1.0, 1.5)), "curve": rng.choice(("linear", "capped", "pwl", "mixed"))},
     )
+    rtable = revenue_table(inst.curve, inst.total_supply)
     for target in _boundary_targets(inst, rng):
-        want = per_unit_extraction(inst.sorted_bids, inst.revenue_table, target)
-        got = run_extraction(inst.sorted_bids, inst.revenue_table, inst.curve.pieces, target)
+        want = per_unit_extraction(inst.sorted_bids, rtable, target)
+        got = run_extraction(inst.sorted_bids, inst.curve.pieces, target)
         assert got == want
         assert got.price_per_unit.hex() == want.price_per_unit.hex()
 
@@ -232,10 +234,10 @@ def test_pruned_extraction_cost_does_not_follow_the_winning_count(monkeypatch):
     monkeypatch.setattr(extraction, "leq", lambda a, b: checks.append(1) or real_leq(a, b))
     monkeypatch.setattr(oracles, "unit_qualifies", lambda v, p: checks.append(1) or real_qualifies(v, p))
     target = 600.0  # only the cheapest seller's units can leave the buyer this much
-    full = per_unit_extraction(inst.sorted_bids, inst.revenue_table, target)
+    full = per_unit_extraction(inst.sorted_bids, revenue_table(inst.curve, inst.total_supply), target)
     full_checks = len(checks)
     checks.clear()
-    pruned = run_extraction(inst.sorted_bids, inst.revenue_table, inst.curve.pieces, target)
+    pruned = run_extraction(inst.sorted_bids, inst.curve.pieces, target)
     assert pruned == full and full.winners == ((0, 500),)
     assert full_checks == 4501
     assert len(checks) <= 64
@@ -250,8 +252,8 @@ def test_an_ask_at_a_slope_costs_a_few_checks_when_the_target_is_off_the_edge(mo
     checks = []
     real_leq = extraction.leq
     monkeypatch.setattr(extraction, "leq", lambda a, b: checks.append(1) or real_leq(a, b))
-    got = run_extraction(inst.sorted_bids, inst.revenue_table, inst.curve.pieces, 600.0)
-    assert got == per_unit_extraction(inst.sorted_bids, inst.revenue_table, 600.0)
+    got = run_extraction(inst.sorted_bids, inst.curve.pieces, 600.0)
+    assert got == per_unit_extraction(inst.sorted_bids, revenue_table(inst.curve, inst.total_supply), 600.0)
     assert got.winners == ((0, 500),)
     assert len(checks) <= 4
 
@@ -283,26 +285,27 @@ def test_extraction_matches_the_per_unit_scan_near_ties(case):
     """Outside its band a part of a block is checked at its ends and by
     bisection; inside it, count by count down to a count that fails by a
     margin, if lo does too. Either way the result is the count-by-count
-    scan's, price bit for bit, on the curve's own table (``table``:
-    rescaled pwl curves need not certify)."""
+    scan's, price bit for bit, on the oracle's table of the curve (rescaled
+    pwl curves need not certify)."""
     curve, bids, target = case
-    rtable = curve.table(sum(b.capacity for b in bids))
-    got = run_extraction(bids, rtable, curve.pieces, target)
+    rtable = revenue_table(curve, sum(b.capacity for b in bids))
+    got = run_extraction(bids, curve.pieces, target)
     want = per_unit_extraction(bids, rtable, target)
     assert got == want
     assert got.price_per_unit.hex() == want.price_per_unit.hex()
 
 
-def test_extraction_reads_a_few_entries_per_part_crossed_plus_a_bisection():
+def test_extraction_reads_a_few_entries_per_part_crossed_plus_a_bisection(monkeypatch):
     """On the five-piece curve of the kernel's read-count test, a block of
     100,000 units costs at most two reads per part it crosses, one for the
     band and about log2(100,000) for the bisection on the winning part."""
     curve = pwl_curve([(20_000, 60_000.0), (40_000, 100_000.0), (60_000, 130_000.0), (80_000, 150_000.0)])
     c, q = 5_000, 100_000  # the block crosses all four breakpoints: five parts
     bids = (Bid(0.0, c, 0), Bid(1.7, q, 1))
-    rtable = _CountingTable(curve.table(c + q))
+    rtable = revenue_table(curve, c + q)
+    reads = count_revenue_reads(monkeypatch, extraction)
     for target in (0.0, 20_000.0, 25_000.0, 30_000.0, 31_999.0, 40_000.0):
-        rtable.reads = 0
-        got = run_extraction(bids, rtable, curve.pieces, target)
-        assert got == per_unit_extraction(bids, rtable.rtable, target)
-        assert rtable.reads <= 1 + 2 * 5 + math.ceil(math.log2(q)) + 1, (target, rtable.reads)
+        reads.clear()
+        got = run_extraction(bids, curve.pieces, target)
+        assert got == per_unit_extraction(bids, rtable, target)
+        assert len(reads) <= 1 + 2 * 5 + math.ceil(math.log2(q)) + 1, (target, len(reads))

@@ -1,8 +1,9 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from procure.benchmarks import block_parts
 from procure.model import (
     EPS,
     Bid,
@@ -14,9 +15,12 @@ from procure.model import (
     loads_instance,
     make_instance,
     make_outcome,
+    piece_revenue,
     pwl_curve,
     validate_curve,
 )
+
+from oracles import per_unit_validate_curve, revenue_table
 
 
 def test_linear_curve_values():
@@ -108,7 +112,7 @@ def concave_marginal_curves(draw):
 def test_average_revenue_monotone_for_accepted_curves(curve, max_q):
     res = validate_curve(curve, max_q)
     assert res.ok
-    table = curve.table(max_q)
+    table = revenue_table(curve, max_q)
     for i in range(1, max_q + 1):
         for j in range(i, max_q + 1):
             assert table[i] * j >= table[j] * i - 1e-9
@@ -134,43 +138,128 @@ def _supply_instance(curve, m):
 ])
 @pytest.mark.parametrize("supplies", [(1000, 587, 3, 1), (1, 3, 587, 1000)])
 def test_certified_tables_are_fresh_tables_in_either_build_order(make_curve, supplies):
+    """Instances sharing one curve object certify it over their own
+    supplies in either order, and read R(0..m) as a fresh table holds it."""
     curve = make_curve()
     for m in supplies:
         inst = _supply_instance(curve, m)
-        assert _bits(inst.revenue_table) == _bits(curve.table(m))
-    assert len(curve._certified[0]) == max(supplies) + 1
+        assert _bits(inst.curve.at(u) for u in range(m + 1)) == _bits(revenue_table(curve, m))
 
 
 @given(concave_marginal_curves(), st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5))
 def test_certified_tables_match_fresh_tables_for_any_supply_sequence(curve, supplies):
     for m in supplies:
-        assert _bits(_supply_instance(curve, m).revenue_table) == _bits(curve.table(m))
+        inst = _supply_instance(curve, m)
+        assert _bits(inst.curve.at(u) for u in range(m + 1)) == _bits(revenue_table(curve, m))
 
 
 def test_certified_curve_still_rejects_past_a_violation():
     points = [(5, 50.0), (10, 75.0), (12, 100.0)]  # marginals 10, 5, then 12.5 from k=10
     curve = pwl_curve(points)
     _supply_instance(curve, 10)
-    assert len(curve._certified[0]) == 11
-    expected = validate_curve(pwl_curve(points), 12)
+    expected = per_unit_validate_curve(pwl_curve(points), 12)
     assert not expected.ok and expected.violation_at == 10
     again = validate_curve(curve, 12)
-    assert (again.violation_at, again.message) == (expected.violation_at, expected.message)
+    assert (again.ok, again.violation_at, again.message) == (False, expected.violation_at, expected.message)
     with pytest.raises(ValueError) as err:
         _supply_instance(curve, 12)
     assert str(err.value) == f"revenue curve rejected: {expected.message}"
-    # the rejection leaves the certified prefix as it was
-    assert _bits(_supply_instance(curve, 7).revenue_table) == _bits(curve.table(7))
-    assert len(curve._certified[0]) == 11
+    # a supply short of the violation still certifies
+    assert validate_curve(curve, 10).ok and _supply_instance(curve, 7).total_supply == 7
 
 
 def test_equal_curves_keep_their_own_tables():
-    neg, pos = linear_curve(-0.0), linear_curve(0.0)
-    assert neg == pos
-    neg_table = _supply_instance(neg, 4).revenue_table
-    pos_table = _supply_instance(pos, 4).revenue_table
-    assert _bits(neg_table) == _bits(neg.table(4)) == ["0x0.0p+0"] + ["-0x0.0p+0"] * 4
-    assert _bits(pos_table) == _bits(pos.table(4)) == ["0x0.0p+0"] * 5
+    """Equal curves (-0.0 == 0.0) keep their own sign of zero in R, on
+    the oracle's table and through ``at``, capped plateaus included."""
+    for neg, pos in ((linear_curve(-0.0), linear_curve(0.0)), (capped_curve(-0.0, 2), capped_curve(0.0, 2))):
+        assert neg == pos
+        neg_curve, pos_curve = _supply_instance(neg, 4).curve, _supply_instance(pos, 4).curve
+        neg_bits = _bits(neg_curve.at(u) for u in range(5))
+        assert neg_bits == _bits(revenue_table(neg, 4)) == ["0x0.0p+0"] + ["-0x0.0p+0"] * 4
+        assert _bits(pos_curve.at(u) for u in range(5)) == _bits(revenue_table(pos, 4)) == ["0x0.0p+0"] * 5
+
+
+@st.composite
+def _scaled_curves(draw):
+    """(curve, m): a curve of any kind with money scaled by 1e-6..1e9 or a
+    slope of +-0.0, and a supply m past some or all of its breakpoints."""
+    scale = 10.0 ** draw(st.integers(min_value=-6, max_value=9))
+    slope = st.one_of(st.floats(min_value=0.0, max_value=3.0).map(lambda x: scale * x), st.sampled_from((0.0, -0.0)))
+    kind = draw(st.sampled_from(("linear", "capped", "pwl")))
+    if kind == "linear":
+        curve = linear_curve(draw(slope))
+    elif kind == "capped":
+        curve = capped_curve(draw(slope), draw(st.integers(min_value=1, max_value=200)))
+    else:
+        points, q_acc, rev = [], 0, 0.0
+        for marginal in sorted(draw(st.lists(slope, min_size=1, max_size=4)), reverse=True):
+            length = draw(st.integers(min_value=1, max_value=60))
+            q_acc, rev = q_acc + length, rev + marginal * length
+            points.append((q_acc, rev))
+        curve = pwl_curve(points)
+    return curve, draw(st.integers(min_value=1, max_value=300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scaled_curves())
+@example((linear_curve(-0.0), 3))
+@example((capped_curve(-0.0, 2), 5))
+@example((capped_curve(1e-6 / 3, 7), 9))
+@example((pwl_curve([(3, 1e9 / 3), (8, 2e9 / 3)]), 12))
+def test_curve_values_match_the_oracle_table(case):
+    """``at`` and ``piece_revenue`` on each part of 1..m give the oracle
+    table's floats, sign of zero included."""
+    curve, m = case
+    table = _bits(revenue_table(curve, m))
+    assert _bits(curve.at(u) for u in range(m + 1)) == table
+    on_parts = [piece_revenue(piece, u) for lo, hi, piece in block_parts(curve.pieces, 1, m) for u in range(lo, hi + 1)]
+    assert _bits([0.0] + on_parts) == table
+
+
+_BUMPS = (0.0, 0.5 * EPS, 0.9 * EPS, 1.1 * EPS, 2 * EPS, 1e-6, 0.25, 3.0)
+
+
+@st.composite
+def _bumped_curves(draw):
+    """A pwl curve with marginals <= 50 and pieces of 1..12 units, whose
+    slopes fall, except that some pieces are steeper than the previous one
+    by a bump around EPS or well past it."""
+    marginals = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=49.0), min_size=1, max_size=6)), reverse=True)
+    for i in range(1, len(marginals)):
+        if draw(st.booleans()):
+            marginals[i] = marginals[i - 1] + draw(st.sampled_from(_BUMPS))
+    points, q_acc, rev = [], 0, 0.0
+    for marginal in marginals:
+        length = draw(st.integers(min_value=1, max_value=12))
+        q_acc, rev = q_acc + length, rev + marginal * length
+        points.append((q_acc, rev))
+    return pwl_curve(points)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_bumped_curves(), st.integers(min_value=1, max_value=60))
+@example(pwl_curve([(1, 5.0), (2, 12.0)]), 2)
+@example(pwl_curve([(5, 50.0), (10, 75.0), (12, 100.0)]), 12)
+@example(pwl_curve([(2, 2.0), (4, 4.0 + 2.2e-9)]), 4)
+@example(pwl_curve([(5, 33.591061028100306), (7, 47.02748544134043)]), 7)  # slopes rise past EPS, marginals do not
+def test_slope_check_agrees_with_the_per_unit_oracle(curve, max_q):
+    got = validate_curve(curve, max_q)
+    want = per_unit_validate_curve(curve, max_q)
+    assert (got.ok, got.violation_at, got.message) == (want.ok, want.violation_at, want.message)
+
+
+@pytest.mark.parametrize("curve", [
+    pwl_curve([(10, 1e10 / 3), (25, 1e10 / 3 + 15e9 / 7)]),  # slopes 1e9 / 3, then 1e9 / 7
+    pwl_curve([(3, 54.15862109754108), (15, 270.7931054997054)]),  # slopes rise by EPS, to within rounding
+])
+def test_slope_check_accepts_curves_the_per_unit_check_rejects_on_rounding(curve):
+    """The intended changes of verdict. At large money the float marginals
+    of a concave curve jitter by more than EPS, and where slopes rise by
+    EPS to within rounding, the marginals' rounding can take them past it;
+    the per-unit check rejected both. The slopes do not rise by more than
+    EPS."""
+    assert not per_unit_validate_curve(curve, 40).ok
+    assert validate_curve(curve, 40).ok
 
 
 def test_outcome_profit_identity():
