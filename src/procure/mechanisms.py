@@ -11,7 +11,10 @@ with a fixed stream order, so a run is a pure function of (instance, seed).
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .benchmarks import block_optimum, block_parts, scan_pay_as_bid, scan_single_price
@@ -20,52 +23,84 @@ from .model import EPS, AuctionOutcome, Bid, Instance, RevenueCurve, leq, make_o
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_LANES = 1024  # seeds mixed at once by partition_masks, one per 128-bit lane of an int
 
 
-def _mix64(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
+def _mix64(z: int, lanes: int = _M64) -> int:
+    """SplitMix64's output mixer, on each 64-bit value packed in ``z``.
 
-
-def partition_masks(n: int, seeds: Iterable[int]) -> Iterator[int]:
-    """The n fair coin bits for each run seed in ``seeds``, as bitmasks.
-
-    This is the one coin stream: every draw, a single run's
-    (:func:`partition_mask`) or a Monte Carlo trial's, takes its bits from
-    it. Each seed starts a SplitMix64 stream: the seed (folded into 64 bits
-    word by word with :func:`_mix64` if wider) is stepped by the
-    golden-ratio increment and mixed; bit i is the coin for the bidder with
-    the i-th smallest id. Cheap to reseed, so per-trial streams stay
-    independent and individually replayable. The mixer is inlined in the
-    per-word loop, which is the Monte Carlo loop's per-trial cost; it is
-    :func:`_mix64` step for step. A negative seed raises ``ValueError``
-    when its mask is due.
+    ``lanes`` masks the low 64 bits of every lane. On one value it is
+    ``_M64``, and the masks change nothing. On values packed 128 bits
+    apart, every step is masked back to the lanes' low halves: the bits a
+    right shift brings down from the next lane are cleared before each
+    multiply, and a value below 2^64 times a 64-bit constant stays below
+    2^128, inside its own lane.
     """
-    keep = (1 << n) - 1
-    shifts = range(0, n, 64)
-    for seed in seeds:
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        state = seed & _M64
-        hi = seed >> 64
-        while hi:
-            state = _mix64(state ^ (hi & _M64))
-            hi >>= 64
-        out = 0
-        for shift in shifts:
-            state = (state + _GAMMA) & _M64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-            out |= (z ^ (z >> 31)) << shift
-        yield out & keep
+    z = ((z ^ (z >> 30)) & lanes) * 0xBF58476D1CE4E5B9 & lanes
+    z = ((z ^ (z >> 27)) & lanes) * 0x94D049BB133111EB & lanes
+    return (z ^ (z >> 31)) & lanes
+
+
+def _seed_state(seed: int) -> int:
+    """A run seed's 64-bit SplitMix64 state: the seed itself below 2^64, a
+    wider seed folded in word by word with :func:`_mix64`. A negative seed
+    raises ``ValueError``."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    state = seed & _M64
+    hi = seed >> 64
+    while hi:
+        state = _mix64(state ^ (hi & _M64))
+        hi >>= 64
+    return state
 
 
 def partition_mask(n: int, seed: int) -> int:
-    """The n fair coin bits for a run seed, as a bitmask: the mask
-    :func:`partition_masks` yields for that seed."""
-    [mask] = partition_masks(n, (seed,))
-    return mask
+    """The n fair coin bits for a run seed, as a bitmask.
+
+    The seed's SplitMix64 stream (:func:`_seed_state`) is stepped by the
+    golden-ratio increment and mixed once per 64 coins; bit i is the coin
+    for the bidder with the i-th smallest id. Cheap to reseed, so per-trial
+    streams stay independent and individually replayable.
+    """
+    state = _seed_state(seed)
+    out = 0
+    for shift in range(0, n, 64):
+        state = (state + _GAMMA) & _M64
+        out |= _mix64(state) << shift
+    return out & ((1 << n) - 1)
+
+
+def partition_masks(n: int, seeds: Iterable[int]) -> Iterator[int]:
+    """:func:`partition_mask` for each run seed in ``seeds``, in order.
+
+    This is the Monte Carlo loop's coin stream. It takes up to ``_LANES``
+    seeds at a time and packs their states into one int, one per 128-bit
+    lane, so that each 64 coins of all of them cost one stepping add and
+    one :func:`_mix64` on that int. The masks are read back through
+    ``to_bytes`` and an ``array("Q")``. A negative seed raises
+    ``ValueError`` when its batch of seeds is due.
+    """
+    keep = (1 << n) - 1
+    shifts = range(0, max(n, 1), 64)
+    seeds = iter(seeds)
+    while batch := list(islice(seeds, _LANES)):
+        if 0 <= min(batch) and max(batch) <= _M64:
+            states = array("Q", batch)
+        else:
+            states = array("Q", map(_seed_state, batch))
+        size = 16 * len(states)
+        packed = array("Q", bytes(size))
+        packed[::2] = states
+        z = int.from_bytes(packed, sys.byteorder)
+        ones = int.from_bytes(array("Q", (1, 0)) * len(states), sys.byteorder)
+        lanes, gammas = ones * _M64, ones * _GAMMA
+        for shift in shifts:
+            z = (z + gammas) & lanes
+            word = _mix64(z, lanes) & ones * (keep >> shift & _M64)  # bits past n cleared in every lane
+            words = array("Q", word.to_bytes(size, sys.byteorder))[::2]  # each lane's low half
+            masks = [a | b << shift for a, b in zip(masks, words)] if shift else words
+        yield from masks
 
 
 class UnknownMechanismError(ValueError):
@@ -190,6 +225,11 @@ def run_pepa(instance: Instance, seed: int | None = None, partition: PartitionDr
     return _run_partitioned(instance, _resolve_partition(instance, seed, partition))
 
 
+# Sellers whose coins key the walk's memo of its state: the cheapest ten.
+# Depths 9 to 11 timed the same on Monte Carlo runs of 30 to 42 sellers.
+_HEAD = 10
+
+
 def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, float]]:
     """The per-draw walk of the random-split auctions: a closure mapping a
     coin mask to the two sides' single-price optima (f', f'').
@@ -224,6 +264,16 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
     walk's float bit for bit, so g(j', c) <= ceiling_j; an optimum changes
     only on a strict ``>``, so no later member can change either side. The
     ceilings cost n kernel calls, once per closure.
+
+    After the ``_HEAD`` cheapest sellers, the walk's state depends only on
+    their coins: (f', f''), the units (c', c'') each side holds, and the
+    sellers still to walk, none if the walk has ended. The closure keeps
+    that state in a dict keyed by the mask's bits of those sellers, so it
+    holds at most 2^_HEAD entries. A key's first draw walks the head, keeps
+    where the walk left off, and goes on from there; every later draw with
+    that key walks only the sellers after the head. So a first-seen key
+    costs what a walk without the memo costs, and with the walk's early end
+    the sellers visited per draw fall by up to ``_HEAD``.
     """
     pieces = instance.curve.pieces
     m = instance.total_supply
@@ -234,30 +284,42 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
         sellers.append((1 << bit_of[b.id], b.capacity, b.valuation, {}, ceiling))
         ceiling = max(ceiling, block_optimum(pieces, b.valuation, m, 0)[0])
     sellers.reverse()
+    head, tail = sellers[:_HEAD], sellers[_HEAD:]
+    head_bits = sum(bit for bit, *_ in head)
+    tail_ceiling = head[-1][-1]
+    after_head = {}  # mask & head_bits -> (f', f'', c', c'', the sellers left to walk)
 
     def side_optima(mask: int) -> tuple[float, float]:
-        ca = cb = 0
-        fa = fb = 0.0
-        for bit, q, v, memo, ceiling in sellers:
-            if mask & bit:
-                try:
-                    g = memo[ca]
-                except KeyError:
-                    g = memo[ca] = block_optimum(pieces, v, q, ca)[0]
-                if g > fa:
-                    fa = g
-                ca += q
-            else:
-                try:
-                    g = memo[cb]
-                except KeyError:
-                    g = memo[cb] = block_optimum(pieces, v, q, cb)[0]
-                if g > fb:
-                    fb = g
-                cb += q
-            if fa >= ceiling and fb >= ceiling:
-                break
-        return fa, fb
+        key = mask & head_bits
+        try:
+            fa, fb, ca, cb, rest = after_head[key]
+        except KeyError:
+            fa, fb, ca, cb, rest = 0.0, 0.0, 0, 0, head
+        while True:
+            for bit, q, v, memo, ceiling in rest:
+                if mask & bit:
+                    try:
+                        g = memo[ca]
+                    except KeyError:
+                        g = memo[ca] = block_optimum(pieces, v, q, ca)[0]
+                    if g > fa:
+                        fa = g
+                    ca += q
+                else:
+                    try:
+                        g = memo[cb]
+                    except KeyError:
+                        g = memo[cb] = block_optimum(pieces, v, q, cb)[0]
+                    if g > fb:
+                        fb = g
+                    cb += q
+                if fa >= ceiling and fb >= ceiling:
+                    break
+            if rest is not head:
+                return fa, fb
+            # a first-seen key has walked the head: keep where it left off, then go on
+            rest = () if fa >= tail_ceiling and fb >= tail_ceiling else tail
+            after_head[key] = fa, fb, ca, cb, rest
 
     return side_optima
 

@@ -210,27 +210,35 @@ def _on_one_scale(values) -> tuple[list[int], int]:
     return [num * (scale // den) for num, den in ratios], scale
 
 
-def sample_stdev(counts: Counter) -> float:
-    """The sample standard deviation of a multiset of finite floats given as
-    value -> count, as ``statistics.stdev`` over the expanded list returns
-    it on Python 3.11 and later, bit for bit.
-
-    On one scale (:func:`_on_one_scale`) each value X is an exact int, and
-    with N the count, S1 = sum c X and S2 = sum c X^2, the sample variance
-    is exactly (N S2 - S1^2) / (N (N - 1)) over the squared scale. Its
-    square root is rounded once (:func:`_sqrt_of_fraction`). A Monte Carlo
-    run's profits take a few hundred distinct values, so this costs a pass
-    over the distinct values, not over the trials. On Python 3.10, whose
-    ``stdev`` rounds the variance to a float before its square root, the
-    result can differ from that ``stdev`` in the last bit; it matches 3.11
-    and later. Needs N >= 2.
-    """
+def _moment_sums(counts: Counter) -> tuple[int, int, int, int]:
+    """(N, S1, S2, scale) of a multiset of finite floats given as value ->
+    count: N the count, and S1 = sum c X and S2 = sum c X^2 over the values
+    X as exact ints on one scale (:func:`_on_one_scale`). S1 / scale is
+    the sum of the multiset, exactly."""
     xs, scale = _on_one_scale(counts)
     n = s1 = s2 = 0
     for x, c in zip(xs, counts.values()):
         n += c
         s1 += c * x
         s2 += c * x * x
+    return n, s1, s2, scale
+
+
+def sample_stdev(counts: Counter) -> float:
+    """The sample standard deviation of a multiset of finite floats given as
+    value -> count, as ``statistics.stdev`` over the expanded list returns
+    it on Python 3.11 and later, bit for bit.
+
+    With N, S1 and S2 the exact sums of :func:`_moment_sums`, the sample
+    variance is exactly (N S2 - S1^2) / (N (N - 1)) over the squared scale.
+    Its square root is rounded once (:func:`_sqrt_of_fraction`). A Monte
+    Carlo run's profits take a few hundred distinct values, so this costs a
+    pass over the distinct values, not over the trials. On Python 3.10,
+    whose ``stdev`` rounds the variance to a float before its square root,
+    the result can differ from that ``stdev`` in the last bit; it matches
+    3.11 and later. Needs N >= 2.
+    """
+    n, s1, s2, scale = _moment_sums(counts)
     return _sqrt_of_fraction(n * s2 - s1 * s1, n * (n - 1) * scale * scale)
 
 
@@ -250,12 +258,14 @@ def estimate_ratio(
 
     Trial t draws its coins from seed ``trial_seed(seed, t)``, which is
     ``trial_seed(seed, 0) + t``, so the masks of all trials come from one
-    :func:`mechanisms.partition_masks` stream over that range. Both moments
-    are exact and do not depend on the order of the trials: the mean is the
-    correctly rounded sum (``math.fsum``) divided by the trial count, and
-    the standard deviation is :func:`sample_stdev` of the profits' value
-    counts, the correctly rounded square root of the exact sample variance.
-    A randomized mechanism rejects a negative seed, naming it.
+    :func:`mechanisms.partition_masks` stream over that range. The profits
+    are kept as value counts, so memory does not grow with the trial count.
+    Both moments are exact and do not depend on the order of the trials:
+    the mean is the exact sum of the counts (:func:`_moment_sums`), rounded
+    once as ``math.fsum`` rounds it, divided by the trial count, and the
+    standard deviation is :func:`sample_stdev` of the counts, the correctly
+    rounded square root of the exact sample variance. A randomized
+    mechanism rejects a negative seed, naming it.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -266,12 +276,12 @@ def estimate_ratio(
             raise ValueError(f"seed must be a non-negative integer, got {seed}")
         base = trial_seed(seed, 0)
         masks = partition_masks(instance.n, range(base, base + trials))
-        profits = list(map(partition_profit_engine(instance), masks))
+        counts = Counter(map(partition_profit_engine(instance), masks))
     else:
-        profit = mech.run(instance, None).outcome.profit
-        profits = [profit] * trials
-    mean = math.fsum(profits) / trials
-    std = sample_stdev(Counter(profits)) if trials > 1 else 0.0
+        counts = Counter({mech.run(instance, None).outcome.profit: trials})
+    _, total, _, scale = _moment_sums(counts)
+    mean = total / scale / trials
+    std = sample_stdev(counts) if trials > 1 else 0.0
     stderr = std / math.sqrt(trials)
     return _ratio_report(trials, mean, stderr, bench, _instance_digest(instance, mechanism, benchmark, trials, seed))
 
@@ -363,8 +373,10 @@ def _min_side_by_enumeration(instance: Instance) -> float:
     the walk the Monte Carlo engine runs, which computes each threshold
     g(j, c) of :func:`_side_thresholds` on first use, only at the c that
     some subset of cheaper sellers can hold: at most 2^(n-1) * m float
-    operations in all, and memory O(1) in the number of draws. A draw's
-    walk ends once no remaining seller can raise either side. The walk's
+    operations in all. A draw's walk ends once no remaining seller can
+    raise either side, and starts after the ``mechanisms._HEAD`` cheapest
+    sellers from the state its memo keeps for their coins, at most
+    2^_HEAD entries, so memory stays O(1) in the number of draws. The walk's
     bit i is the bidder with the i-th smallest id, not the i-th cheapest,
     but over all 2^n masks either order yields the same multiset of minima,
     and ``fsum`` is correctly rounded, so the sum does not depend on it.

@@ -341,3 +341,34 @@ def equal_margin_ratio_oracle(k):
     """Expected min(side sizes)/k over all 2^k fair splits, exactly."""
     num = sum(comb(k, i) * min(i, k - i) for i in range(k + 1))
     return Fraction(num, k * 2**k)
+
+
+def per_seed_partition_mask(n, seed):
+    """The n coin bits of a run seed, one SplitMix64 stream per seed.
+
+    The seed (folded into 64 bits word by word if wider) is stepped by the
+    golden-ratio increment and mixed once per 64 coins, each step on plain
+    64-bit ints. It shares no code with
+    :func:`procure.mechanisms.partition_masks`, which packs many seeds into
+    the lanes of one int, or with :func:`procure.mechanisms.partition_mask`;
+    both must give the same masks.
+    """
+    m64 = (1 << 64) - 1
+
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & m64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m64
+        return z ^ (z >> 31)
+
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    state = seed & m64
+    hi = seed >> 64
+    while hi:
+        state = mix(state ^ (hi & m64))
+        hi >>= 64
+    out = 0
+    for shift in range(0, n, 64):
+        state = (state + 0x9E3779B97F4A7C15) & m64
+        out |= mix(state) << shift
+    return out & ((1 << n) - 1)

@@ -200,6 +200,42 @@ def test_ratio_monte_carlo_golden_output(capsys):
 
 # the pepac audit of a capacitated n=6, m=1,453 pwl instance, pinned byte for
 # byte against the output of audits that rebuilt the revenue table per deviation
+# the Monte Carlo report on an n=70 instance: two 64-bit words of coins per
+# draw and 1,500 trials, more than one batch of the lane-packed coin stream
+GOLDEN_MONTE_CARLO_TWO_WORDS = """{
+  "trials": 1500,
+  "mean_profit": 22.815564301485896,
+  "std_error": 0.07124644290338433,
+  "benchmark": 48.5629039021145,
+  "ratio_estimate": 0.4698146623907405,
+  "ratio_lower_bound_3sigma": 0.4654133743388361,
+  "instance_digest": "7ffc05eec9171bd4f9906d6ffaefc889e5b4e60e7325ea6c50d91a43d1dd17ae",
+  "method": "monte-carlo",
+  "seed": 5,
+  "mechanism": "pepac",
+  "benchmark_name": "f"
+}
+"""
+
+
+def test_ratio_monte_carlo_golden_output_with_two_mask_words(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "ratio",
+        "--mechanism",
+        "pepac",
+        "--benchmark",
+        "f",
+        "--trials",
+        "1500",
+        "--seed",
+        "5",
+        "--generate",
+        "uniform-random:n=70,seed=7,qmax=5,curve=pwl",
+    )
+    assert (code, out, err) == (0, GOLDEN_MONTE_CARLO_TWO_WORDS, "")
+
+
 GOLDEN_AUDIT = """{
   "mechanism": "pepac",
   "deviations_tested": 110,

@@ -25,7 +25,7 @@ import procure.mechanisms as mechanisms
 from procure.model import Bid, Instance, RevenueCurve, capped_curve, linear_curve, make_instance
 from procure.simulation import generate, trial_seed
 
-from oracles import min_side_profit_oracle, pepa_expectation_oracle, per_unit_profit_engine
+from oracles import min_side_profit_oracle, pepa_expectation_oracle, per_seed_partition_mask, per_unit_profit_engine
 
 TIGHT = generate("tightness", {"l": 10, "eps": 1, "n": 4})
 
@@ -62,6 +62,40 @@ def test_mask_stream_matches_one_mask_per_seed():
     # reference generator's 0xe220a8397b1dcdaf) and a folded 200-bit seed
     assert list(partition_masks(64, [0, 1, 2**64])) == [0xE220A8397B1DCDAF, 0x910A2DEC89025CC1, 0xBFEF8030DDC2D772]
     assert list(partition_masks(130, [2**200 - 1])) == [0x9CD0A7FE4AD9142C4300DB347C138AF0]
+
+
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+@pytest.mark.parametrize("n", (1, 6, 63, 64, 65, 130))
+def test_coin_stream_matches_the_per_seed_oracle(n):
+    rng = random.Random(n)
+    seed_lists = [
+        [],
+        # one seed short of a lane batch, one batch, one over, and two batches and one over
+        list(range(11, 11 + 1023)),
+        range(trial_seed(5, 0), trial_seed(5, 1024)),
+        [rng.getrandbits(64) for _ in range(1025)],
+        range(trial_seed(2**31 - 1, 0), trial_seed(2**31 - 1, 2049)),
+        # states whose first step wraps past 2^64, and for n > 64 later steps
+        range(2**64 - _GAMMA - 300, 2**64 - _GAMMA + 300),
+        range(-2 * _GAMMA % 2**64 - 100, -2 * _GAMMA % 2**64 + 100),
+        # ranges crossing 2^64, so folded seeds sit mid-batch
+        range(2**64 - 300, 2**64 + 300),
+        [rng.getrandbits(rng.choice((8, 64, 65, 200))) for _ in range(300)],
+    ]
+    for seeds in seed_lists:
+        want = [per_seed_partition_mask(n, s) for s in seeds]
+        assert list(partition_masks(n, seeds)) == want, (n, len(seeds))
+        assert [partition_mask(n, s) for s in seeds] == want, (n, len(seeds))
+
+
+def test_coin_stream_rejects_a_negative_seed_mid_batch():
+    message = "seed must be a non-negative integer, got -3"
+    with pytest.raises(ValueError, match=message):
+        list(partition_masks(70, [*range(1500), -3, 7]))
+    with pytest.raises(ValueError, match=message):
+        partition_mask(6, -3)
 
 
 def test_same_seed_same_run():
@@ -223,6 +257,61 @@ def test_walk_stops_once_neither_side_can_grow(monkeypatch):
         assert len(calls) <= 2, (n, len(calls))
         for (fa, fb), run in zip(optima, runs):
             assert (fa.hex(), fb.hex()) == (run.f_prime.hex(), run.f_double_prime.hex())
+
+
+def test_memoised_walk_matches_full_runs_over_any_number_of_draws():
+    instances = [
+        generate("uniform-random", {"n": 7, "seed": 4, "qmax": 3, "curve": "pwl"}),  # the head is every seller
+        generate("uniform-random", {"n": 11, "seed": 5, "qmax": 4, "curve": "mixed"}),
+        generate("uniform-random", {"n": 24, "seed": 6, "qmax": 6, "curve": "pwl"}),
+        # the cheap pair ends every walk inside the head
+        make_instance(
+            [1.0, 2.0] + [10.0 + (i % 3) for i in range(22)],
+            capacities=[10, 10] + [1 + i % 4 for i in range(22)],
+            curve=linear_curve(10.0),
+        ),
+        # equal margins: sides holding as many units tie, inside the engine's band
+        make_instance([5.0] * 12, capacities=[2] * 12, curve=linear_curve(10.0)),
+    ]
+    for inst in instances:
+        rng = random.Random(inst.n)
+        draws = [1, 2, 2**10] + ([1 << inst.n] if inst.n <= 12 else [])
+        for count in draws:
+            masks = range(count) if count == 1 << inst.n else [rng.getrandbits(inst.n) for _ in range(count)]
+            side_optima = side_optima_by_mask(inst)
+            for mask in masks:
+                run = run_pepac(inst, partition=mechanisms._draw_of_mask(inst, mask))
+                got = side_optima(mask)
+                assert (got[0].hex(), got[1].hex()) == (run.f_prime.hex(), run.f_double_prime.hex()), (inst.n, mask)
+
+
+def test_a_warm_walk_skips_the_head_sellers(monkeypatch):
+    inst = generate("uniform-random", {"n": 30, "seed": 2, "qmax": 5, "curve": "pwl"})
+    side_optima = side_optima_by_mask(inst)
+    state = dict(zip(side_optima.__code__.co_freevars, (cell.cell_contents for cell in side_optima.__closure__)))
+    head_bits = state["head_bits"]
+    assert bin(head_bits).count("1") == mechanisms._HEAD
+    rng = random.Random(2)
+    masks = [rng.getrandbits(inst.n) for _ in range(3000)]
+    warm = [side_optima(mask) for mask in masks]
+    assert len(state["after_head"]) <= 2**mechanisms._HEAD
+    # forget the head sellers' block optima: a walk that visits them must call the kernel again
+    for *_, memo, _ in state["head"]:
+        memo.clear()
+    head_valuations = {v for _, _, v, *_ in state["head"]}
+    calls = []
+    original = mechanisms.block_optimum
+
+    def counted(pieces, v, q, c):
+        calls.append(v)
+        return original(pieces, v, q, c)
+
+    monkeypatch.setattr(mechanisms, "block_optimum", counted)
+    assert [side_optima(mask) for mask in masks] == warm
+    fresh_tails = [mask & head_bits | rng.getrandbits(inst.n) & ~head_bits for mask in masks]
+    for mask in fresh_tails:
+        side_optima(mask)
+    assert not head_valuations & set(calls)
 
 
 def assert_engine_matches_oracle(inst, masks):

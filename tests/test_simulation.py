@@ -2,6 +2,7 @@ import math
 import random
 import statistics
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -62,6 +63,19 @@ def test_estimate_ratio_standard_error_is_the_stdev_of_the_trials():
         assert report.std_error == sample_stdev(Counter(profits)) / math.sqrt(trials)
 
 
+def test_estimate_ratio_memory_does_not_grow_with_the_trials():
+    # keeping one profit per trial would hold 8 bytes a trial, 800 kB here
+    inst = generate("uniform-random", {"n": 6, "seed": 2, "qmax": 4, "curve": "pwl"})
+    estimate_ratio(inst, "pepac", "f", trials=100, seed=1)
+    tracemalloc.start()
+    try:
+        estimate_ratio(inst, "pepac", "f", trials=100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400_000, peak
+
+
 # floats from about 1e-300 to 1e300, a few per list so that values repeat
 _stdev_pools = st.lists(
     st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
@@ -69,6 +83,15 @@ _stdev_pools = st.lists(
     min_size=1,
     max_size=6,
 )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_exact_sum_of_value_counts_rounds_as_fsum(data):
+    pool = data.draw(_stdev_pools)
+    xs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300))
+    _, total, _, scale = simulation._moment_sums(Counter(xs))
+    assert (total / scale).hex() == math.fsum(xs).hex()
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.stdev rounds twice before Python 3.11")
