@@ -94,7 +94,7 @@ def cmd_run(args) -> int:
     mech = resolve_mechanism(args.mechanism, demand_cap=args.demand_cap)
     seed = _resolve_seed(args) if mech.randomized else None
     run = mech.run(instance, seed)
-    utilities = [simulation.seller_utility(run, i, bid.valuation) for i, bid in enumerate(instance.bids)]
+    utilities = [simulation.seller_utility(run.outcome, i, bid.valuation) for i, bid in enumerate(instance.bids)]
     _emit_json(
         args,
         {

@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from bisect import insort
 from dataclasses import dataclass
 from itertools import islice
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .benchmarks import block_optimum, block_parts, scan_pay_as_bid, scan_single_price
@@ -164,27 +166,54 @@ def draw_partition(instance: Instance, seed: int) -> PartitionDraw:
     return _draw_of_mask(instance, partition_mask(instance.n, seed), seed)
 
 
-def _run_partitioned(instance: Instance, partition: PartitionDraw) -> MechanismRun:
-    """The split auction on a draw: extract f'' from b' and f' from b'', and
-    keep the sub-auction with the higher buyer profit, b' on a tie."""
-    pieces = instance.curve.pieces
-    flips = partition.flips
+def _split(instance: Instance, flips) -> tuple[list[Bid], list[Bid]]:
+    """The sides (b', b'') of a draw's ``flips``, each in (valuation, id) order."""
+    sides = ([], [])
     pos_of = instance.position_of
-    side_a = []  # b'
-    side_b = []  # b''
     for bid in instance.sorted_bids:
-        (side_a if flips[pos_of(bid.id)] else side_b).append(bid)
-    f_prime = scan_single_price([(b.valuation, b.capacity) for b in side_a], pieces)[0]
-    f_double = scan_single_price([(b.valuation, b.capacity) for b in side_b], pieces)[0]
-    res_a = run_extraction(side_a, pieces, f_double)
-    res_b = run_extraction(side_b, pieces, f_prime)
+        sides[0 if flips[pos_of(bid.id)] else 1].append(bid)
+    return sides
+
+
+def _side_optimum(side, pieces) -> float:
+    """A side's single-price optimum, f' or f'': the scan's profit."""
+    return scan_single_price([(b.valuation, b.capacity) for b in side], pieces)[0]
+
+
+def _settle(instance: Instance, sides, optima, memos=(None, None)) -> tuple[AuctionOutcome, str]:
+    """The split auction's tail, on sides (b', b'') in (valuation, id)
+    order with optima (f', f''): extract f'' from b' and f' from b'', keep
+    the sub-auction with the higher buyer profit, b' on a tie, and build
+    its outcome. Returns the outcome and the chosen side's name.
+
+    A side whose entry in ``memos`` is a dict reads its extraction from it,
+    keyed by the target's ``float.hex``, so +0.0 and -0.0 never share an
+    entry; that side's bids must be the same on every call with that dict.
+    """
+    pieces = instance.curve.pieces
+    results = []
+    for side, target, memo in zip(sides, reversed(optima), memos):
+        if memo is None:
+            results.append(run_extraction(side, pieces, target))
+            continue
+        key = target.hex()
+        if key not in memo:
+            memo[key] = run_extraction(side, pieces, target)
+        results.append(memo[key])
+    res_a, res_b = results
     chosen, side_name = (res_a, "b_prime") if res_a.profit >= res_b.profit else (res_b, "b_double_prime")
-    alloc = [0] * instance.n
-    pays = [0.0] * instance.n
-    for sid, units in chosen.winners:
-        alloc[pos_of(sid)] = units
-        pays[pos_of(sid)] = chosen.price_per_unit
-    outcome = make_outcome(instance, alloc, pays, profit=chosen.profit)
+    units = dict(chosen.winners)  # every winner sells at least one unit
+    alloc = [units.get(b.id, 0) for b in instance.bids]
+    pays = [chosen.price_per_unit if x else 0.0 for x in alloc]
+    return make_outcome(instance, alloc, pays, profit=chosen.profit), side_name
+
+
+def _run_partitioned(instance: Instance, partition: PartitionDraw) -> MechanismRun:
+    """The split auction on a draw: each side's optimum, then :func:`_settle`."""
+    pieces = instance.curve.pieces
+    sides = _split(instance, partition.flips)
+    f_prime, f_double = optima = tuple(_side_optimum(side, pieces) for side in sides)
+    outcome, side_name = _settle(instance, sides, optima)
     return MechanismRun(
         outcome=outcome,
         partition=partition,
@@ -223,6 +252,44 @@ def run_pepa(instance: Instance, seed: int | None = None, partition: PartitionDr
     """
     require_unit_capacity(instance)
     return _run_partitioned(instance, _resolve_partition(instance, seed, partition))
+
+
+def deviation_outcomes(instance: Instance, seed: int) -> Callable[[int, float, int], AuctionOutcome]:
+    """The split auction under one frozen draw, for unilateral deviations:
+    a closure mapping (position, v', q') to the outcome of
+    ``run_pepac(instance.with_bid(position, v', q'), seed)``, field for
+    field.
+
+    A deviation keeps the seller's id, so it keeps the seller's coin and
+    side. The closure draws the coins once, splits the truthful bids into
+    sides in (valuation, id) order and scans both sides' optima. Per
+    deviation it builds and validates the deviating instance
+    (:meth:`Instance.with_bid`), puts the one changed bid back into its
+    side in order, and scans only that side. The other side's bids and
+    optimum are the truthful ones, and its extraction depends only on the
+    target, the deviating side's optimum, so it is memoised by target: at
+    most one per distinct target per side. :func:`_settle` then does what
+    :func:`run_pepac` does, :func:`make_outcome`'s checks included. Callers
+    check ``pepa``'s unit-capacity precondition themselves.
+    """
+    pieces = instance.curve.pieces
+    on_a = draw_partition(instance, seed).flips
+    sides = _split(instance, on_a)
+    optima = tuple(_side_optimum(side, pieces) for side in sides)
+    memos = ({}, {})
+    order = attrgetter("valuation", "id")
+
+    def outcome(position: int, valuation: float, capacity: int) -> AuctionOutcome:
+        deviating = instance.with_bid(position, valuation, capacity)
+        bid = deviating.bids[position]
+        s = 0 if on_a[position] else 1
+        side = [b for b in sides[s] if b.id != bid.id]
+        insort(side, bid, key=order)
+        dev_sides, dev_optima, dev_memos = list(sides), list(optima), list(memos)
+        dev_sides[s], dev_optima[s], dev_memos[s] = side, _side_optimum(side, pieces), None
+        return _settle(deviating, dev_sides, dev_optima, dev_memos)[0]
+
+    return outcome
 
 
 # Sellers whose coins key the walk's memo of its state: the cheapest ten.

@@ -251,6 +251,14 @@ class Instance:
     def _pos_by_id(self) -> dict[int, int]:
         return {b.id: pos for pos, b in enumerate(self.bids)}
 
+    def with_bid(self, position: int, valuation: float, capacity: int) -> Instance:
+        """This instance with the bid at ``position`` replaced by one of the
+        same id asking ``valuation`` for ``capacity`` units: a unilateral
+        deviation, built and validated as a new instance."""
+        bids = list(self.bids)
+        bids[position] = Bid(valuation, capacity, bids[position].id)
+        return Instance(bids=tuple(bids), curve=self.curve)
+
 
 def make_instance(valuations, capacities=None, curve: RevenueCurve | None = None) -> Instance:
     """Convenience builder: ids are assigned 0..n-1 in list order."""

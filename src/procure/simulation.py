@@ -23,13 +23,14 @@ from itertools import accumulate
 from . import benchmarks
 from .mechanisms import (
     Mechanism,
+    deviation_outcomes,
     partition_masks,
     partition_profit_engine,
     require_unit_capacity,
     resolve_mechanism,
     side_optima_by_mask,
 )
-from .model import Bid, Instance, capped_curve, instance_to_json_dict, linear_curve, make_instance, pwl_curve
+from .model import Instance, capped_curve, instance_to_json_dict, linear_curve, make_instance, pwl_curve
 
 GAIN_TOL = 1e-6  # a deviation must beat truth by more than this to count as a violation
 
@@ -455,21 +456,29 @@ def _min_side_by_counting(instance: Instance) -> float:
 # --- audits -------------------------------------------------------------------
 
 
-def seller_utility(run, position: int, true_valuation: float) -> float:
-    """The utility in ``run`` of the seller at ``position`` whose true value
-    is ``true_valuation``; 0.0 when it sells nothing, where
+def seller_utility(outcome, position: int, true_valuation: float) -> float:
+    """The utility in ``outcome`` of the seller at ``position`` whose true
+    value is ``true_valuation``; 0.0 when it sells nothing, where
     (payment - value) * 0 would give -0.0."""
-    x = run.outcome.allocation[position]
+    x = outcome.allocation[position]
     if x == 0:
         return 0.0
-    return (run.outcome.payment_per_unit[position] - true_valuation) * x
+    return (outcome.payment_per_unit[position] - true_valuation) * x
 
 
-def _with_bid(instance: Instance, position: int, valuation: float, capacity: int) -> Instance:
-    old = instance.bids[position]
-    bids = list(instance.bids)
-    bids[position] = Bid(valuation, capacity, old.id)
-    return Instance(bids=tuple(bids), curve=instance.curve)
+def _deviation_evaluator(instance: Instance, mech: Mechanism, seed: int):
+    """The audits' one reader of deviation outcomes: a closure mapping
+    (position, v', q') to the outcome of ``mech`` on the instance with that
+    bid, under ``seed``. The split auctions share their coin draw and their
+    untouched side across deviations (:func:`mechanisms.deviation_outcomes`);
+    every other mechanism runs on the deviating instance."""
+    if mech.randomized:
+        return deviation_outcomes(instance, seed)
+
+    def outcome(position: int, valuation: float, capacity: int):
+        return mech.run(instance.with_bid(position, valuation, capacity), seed).outcome
+
+    return outcome
 
 
 def _valuation_grid(instance: Instance, position: int, truth_run) -> list[float]:
@@ -521,12 +530,13 @@ def audit_truthfulness(
         raise ValueError("need at least one audit dimension")
     if "capacity" in dims and instance.is_unit_capacity:
         raise ValueError("capacity audits need a capacitated instance")
-    mech = resolve_mechanism(mechanism, demand_cap=demand_cap)
+    mech = _resolve_for(instance, mechanism, demand_cap)
     truth_run = mech.run(instance, seed)
+    outcome_of = _deviation_evaluator(instance, mech, seed)
     tested = 0
     violations = []
     for pos, bid in enumerate(instance.bids):
-        base_utility = seller_utility(truth_run, pos, bid.valuation)
+        base_utility = seller_utility(truth_run.outcome, pos, bid.valuation)
         deviations = []
         if "valuation" in dims:
             deviations.extend((v, bid.capacity) for v in _valuation_grid(instance, pos, truth_run))
@@ -534,8 +544,7 @@ def audit_truthfulness(
             deviations.extend((bid.valuation, q) for q in _capacity_grid(bid.capacity))
         for dev_v, dev_q in deviations:
             tested += 1
-            dev_run = mech.run(_with_bid(instance, pos, dev_v, dev_q), seed)
-            gain = seller_utility(dev_run, pos, bid.valuation) - base_utility
+            gain = seller_utility(outcome_of(pos, dev_v, dev_q), pos, bid.valuation) - base_utility
             if gain > GAIN_TOL:
                 dim = "capacity" if dev_q != bid.capacity else "valuation"
                 violations.append(
@@ -565,7 +574,7 @@ def audit_allocation_monotonicity(
     """
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
-    mech = resolve_mechanism(mechanism, demand_cap=demand_cap)
+    outcome_of = _deviation_evaluator(instance, _resolve_for(instance, mechanism, demand_cap), seed)
     top = 2.0 * max(b.valuation for b in instance.bids)
     if top <= 0:
         top = 1.0
@@ -577,8 +586,7 @@ def audit_allocation_monotonicity(
         prev_x = None
         for v in values:
             tested += 1
-            run = mech.run(_with_bid(instance, pos, v, bid.capacity), seed)
-            x = run.outcome.allocation[pos]
+            x = outcome_of(pos, v, bid.capacity).allocation[pos]
             if prev_x is not None and x > prev_x:
                 violations.append(
                     AuditViolation(

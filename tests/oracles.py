@@ -12,7 +12,9 @@ from itertools import product
 from math import comb, fsum, inf
 
 from procure.extraction import ExtractionResult
-from procure.model import EPS, CurveValidation
+from procure.mechanisms import resolve_mechanism
+from procure.model import EPS, Bid, CurveValidation, Instance
+from procure.simulation import GAIN_TOL, AuditReport, AuditViolation, _capacity_grid, _valuation_grid
 
 
 def revenue_table(curve, m):
@@ -372,3 +374,76 @@ def per_seed_partition_mask(n, seed):
         state = (state + 0x9E3779B97F4A7C15) & m64
         out |= mix(state) << shift
     return out & ((1 << n) - 1)
+
+
+def _run_with_bid(mech, instance, position, valuation, capacity, seed):
+    """A whole run of ``mech`` on a fresh instance whose bid at
+    ``position`` asks ``valuation`` for ``capacity`` units."""
+    bids = list(instance.bids)
+    bids[position] = Bid(valuation, capacity, bids[position].id)
+    return mech.run(Instance(bids=tuple(bids), curve=instance.curve), seed)
+
+
+def _utility(run, position, valuation):
+    x = run.outcome.allocation[position]
+    return 0.0 if x == 0 else (run.outcome.payment_per_unit[position] - valuation) * x
+
+
+def black_box_audit(instance, mechanism, dims=("valuation",), seed=0, demand_cap=None):
+    """The truthfulness audit by one whole mechanism run per deviation.
+
+    Every deviation redraws the coins, re-sorts the bids and rescans and
+    re-extracts both sides. It shares the probe grids and ``GAIN_TOL`` with
+    :func:`procure.simulation.audit_truthfulness`, but no deviation
+    evaluator, and the report must be the same field for field.
+    """
+    mech = resolve_mechanism(mechanism, demand_cap=demand_cap)
+    truth_run = mech.run(instance, seed)
+    tested = 0
+    violations = []
+    for pos, bid in enumerate(instance.bids):
+        base_utility = _utility(truth_run, pos, bid.valuation)
+        deviations = []
+        if "valuation" in dims:
+            deviations.extend((v, bid.capacity) for v in _valuation_grid(instance, pos, truth_run))
+        if "capacity" in dims:
+            deviations.extend((bid.valuation, q) for q in _capacity_grid(bid.capacity))
+        for dev_v, dev_q in deviations:
+            tested += 1
+            dev_run = _run_with_bid(mech, instance, pos, dev_v, dev_q, seed)
+            gain = _utility(dev_run, pos, bid.valuation) - base_utility
+            if gain > GAIN_TOL:
+                violations.append(
+                    AuditViolation(
+                        bidder=bid.id,
+                        dim="capacity" if dev_q != bid.capacity else "valuation",
+                        true_bid=(bid.valuation, bid.capacity),
+                        deviating_bid=(dev_v, dev_q),
+                        gain=gain,
+                    )
+                )
+    return AuditReport(mechanism=mechanism, deviations_tested=tested, violations=tuple(violations))
+
+
+def black_box_monotonicity(instance, mechanism, grid=64, seed=0, demand_cap=None):
+    """The allocation monotonicity sweep by one whole mechanism run per
+    swept valuation; :func:`procure.simulation.audit_allocation_monotonicity`
+    must report the same."""
+    mech = resolve_mechanism(mechanism, demand_cap=demand_cap)
+    top = 2.0 * max(b.valuation for b in instance.bids) or 1.0
+    values = [top * k / (grid - 1) for k in range(grid)]
+    violations = []
+    for pos, bid in enumerate(instance.bids):
+        xs = [_run_with_bid(mech, instance, pos, v, bid.capacity, seed).outcome.allocation[pos] for v in values]
+        for (prev_v, prev_x), (v, x) in zip(zip(values, xs), zip(values[1:], xs[1:])):
+            if x > prev_x:
+                violations.append(
+                    AuditViolation(
+                        bidder=bid.id,
+                        dim="valuation",
+                        true_bid=(prev_v, bid.capacity),
+                        deviating_bid=(v, bid.capacity),
+                        gain=float(x - prev_x),
+                    )
+                )
+    return AuditReport(mechanism=mechanism, deviations_tested=grid * instance.n, violations=tuple(violations))

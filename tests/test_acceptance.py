@@ -4,10 +4,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings as they complete.
 """
 
+import io
+import json
 import math
 import random
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 from procure.benchmarks import (
     exact_pepa_ratio,
@@ -16,6 +18,7 @@ from procure.benchmarks import (
     optimal_single_price,
     optimal_single_price_min2,
 )
+from procure.cli import main
 from procure.extraction import pec
 from procure.model import linear_curve, make_instance
 from procure.simulation import (
@@ -280,3 +283,55 @@ def test_criterion_10_benchmarks_match_brute_force():
             assert abs(optimal_single_price_min2(inst).profit - cap_f2_oracle(inst)) <= 1e-12
             cap_checked += 1
         assert unit_checked + cap_checked >= 200
+
+
+# The smallest valuation-only counterexamples found for pepac off linear
+# curves: two sellers, capacities up to 3. Spec, audit seed, the best gain,
+# and the true and deviating asks of the deviation that attains it.
+SCOPE_COUNTEREXAMPLES = [
+    ("uniform-random:n=2,seed=10,qmin=1,qmax=3,vmax=0.9,curve=capped", 10, 0.38600014920760306,
+     0.38600014920760317, 0.5067617236736746),
+    ("uniform-random:n=2,seed=5,qmin=1,qmax=3,vmax=0.9,curve=pwl", 5, 0.01557659358052177,
+     0.6676082903346565, 0.694461038257463),
+]
+
+
+def test_criterion_11_truthfulness_scope():
+    # Where truthfulness holds: pepac audits clean on linear curves, in
+    # valuation and in capacity (scenario 3 of the abstract). Where it does
+    # not: with capacities taken as given, a valuation-only audit on a capped
+    # or pwl curve can find a seller who gains by raising its ask.
+    with criterion(11, "pepac truthful on linear curves; valuation-only counterexamples off them raise the ask"):
+        audited = 0
+        for seed in range(300):
+            rng = random.Random(f"scope-{seed}")
+            inst = generate(
+                "uniform-random",
+                {
+                    "n": rng.randint(2, 7),
+                    "seed": seed,
+                    "qmin": 1,
+                    "qmax": rng.randint(2, 12),
+                    "vmax": 0.9,
+                    "curve": "linear",
+                },
+            )
+            if inst.is_unit_capacity:
+                continue
+            for dims in (("valuation",), ("capacity",)):
+                report = audit_truthfulness(inst, "pepac", dims=dims, seed=seed)
+                assert report.clean, (seed, dims, report.violations)
+            audited += 1
+        assert audited >= 250
+        for spec, seed, gain, true_ask, deviating_ask in SCOPE_COUNTEREXAMPLES:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = main(
+                    ["audit", "--mechanism", "pepac", "--dims", "valuation", "--seed", str(seed), "--generate", spec]
+                )
+            report = json.loads(out.getvalue())
+            assert code == 1, spec
+            assert report["deviations_tested"] == 16, spec
+            assert all(v["deviating_bid"]["v"] > v["true_bid"]["v"] for v in report["violations"]), spec
+            best = max(report["violations"], key=lambda v: v["gain"])
+            assert (best["gain"], best["true_bid"]["v"], best["deviating_bid"]["v"]) == (gain, true_ask, deviating_ask)

@@ -628,6 +628,114 @@ def test_audit_pepa_clean(capsys):
     assert json.loads(out)["violations"] == []
 
 
+# a unit-capacity pepa valuation audit on a capped curve that finds
+# violations: bidder 2 gains by shading its ask down to win a slot
+GOLDEN_AUDIT_PEPA_SPEC = "uniform-random:n=3,seed=37,vmax=0.9,curve=capped"
+GOLDEN_AUDIT_PEPA = """{
+  "mechanism": "pepa",
+  "deviations_tested": 31,
+  "violations": [
+    {
+      "bidder": 2,
+      "dim": "valuation",
+      "true_bid": {
+        "v": 0.8842573956746976,
+        "q": 1
+      },
+      "deviating_bid": {
+        "v": 0.0,
+        "q": 1
+      },
+      "gain": 0.11574260432530237
+    },
+    {
+      "bidder": 2,
+      "dim": "valuation",
+      "true_bid": {
+        "v": 0.8842573956746976,
+        "q": 1
+      },
+      "deviating_bid": {
+        "v": 0.3939667452684697,
+        "q": 1
+      },
+      "gain": 0.11574260432530237
+    },
+    {
+      "bidder": 2,
+      "dim": "valuation",
+      "true_bid": {
+        "v": 0.8842573956746976,
+        "q": 1
+      },
+      "deviating_bid": {
+        "v": 0.39396874526846964,
+        "q": 1
+      },
+      "gain": 0.11574260432530237
+    },
+    {
+      "bidder": 2,
+      "dim": "valuation",
+      "true_bid": {
+        "v": 0.8842573956746976,
+        "q": 1
+      },
+      "deviating_bid": {
+        "v": 0.4421286978373488,
+        "q": 1
+      },
+      "gain": 0.11574260432530237
+    },
+    {
+      "bidder": 2,
+      "dim": "valuation",
+      "true_bid": {
+        "v": 0.8842573956746976,
+        "q": 1
+      },
+      "deviating_bid": {
+        "v": 0.7101990042577908,
+        "q": 1
+      },
+      "gain": 0.11574260432530237
+    }
+  ],
+  "seed": 37,
+  "dims": [
+    "valuation"
+  ]
+}
+"""
+
+
+def test_audit_pepa_golden_output_with_violations(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "audit",
+        "--mechanism",
+        "pepa",
+        "--dims",
+        "valuation",
+        "--seed",
+        "37",
+        "--generate",
+        GOLDEN_AUDIT_PEPA_SPEC,
+    )
+    assert (code, out, err) == (1, GOLDEN_AUDIT_PEPA, "")
+
+
+def test_audit_precondition_errors(capsys):
+    assert run_cli(
+        capsys, "audit", "--mechanism", "pepa", "--dims", "valuation", "--seed", "1", "--generate", "kth-price-demo"
+    ) == (2, "", "error: pepa requires unit capacities; use pepac\n")
+    for mechanism in ("pepa", "pepac"):
+        assert run_cli(
+            capsys, "audit", "--mechanism", mechanism, "--dims", "valuation,capacity", "--seed", "1",
+            "--generate", "example1:r=10,eps=1,n=4",
+        ) == (2, "", "error: capacity audits need a capacitated instance\n")
+
+
 def test_audit_pepac_capacity_clean_on_linear(capsys):
     code, out, _ = run_cli(
         capsys,

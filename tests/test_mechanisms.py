@@ -7,6 +7,7 @@ from procure.mechanisms import (
     PartitionDraw,
     UndefinedPriceError,
     UnknownMechanismError,
+    deviation_outcomes,
     draw_partition,
     make_threshold_posted,
     partition_mask,
@@ -176,6 +177,61 @@ def test_profit_min_rule_ten_bidders():
     for draw in all_partitions(10):
         run = run_pepa(inst, partition=draw)
         assert abs(run.outcome.profit - min_side_profit_oracle(inst, draw.flips)) <= 1e-9
+
+
+def _deviation_probes(inst, rng):
+    """(position, v', q') probes: no ask, every ask of the instance (equal
+    asks are ordered by id), just past each, far above all, and random."""
+    asks = sorted({b.valuation for b in inst.bids})
+    for pos, bid in enumerate(inst.bids):
+        for v in (0.0, -0.0, *asks, *(a + 1e-9 for a in asks), 2.0 * asks[-1] + 1.0, rng.uniform(0.0, 1.0)):
+            for q in sorted({1, bid.capacity, rng.randint(1, bid.capacity + 2)}):
+                yield pos, v, q
+
+
+def test_deviation_outcomes_match_whole_runs():
+    for seed in range(45):
+        rng = random.Random(f"deviate-{seed}")
+        inst = generate(
+            "uniform-random",
+            {
+                "n": rng.randint(1, 6),
+                "seed": seed,
+                "qmax": rng.choice((1, 4)),
+                "vmax": 1.0,
+                "curve": ("linear", "capped", "pwl")[seed % 3],
+            },
+        )
+        outcome = deviation_outcomes(inst, seed)
+        for pos, v, q in _deviation_probes(inst, rng):
+            assert outcome(pos, v, q) == run_pepac(inst.with_bid(pos, v, q), seed).outcome, (seed, pos, v, q)
+
+
+def test_deviation_outcomes_keep_b_prime_on_a_tie():
+    # four equal asks: a 2/2 draw gives both sides the optimum 1.4, both
+    # extractions trade at it, and b' must be kept
+    inst = make_instance([0.3, 0.3, 0.3, 0.3], curve=linear_curve(1.0))
+    ties = 0
+    for seed in range(16):
+        outcome = deviation_outcomes(inst, seed)
+        for pos, v, q in _deviation_probes(inst, random.Random(seed)):
+            run = run_pepac(inst.with_bid(pos, v, q), seed)
+            assert outcome(pos, v, q) == run.outcome
+            if run.f_prime == run.f_double_prime > 0:
+                ties += 1
+                assert run.chosen_side == "b_prime"
+    assert ties > 0
+
+
+def test_deviation_outcomes_validate_each_deviating_instance():
+    inst = generate("uniform-random", {"n": 4, "seed": 2, "qmin": 2, "qmax": 3, "curve": "capped"})
+    outcome = deviation_outcomes(inst, 5)
+    for pos, v, q in ((0, -1.0, 2), (1, math.nan, 2), (2, 0.5, 0), (3, math.inf, 1)):
+        with pytest.raises(ValueError) as ours:
+            outcome(pos, v, q)
+        with pytest.raises(ValueError) as whole:
+            run_pepac(inst.with_bid(pos, v, q), 5)
+        assert str(ours.value) == str(whole.value)
 
 
 def test_pepac_runs_on_capacitated_demo():

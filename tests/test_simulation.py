@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import statistics
@@ -8,6 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import procure.mechanisms as mechanisms
 from procure.mechanisms import partition_mask, partition_profit_engine, resolve_mechanism
 from procure.model import Bid, Instance, RevenueCurve, capped_curve, linear_curve, make_instance, pwl_curve
 import procure.simulation as simulation
@@ -25,7 +27,7 @@ from procure.simulation import (
     trial_seed,
 )
 
-from oracles import enumerated_expected_profit, pepa_expectation_oracle
+from oracles import black_box_audit, black_box_monotonicity, enumerated_expected_profit, pepa_expectation_oracle
 
 TIGHT = generate("tightness", {"l": 10, "eps": 1, "n": 4})
 
@@ -360,6 +362,115 @@ def test_audit_evaluates_the_curve_a_few_times_per_deviation(monkeypatch):
     report = audit_truthfulness(inst, "pepac", dims=("valuation", "capacity"), seed=3)
     assert report.deviations_tested >= 50
     assert calls <= 2 * (report.deviations_tested + 1), (calls, report.deviations_tested, m)
+
+
+SPLIT_AUDITS = [
+    ("pepa", ("valuation",)),
+    ("pepac", ("valuation",)),
+    ("pepac", ("capacity",)),
+    ("pepac", ("valuation", "capacity")),
+]
+
+
+def _same_report(ours, oracle):
+    # compared as JSON text, so a -0.0 against a 0.0 would show
+    assert json.dumps(ours.to_json_dict()) == json.dumps(oracle.to_json_dict())
+
+
+@pytest.mark.parametrize("curve", ["linear", "capped", "pwl"])
+@pytest.mark.parametrize("mechanism,dims", SPLIT_AUDITS)
+def test_split_audits_match_the_black_box_oracle(mechanism, dims, curve):
+    """Each deviation's outcome comes from the shared draw and untouched
+    side; the oracle runs the whole mechanism per deviation. Every valuation
+    grid probes just above and below each other ask, so deviations cross
+    the other side's asks."""
+    flagged = 0
+    for seed in range(10):
+        rng = random.Random(f"{mechanism}-{curve}-{seed}")
+        qmin, qmax = (1, 1) if mechanism == "pepa" else (2, rng.randint(2, 8))
+        inst = generate(
+            "uniform-random",
+            {"n": rng.randint(2, 6), "seed": seed, "qmin": qmin, "qmax": qmax, "vmax": 0.9, "curve": curve},
+        )
+        for audit_seed in (0, 7):
+            report = audit_truthfulness(inst, mechanism, dims=dims, seed=audit_seed)
+            _same_report(report, black_box_audit(inst, mechanism, dims=dims, seed=audit_seed))
+            flagged += not report.clean
+    if curve == "linear":
+        assert flagged == 0
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        make_instance([0.3, 0.3, 0.3, 0.3], curve=linear_curve(1.0)),  # equal asks, ties on profit
+        make_instance([0.0, 0.4, 0.4, 0.7, 0.2], curve=capped_curve(1.0, 2)),  # a zero ask
+        make_instance([0.0, 0.25, 0.25, 0.6], capacities=[2, 1, 3, 2], curve=capped_curve(1.0, 4)),
+        make_instance([0.5, 0.5, 0.5], capacities=[2, 2, 2], curve=linear_curve(1.0)),
+    ],
+)
+def test_split_audits_match_the_oracle_on_ties_and_zero_asks(inst):
+    for mechanism, dims in SPLIT_AUDITS:
+        if mechanism == "pepa" and not inst.is_unit_capacity:
+            continue
+        if "capacity" in dims and inst.is_unit_capacity:
+            continue
+        for seed in range(8):
+            ours = audit_truthfulness(inst, mechanism, dims=dims, seed=seed)
+            _same_report(ours, black_box_audit(inst, mechanism, dims=dims, seed=seed))
+
+
+def test_monotonicity_sweep_matches_the_black_box_oracle():
+    cases = [
+        (generate("uniform-random", {"n": 5, "seed": 4, "vmax": 0.9, "curve": "capped"}), "pepa", None),
+        (generate("uniform-random", {"n": 4, "seed": 2, "qmax": 4, "curve": "pwl"}), "pepac", None),
+        (make_instance([0.0, 0.3, 0.3], capacities=[2, 1, 2], curve=capped_curve(1.0, 3)), "pepac", None),
+        (generate("kth-price-demo"), "kth-price", 200),
+        (make_instance([1.0, 2.0, 3.0], curve=linear_curve(10.0)), "bid-independent:posted=4.0", None),
+    ]
+    for inst, mechanism, cap in cases:
+        for seed in (0, 3):
+            ours = audit_allocation_monotonicity(inst, mechanism, grid=20, seed=seed, demand_cap=cap)
+            _same_report(ours, black_box_monotonicity(inst, mechanism, grid=20, seed=seed, demand_cap=cap))
+
+
+def test_split_audits_validate_every_deviation_and_draw_the_coins_once(monkeypatch):
+    """Every deviation still builds and validates its instance and checks
+    its outcome, but the coins are drawn once for the truthful run and once
+    for all deviations, and a deviation scans only the deviator's side."""
+    cases = [
+        (generate("uniform-random", {"n": 6, "seed": 3, "vmax": 0.9, "curve": "capped"}), "pepa", ("valuation",)),
+        (
+            generate("uniform-random", {"n": 5, "seed": 8, "qmin": 3, "qmax": 9, "curve": "pwl"}),
+            "pepac",
+            ("valuation", "capacity"),
+        ),
+    ]
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("make_outcome", "partition_mask", "scan_single_price"):
+        monkeypatch.setattr(mechanisms, name, counted(name, getattr(mechanisms, name)))
+    monkeypatch.setattr(Instance, "__post_init__", counted("Instance", Instance.__post_init__))
+    for inst, mechanism, dims in cases:
+        counts.clear()
+        report = audit_truthfulness(inst, mechanism, dims=dims, seed=3)
+        deviations = report.deviations_tested
+        assert deviations >= 20
+        assert counts["make_outcome"] == deviations + 1, counts
+        assert counts["Instance"] == deviations, counts
+        assert counts["partition_mask"] <= 2, counts
+        assert counts["scan_single_price"] <= deviations + 4, counts
+        counts.clear()
+        report = audit_allocation_monotonicity(inst, mechanism, grid=10, seed=3)
+        assert counts["make_outcome"] == counts["Instance"] == report.deviations_tested, counts
+        assert counts["partition_mask"] == 1, counts
 
 
 def test_capacity_audit_requires_capacitated_instance():
