@@ -345,12 +345,12 @@ def _expected_min_side_optimum(instance: Instance) -> float:
     """E[min(f', f'')] over the 2^n fair coin splits, exactly.
 
     Two exact methods give the same float: :func:`_min_side_by_enumeration`
-    walks all 2^n draws, :func:`_min_side_by_counting` counts draws per
-    threshold. The one with the smaller estimated cost runs: n * 2^n
-    enumeration steps against, for each of the up to ``states``
-    thresholds, a DP of n steps on (n + 1) * m-bit ints, m the total
-    supply. Few sellers with large capacities enumerate; many sellers
-    count.
+    walks one draw of each complementary pair, :func:`_min_side_by_counting`
+    counts draws per threshold. The one with the smaller estimated cost
+    runs: n * 2^(n-1) enumeration steps against, for each of the up to
+    ``states`` thresholds, a DP of at most n steps on (n + 1) * m-bit ints,
+    m the total supply. Few sellers with large capacities enumerate; many
+    sellers count.
 
     The split auction earns min(f', f'') on every draw up to the extraction
     tolerance: when f' and f'' lie within the ``EPS`` band the engine may
@@ -362,13 +362,20 @@ def _expected_min_side_optimum(instance: Instance) -> float:
     befores = list(accumulate((b.capacity for b in instance.sorted_bids), initial=0))[:-1]
     states = sum(befores) + n  # (j, c) pairs of g, at least the number of thresholds
     count_cost = states * n * (1 + (n + 1) * m // _DRAW_COST_IN_DP_BITS)
-    if n << n <= count_cost:
+    if n << (n - 1) <= count_cost:
         return _min_side_by_enumeration(instance)
     return _min_side_by_counting(instance)
 
 
 def _min_side_by_enumeration(instance: Instance) -> float:
-    """``fsum`` of min(f', f'') over all 2^n draws, divided by 2^n.
+    """``fsum`` of min(f', f'') over all 2^n draws, divided by 2^n, walking
+    only half of them.
+
+    A draw's complement swaps its sides, so the walk returns (f'', f') for
+    it and the two draws share one minimum. The 2^(n-1) masks with bit
+    n - 1 clear hold one draw of each pair, so the sum over all 2^n draws is
+    twice theirs. Doubling and halving are exact, so ``fsum`` of the half
+    divided by 2^(n-1) is the float of the whole.
 
     Each draw's (f', f'') comes from :func:`mechanisms.side_optima_by_mask`,
     the walk the Monte Carlo engine runs, which computes each threshold
@@ -379,11 +386,13 @@ def _min_side_by_enumeration(instance: Instance) -> float:
     sellers from the state its memo keeps for their coins, at most
     2^_HEAD entries, so memory stays O(1) in the number of draws. The walk's
     bit i is the bidder with the i-th smallest id, not the i-th cheapest,
-    but over all 2^n masks either order yields the same multiset of minima,
-    and ``fsum`` is correctly rounded, so the sum does not depend on it.
+    but either order yields the same multiset of minima over all 2^n masks,
+    hence over the half, and ``fsum`` is correctly rounded, so the sum does
+    not depend on it.
     """
     side_optima = side_optima_by_mask(instance)
-    return math.fsum(min(side_optima(mask)) for mask in range(1 << instance.n)) / (1 << instance.n)
+    half = 1 << (instance.n - 1)
+    return math.fsum(min(side_optima(mask)) for mask in range(half)) / half
 
 
 def _min_side_by_counting(instance: Instance) -> float:
@@ -407,46 +416,63 @@ def _min_side_by_counting(instance: Instance) -> float:
     one shift by q * width bits, and a seller's step is a few shifts, masks
     and adds instead of a loop over c. The masks ``on_a[j]`` and ``on_b[j]``
     select the states in which seller j may join b' (g[j][c] < t) or b''
-    (g[j][before_j - c] < t) and stay below t; they grow as the sweep
-    passes each g-value. No count exceeds 2^n < 2^width, so fields never
-    carry into each other and the total of a row is the int modulo
-    2^width - 1.
+    (g[j][before_j - c] < t) and stay below t; they start with the
+    non-positive g-values and grow as the sweep passes each positive one.
+    No count exceeds 2^n < 2^width, so fields never carry into each other
+    and the total of a row is the int modulo 2^width - 1.
+
+    Passing a threshold changes only the masks of the sellers in its group,
+    so the DP keeps the ``fail`` and ``fail_both`` rows before each seller
+    and re-runs only from the cheapest seller whose masks changed, the first
+    of the group in the sorted sweep. The rows are 2(n + 1) ints of at most
+    (n + 1) * (m + 1) bits, m the total supply: about as much memory as the
+    2n masks already hold. The counts are the ints the whole DP computes.
     """
     g = _side_thresholds(instance)
     n = instance.n
     width = n + 1
     field = (1 << width) - 1
-    on_a = [0] * n
-    on_b = [0] * n
-
-    def allow(j: int, c: int) -> None:
-        # seller j may now stay below t on a side holding c cheaper units
-        on_a[j] |= field << (c * width)
-        on_b[j] |= field << ((len(g[j]) - 1 - c) * width)
-
+    on_a = []
+    on_b = []
     sweep = []
     for j, gj in enumerate(g):
+        a = b = 0
+        top = len(gj) - 1
         for c, value in enumerate(gj):
             if value > 0:
                 sweep.append((value, j, c))
-            else:
-                allow(j, c)
+            else:  # seller j stays below every threshold on a side holding c cheaper units
+                a |= field << (c * width)
+                b |= field << ((top - c) * width)
+        on_a.append(a)
+        on_b.append(b)
     sweep.sort()
     shifts = [b.capacity * width for b in instance.sorted_bids]
+    fail_rows = [1] * (n + 1)  # fail_rows[j]: the fail row before seller j
+    both_rows = [1] * (n + 1)
     levels = []  # (t, draws on which both sides reach t), t ascending
-    k = 0
+    start = k = 0
     while k < len(sweep):
         t = sweep[k][0]
-        fail = fail_both = 1
-        for a, b, s in zip(on_a, on_b, shifts):
+        fail = fail_rows[start]
+        fail_both = both_rows[start]
+        for j in range(start, n):
+            a = on_a[j]
+            s = shifts[j]
             fail += (fail & a) << s
-            fail_both = (fail_both & b) + ((fail_both & a) << s)
+            fail_both = (fail_both & on_b[j]) + ((fail_both & a) << s)
+            fail_rows[j + 1] = fail
+            both_rows[j + 1] = fail_both
         reached = (1 << n) - 2 * (fail % field) + fail_both % field
         if not reached:
             break
         levels.append((t, reached))
+        start = sweep[k][1]
         while k < len(sweep) and sweep[k][0] == t:
-            allow(*sweep[k][1:])
+            _, j, c = sweep[k]
+            # seller j may now stay below t on a side holding c cheaper units
+            on_a[j] |= field << (c * width)
+            on_b[j] |= field << ((len(g[j]) - 1 - c) * width)
             k += 1
     ts, scale = _on_one_scale([t for t, _ in levels])
     total = sum(t * (reached - above) for t, (_, reached), (_, above) in zip(ts, levels, levels[1:] + [(None, 0)]))

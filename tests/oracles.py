@@ -14,7 +14,15 @@ from math import comb, fsum, inf
 from procure.extraction import ExtractionResult
 from procure.mechanisms import resolve_mechanism
 from procure.model import EPS, Bid, CurveValidation, Instance
-from procure.simulation import GAIN_TOL, AuditReport, AuditViolation, _capacity_grid, _valuation_grid
+from procure.simulation import (
+    GAIN_TOL,
+    AuditReport,
+    AuditViolation,
+    _capacity_grid,
+    _on_one_scale,
+    _side_thresholds,
+    _valuation_grid,
+)
 
 
 def revenue_table(curve, m):
@@ -305,6 +313,78 @@ def enumerated_expected_profit(instance):
     engine = per_unit_profit_engine(instance)
     n = instance.n
     return fsum(engine(mask) for mask in range(1 << n)) / (1 << n)
+
+
+def per_threshold_counting(instance):
+    """E[min(f', f'')] by counting, for each threshold t, the draws on which
+    both sides reach t.
+
+    It runs the whole DP, from the cheapest seller on, for every threshold.
+    :func:`procure.simulation._min_side_by_counting` re-runs it only from the
+    cheapest seller whose masks changed, and must return the same float,
+    bit for bit.
+
+    Side b' reaches t > 0 iff some member j has g[j][c_j] >= t, with g from
+    :func:`_side_thresholds`. So the number of draws on which both sides
+    reach t is 2^n - 2 * fail(t) + fail_both(t): fail(t) counts the draws on
+    which b' stays below t (b'' alike, by symmetry), fail_both(t) those on
+    which both do. Each count is a DP over the sellers in ascending order
+    whose state c is the number of units on b' so far. Only the positive
+    g-values can be thresholds. They are swept in ascending order until no
+    draw reaches one, and t times the number of draws whose minimum is t is
+    summed exactly, as ints on one power-of-two scale (:func:`_on_one_scale`),
+    and rounded once by an int division: the same float as ``fsum`` over
+    all 2^n draws divided by 2^n.
+
+    A DP row holds one count per state c. It is packed into one int,
+    ``width`` bits per state, so moving every count of a row by q states is
+    one shift by q * width bits, and a seller's step is a few shifts, masks
+    and adds instead of a loop over c. The masks ``on_a[j]`` and ``on_b[j]``
+    select the states in which seller j may join b' (g[j][c] < t) or b''
+    (g[j][before_j - c] < t) and stay below t; they grow as the sweep
+    passes each g-value. No count exceeds 2^n < 2^width, so fields never
+    carry into each other and the total of a row is the int modulo
+    2^width - 1.
+    """
+    g = _side_thresholds(instance)
+    n = instance.n
+    width = n + 1
+    field = (1 << width) - 1
+    on_a = [0] * n
+    on_b = [0] * n
+
+    def allow(j: int, c: int) -> None:
+        # seller j may now stay below t on a side holding c cheaper units
+        on_a[j] |= field << (c * width)
+        on_b[j] |= field << ((len(g[j]) - 1 - c) * width)
+
+    sweep = []
+    for j, gj in enumerate(g):
+        for c, value in enumerate(gj):
+            if value > 0:
+                sweep.append((value, j, c))
+            else:
+                allow(j, c)
+    sweep.sort()
+    shifts = [b.capacity * width for b in instance.sorted_bids]
+    levels = []  # (t, draws on which both sides reach t), t ascending
+    k = 0
+    while k < len(sweep):
+        t = sweep[k][0]
+        fail = fail_both = 1
+        for a, b, s in zip(on_a, on_b, shifts):
+            fail += (fail & a) << s
+            fail_both = (fail_both & b) + ((fail_both & a) << s)
+        reached = (1 << n) - 2 * (fail % field) + fail_both % field
+        if not reached:
+            break
+        levels.append((t, reached))
+        while k < len(sweep) and sweep[k][0] == t:
+            allow(*sweep[k][1:])
+            k += 1
+    ts, scale = _on_one_scale([t for t, _ in levels])
+    total = sum(t * (reached - above) for t, (_, reached), (_, above) in zip(ts, levels, levels[1:] + [(None, 0)]))
+    return total / (scale << n)
 
 
 def unit_qualifies(v, price):

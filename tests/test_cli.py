@@ -567,6 +567,63 @@ def test_ratio_exact_large_instance(capsys):
     assert payload["ratio_estimate"] >= 0.25
 
 
+# exact reports generated before threshold counting kept its DP prefix rows
+# and enumeration walked half the draws: a unit-capacity n=16 pwl instance,
+# which counts thresholds, and a capacitated one with six sellers, which
+# enumerates draws
+GOLDEN_EXACT_COUNTING = """{
+  "trials": 0,
+  "mean_profit": 1.2411396984107308,
+  "std_error": 0.0,
+  "benchmark": 2.806560262343986,
+  "ratio_estimate": 0.44222805940185106,
+  "ratio_lower_bound_3sigma": 0.44222805940185106,
+  "instance_digest": "",
+  "method": "exhaustive",
+  "seed": null,
+  "mechanism": "pepa",
+  "benchmark_name": "f2"
+}
+"""
+GOLDEN_EXACT_ENUMERATION = """{
+  "trials": 0,
+  "mean_profit": 52.39405577400341,
+  "std_error": 0.0,
+  "benchmark": 90.89473946807365,
+  "ratio_estimate": 0.5764256114338342,
+  "ratio_lower_bound_3sigma": 0.5764256114338342,
+  "instance_digest": "",
+  "method": "exhaustive",
+  "seed": null,
+  "mechanism": "pepac",
+  "benchmark_name": "f2"
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "spec, mechanism, refused, expected",
+    [
+        ("uniform-random:n=16,seed=5,vmax=0.9,curve=pwl", "pepa", "_min_side_by_enumeration", GOLDEN_EXACT_COUNTING),
+        (
+            "uniform-random:n=6,seed=4,qmin=100,qmax=400,curve=pwl",
+            "pepac",
+            "_min_side_by_counting",
+            GOLDEN_EXACT_ENUMERATION,
+        ),
+    ],
+)
+def test_ratio_exact_golden_output(capsys, monkeypatch, spec, mechanism, refused, expected):
+    def refuse(instance):
+        raise AssertionError("wrong method chosen")
+
+    monkeypatch.setattr(simulation, refused, refuse)
+    code, out, err = run_cli(
+        capsys, "ratio", "--generate", spec, "--mechanism", mechanism, "--benchmark", "f2", "--exact"
+    )
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_ratio_csv_format(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -27,7 +27,13 @@ from procure.simulation import (
     trial_seed,
 )
 
-from oracles import black_box_audit, black_box_monotonicity, enumerated_expected_profit, pepa_expectation_oracle
+from oracles import (
+    black_box_audit,
+    black_box_monotonicity,
+    enumerated_expected_profit,
+    pepa_expectation_oracle,
+    per_threshold_counting,
+)
 
 TIGHT = generate("tightness", {"l": 10, "eps": 1, "n": 4})
 
@@ -209,10 +215,24 @@ def test_enumeration_and_counting_agree_bit_for_bit():
             )
         )
     instances += _acceptance_instances(range(40))
+    # unit capacities shaped like the exact-unit benchmark: equal-margin
+    # sellers and repeated asks, so one threshold's group spans several
+    # sellers, plus sentinels priced out of the curve, whose g rows are all
+    # non-positive
+    rng = random.Random("unit-groups")
+    for asks, curve in (
+        ([3.0] * 10 + [500.0] * 2, linear_curve(5.0)),
+        ([0.2, 0.2, 0.2, 0.4, 0.4, 0.5, 0.5, 0.5, 0.5, 0.6, 0.6, 9.0, 9.0], capped_curve(0.9, 6)),
+        ([1.0, 1.0, 1.5, 1.5, 1.5, 2.0, 2.0, 2.0, 2.0, 2.5, 3.0, 3.0, 60.0, 60.0], pwl_curve([(4, 12.0), (9, 22.0)])),
+        ([4.2] * 13 + [700.0] * 3, linear_curve(7.0)),
+    ):
+        rng.shuffle(asks)
+        instances.append(make_instance(asks, curve=curve))
     for seed, inst in enumerate(instances):
         enumerated = enumerated_expected_profit(inst)
         assert simulation._min_side_by_enumeration(inst).hex() == enumerated.hex(), seed
         assert simulation._min_side_by_counting(inst).hex() == enumerated.hex(), seed
+        assert per_threshold_counting(inst).hex() == enumerated.hex(), seed
 
 
 def test_exact_method_follows_the_shape_of_the_instance(monkeypatch):
@@ -221,11 +241,16 @@ def test_exact_method_follows_the_shape_of_the_instance(monkeypatch):
 
     few_large = make_instance([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], capacities=[1500] * 6, curve=linear_curve(8.0))
     many_small = generate("uniform-random", {"n": 40, "seed": 1, "vmax": 0.9})
+    # unit capacities at n = 12, the smallest size the exact-unit benchmark times
+    unit_twelve = make_instance([3.0] * 10 + [500.0] * 2, curve=linear_curve(5.0))
+    unit_twelve_pwl = make_instance([0.5 * i for i in range(1, 13)], curve=pwl_curve([(4, 12.0), (9, 22.0)]))
     monkeypatch.setattr(simulation, "_min_side_by_counting", refuse)
     assert exhaustive_expected_profit(few_large, "pepac") > 0
     monkeypatch.undo()
     monkeypatch.setattr(simulation, "_min_side_by_enumeration", refuse)
     assert exhaustive_expected_profit(many_small, "pepa") > 0
+    assert exhaustive_expected_profit(unit_twelve, "pepa") > 0
+    assert exhaustive_expected_profit(unit_twelve_pwl, "pepa") > 0
 
 
 def test_exhaustive_near_tie_is_the_min_side_optimum():
