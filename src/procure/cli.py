@@ -199,13 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, mechanism=False, trials=False, dims=False):
         p.add_argument("--instance", help="path to an instance JSON file")
         p.add_argument("--generate", help="inline generator spec, e.g. tightness:l=10,eps=1,n=4")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default: PROCURE_SEED, else auto)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="write the report to this path instead of stdout")
         if mechanism:
+            p.add_argument("--seed", type=int, default=None, help="RNG seed (default: PROCURE_SEED, else auto)")
             p.add_argument("--mechanism", required=True, help="pepa | pepac | kth-price | bid-independent:<f>")
             p.add_argument("--demand-cap", type=int, default=None, dest="demand_cap")
         if trials:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
             p.add_argument("--trials", type=int, default=10000)
             p.add_argument("--benchmark", choices=("f", "t", "f2"), default="f2")
             p.add_argument("--exact", action="store_true", help="exact expectation over all coin splits")
@@ -218,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("benchmark", help="print the omniscient benchmarks")
     add_common(p_bench)
+    p_bench.add_argument("--format", choices=("json", "csv"), default="json")
     p_bench.set_defaults(func=cmd_benchmark)
 
     p_ratio = sub.add_parser("ratio", help="estimate expected profit / benchmark")

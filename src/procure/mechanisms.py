@@ -57,31 +57,20 @@ def _seed_state(seed: int) -> int:
     return state
 
 
-def partition_mask(n: int, seed: int) -> int:
-    """The n fair coin bits for a run seed, as a bitmask.
-
-    The seed's SplitMix64 stream (:func:`_seed_state`) is stepped by the
-    golden-ratio increment and mixed once per 64 coins; bit i is the coin
-    for the bidder with the i-th smallest id. Cheap to reseed, so per-trial
-    streams stay independent and individually replayable.
-    """
-    state = _seed_state(seed)
-    out = 0
-    for shift in range(0, n, 64):
-        state = (state + _GAMMA) & _M64
-        out |= _mix64(state) << shift
-    return out & ((1 << n) - 1)
-
-
 def partition_masks(n: int, seeds: Iterable[int]) -> Iterator[int]:
-    """:func:`partition_mask` for each run seed in ``seeds``, in order.
+    """The n fair coin bits of each run seed in ``seeds``, as bitmasks, in
+    order: the one coin stream of the random-split auctions.
 
-    This is the Monte Carlo loop's coin stream. It takes up to ``_LANES``
-    seeds at a time and packs their states into one int, one per 128-bit
-    lane, so that each 64 coins of all of them cost one stepping add and
-    one :func:`_mix64` on that int. The masks are read back through
-    ``to_bytes`` and an ``array("Q")``. A negative seed raises
-    ``ValueError`` when its batch of seeds is due.
+    Each seed's SplitMix64 stream (:func:`_seed_state`) is stepped by the
+    golden-ratio increment and mixed once per 64 coins; bit i is the coin
+    for bidder i, the bid at position i. Cheap to reseed, so per-trial
+    streams stay independent and individually replayable.
+
+    It takes up to ``_LANES`` seeds at a time and packs their states into
+    one int, one per 128-bit lane, so that each 64 coins of all of them
+    cost one stepping add and one :func:`_mix64` on that int. The masks
+    are read back through ``to_bytes`` and an ``array("Q")``. A negative
+    seed raises ``ValueError`` when its batch of seeds is due.
     """
     keep = (1 << n) - 1
     shifts = range(0, max(n, 1), 64)
@@ -118,8 +107,8 @@ class PartitionDraw:
     """One fair-coin flip per bidder; True puts the bidder on side b'.
 
     ``flips`` is aligned to the instance's bid order. Draws are reproducible:
-    the coin for the bidder with the i-th smallest id is bit i of
-    :func:`partition_mask`.
+    ``flips[i]``, the coin of bidder i, is bit i of the seed's mask from
+    :func:`partition_masks`.
     """
 
     flips: tuple[bool, ...]
@@ -150,28 +139,20 @@ class MechanismRun:
         }
 
 
-def _coin_bit_of(instance: Instance) -> dict[int, int]:
-    """Seller id -> the index of its coin in a draw's mask: bit i is the
-    coin for the bidder with the i-th smallest id."""
-    return {sid: i for i, sid in enumerate(sorted(b.id for b in instance.bids))}
-
-
 def _draw_of_mask(instance: Instance, mask: int, seed: int | None = None) -> PartitionDraw:
     """The draw whose coins are the bits of ``mask``, aligned to the bid order."""
-    bit_of = _coin_bit_of(instance)
-    return PartitionDraw(flips=tuple(bool(mask >> bit_of[b.id] & 1) for b in instance.bids), seed=seed)
+    return PartitionDraw(flips=tuple(bool(mask >> i & 1) for i in range(instance.n)), seed=seed)
 
 
 def draw_partition(instance: Instance, seed: int) -> PartitionDraw:
-    return _draw_of_mask(instance, partition_mask(instance.n, seed), seed)
+    return _draw_of_mask(instance, next(partition_masks(instance.n, (seed,))), seed)
 
 
 def _split(instance: Instance, flips) -> tuple[list[Bid], list[Bid]]:
     """The sides (b', b'') of a draw's ``flips``, each in (valuation, id) order."""
     sides = ([], [])
-    pos_of = instance.position_of
     for bid in instance.sorted_bids:
-        sides[0 if flips[pos_of(bid.id)] else 1].append(bid)
+        sides[0 if flips[bid.id] else 1].append(bid)
     return sides
 
 
@@ -180,22 +161,19 @@ def _side_optimum(side, pieces) -> float:
     return scan_single_price([(b.valuation, b.capacity) for b in side], pieces)[0]
 
 
-def _settle(instance: Instance, sides, optima, memos=(None, None)) -> tuple[AuctionOutcome, str]:
+def _settle(instance: Instance, sides, optima, memos) -> tuple[AuctionOutcome, str]:
     """The split auction's tail, on sides (b', b'') in (valuation, id)
     order with optima (f', f''): extract f'' from b' and f' from b'', keep
     the sub-auction with the higher buyer profit, b' on a tie, and build
     its outcome. Returns the outcome and the chosen side's name.
 
-    A side whose entry in ``memos`` is a dict reads its extraction from it,
-    keyed by the target's ``float.hex``, so +0.0 and -0.0 never share an
-    entry; that side's bids must be the same on every call with that dict.
+    Each side reads its extraction from its dict in ``memos``, keyed by the
+    target's ``float.hex``, so +0.0 and -0.0 never share an entry; a side's
+    bids must be the same on every call with its dict.
     """
     pieces = instance.curve.pieces
     results = []
     for side, target, memo in zip(sides, reversed(optima), memos):
-        if memo is None:
-            results.append(run_extraction(side, pieces, target))
-            continue
         key = target.hex()
         if key not in memo:
             memo[key] = run_extraction(side, pieces, target)
@@ -213,7 +191,7 @@ def _run_partitioned(instance: Instance, partition: PartitionDraw) -> MechanismR
     pieces = instance.curve.pieces
     sides = _split(instance, partition.flips)
     f_prime, f_double = optima = tuple(_side_optimum(side, pieces) for side in sides)
-    outcome, side_name = _settle(instance, sides, optima)
+    outcome, side_name = _settle(instance, sides, optima, ({}, {}))
     return MechanismRun(
         outcome=outcome,
         partition=partition,
@@ -286,7 +264,7 @@ def deviation_outcomes(instance: Instance, seed: int) -> Callable[[int, float, i
         side = [b for b in sides[s] if b.id != bid.id]
         insort(side, bid, key=order)
         dev_sides, dev_optima, dev_memos = list(sides), list(optima), list(memos)
-        dev_sides[s], dev_optima[s], dev_memos[s] = side, _side_optimum(side, pieces), None
+        dev_sides[s], dev_optima[s], dev_memos[s] = side, _side_optimum(side, pieces), {}
         return _settle(deviating, dev_sides, dev_optima, dev_memos)[0]
 
     return outcome
@@ -301,11 +279,11 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
     """The per-draw walk of the random-split auctions: a closure mapping a
     coin mask to the two sides' single-price optima (f', f'').
 
-    Bit i of the mask set (for the bidder with the i-th smallest id) puts
-    that bidder on side b', as in :func:`_draw_of_mask`. Both
-    :func:`partition_profit_engine` and exact enumeration
-    (``simulation._min_side_by_enumeration``) take their side optima from
-    it, and on every draw they are the floats :func:`run_pepac` computes.
+    Bit i of the mask set puts bidder i, the bid at position i, on side b',
+    as in :func:`_draw_of_mask`. Both :func:`partition_profit_engine` and
+    exact enumeration (``simulation._min_side_by_enumeration``) take their
+    side optima from it, and on every draw they are the floats
+    :func:`run_pepac` computes.
     Threshold counting (``simulation._side_thresholds``) tabulates the same
     g(j, c) below with the same kernel call, for every c at once.
 
@@ -344,11 +322,10 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
     """
     pieces = instance.curve.pieces
     m = instance.total_supply
-    bit_of = _coin_bit_of(instance)
     sellers = []
     ceiling = -math.inf
     for b in reversed(instance.sorted_bids):
-        sellers.append((1 << bit_of[b.id], b.capacity, b.valuation, {}, ceiling))
+        sellers.append((1 << b.id, b.capacity, b.valuation, {}, ceiling))
         ceiling = max(ceiling, block_optimum(pieces, b.valuation, m, 0)[0])
     sellers.reverse()
     head, tail = sellers[:_HEAD], sellers[_HEAD:]
@@ -469,16 +446,16 @@ def run_bid_independent(instance: Instance, f: ThresholdFunction) -> AuctionOutc
         masked = instance.bids[:i] + instance.bids[i + 1:]
         thresholds.append(float(f(masked, instance.curve)))
     survivors = [
-        (thresholds[pos], instance.bids[pos].id, pos, instance.bids[pos].capacity)
+        (thresholds[pos], pos, instance.bids[pos].capacity)
         for pos in range(instance.n)
         if leq(instance.bids[pos].valuation, thresholds[pos])
     ]
     survivors.sort(key=lambda s: (s[0], s[1]))
-    _, best_units, _ = scan_pay_as_bid([(t, q) for t, _, _, q in survivors], instance.curve.pieces)
+    _, best_units, _ = scan_pay_as_bid([(t, q) for t, _, q in survivors], instance.curve.pieces)
     alloc = [0] * instance.n
     pays = [0.0] * instance.n
     remaining = best_units
-    for t, _, pos, q in survivors:
+    for t, pos, q in survivors:
         if remaining == 0:
             break
         take = min(q, remaining)
@@ -525,12 +502,11 @@ def run_kth_price(instance: Instance, demand_cap: int) -> AuctionOutcome:
     first_loser_price = None
     winner_positions = []
     for b in instance.sorted_bids:
-        pos = instance.position_of(b.id)
         take = min(b.capacity, remaining)
         remaining -= take
         if take > 0:
-            alloc[pos] = take
-            winner_positions.append(pos)
+            alloc[b.id] = take
+            winner_positions.append(b.id)
         if take == 0 and first_loser_price is None:
             first_loser_price = b.valuation
     if winner_positions:

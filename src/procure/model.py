@@ -205,10 +205,12 @@ class Bid:
 class Instance:
     """A complete auction input: the bid vector plus the buyer's revenue curve.
 
-    Construction certifies the model assumptions: at least one bid, unique
-    seller ids, and a revenue curve that is concave with R(0) = 0 over the
-    instance's total supply m, which :func:`validate_curve` checks on the
-    curve's pieces in O(k), whatever m. Instances are immutable; sorted
+    Construction certifies the model assumptions: at least one bid, seller
+    ids 0..n-1 in bid order, so that a seller's id is its position and the
+    index of its coin in a draw, and a revenue curve that is concave with
+    R(0) = 0 over the instance's total supply m, which
+    :func:`validate_curve` checks on the curve's pieces in O(k), whatever
+    m. Instances are immutable; sorted
     views are derived on demand and cached. The scans and extraction read
     the curve through its affine pieces (:attr:`RevenueCurve.pieces`),
     which the curve caches.
@@ -220,9 +222,9 @@ class Instance:
     def __post_init__(self):
         if not self.bids:
             raise ValueError("instance needs at least one bid")
-        ids = [b.id for b in self.bids]
-        if len(set(ids)) != len(ids):
-            raise ValueError("seller ids must be unique")
+        for i, b in enumerate(self.bids):
+            if b.id != i:
+                raise ValueError("seller ids must be 0..n-1 in bid order")
         check = validate_curve(self.curve, self.total_supply)
         if not check.ok:
             raise ValueError(f"revenue curve rejected: {check.message}")
@@ -241,15 +243,9 @@ class Instance:
 
     @cached_property
     def sorted_bids(self) -> tuple[Bid, ...]:
-        """Bids by ascending valuation, ties by ascending id."""
+        """Bids by ascending valuation, ties by ascending id, which is the
+        bid's position in :attr:`bids`."""
         return tuple(sorted(self.bids, key=lambda b: (b.valuation, b.id)))
-
-    def position_of(self, seller_id: int) -> int:
-        return self._pos_by_id[seller_id]
-
-    @cached_property
-    def _pos_by_id(self) -> dict[int, int]:
-        return {b.id: pos for pos, b in enumerate(self.bids)}
 
     def with_bid(self, position: int, valuation: float, capacity: int) -> Instance:
         """This instance with the bid at ``position`` replaced by one of the

@@ -385,7 +385,7 @@ def _min_side_by_enumeration(instance: Instance) -> float:
     raise either side, and starts after the ``mechanisms._HEAD`` cheapest
     sellers from the state its memo keeps for their coins, at most
     2^_HEAD entries, so memory stays O(1) in the number of draws. The walk's
-    bit i is the bidder with the i-th smallest id, not the i-th cheapest,
+    bit i is bidder i, the bid at position i, not the i-th cheapest,
     but either order yields the same multiset of minima over all 2^n masks,
     hence over the half, and ``fsum`` is correctly rounded, so the sum does
     not depend on it.

@@ -266,7 +266,7 @@ def per_unit_profit_engine(instance):
     by_id_rank = sorted(range(instance.n), key=lambda pos: instance.bids[pos].id)
     rank_of_pos = {pos: rank for rank, pos in enumerate(by_id_rank)}
     sorted_items = [
-        (b.valuation, b.capacity, rank_of_pos[instance.position_of(b.id)])
+        (b.valuation, b.capacity, rank_of_pos[b.id])
         for b in instance.sorted_bids
     ]
 
@@ -432,8 +432,7 @@ def per_seed_partition_mask(n, seed):
     golden-ratio increment and mixed once per 64 coins, each step on plain
     64-bit ints. It shares no code with
     :func:`procure.mechanisms.partition_masks`, which packs many seeds into
-    the lanes of one int, or with :func:`procure.mechanisms.partition_mask`;
-    both must give the same masks.
+    the lanes of one int and must give the same masks.
     """
     m64 = (1 << 64) - 1
 

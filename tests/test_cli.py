@@ -10,7 +10,7 @@ import pytest
 import procure
 from procure import simulation
 from procure.cli import main
-from procure.mechanisms import partition_mask, partition_profit_engine
+from procure.mechanisms import partition_masks, partition_profit_engine
 from procure.model import dumps_instance, loads_instance
 
 
@@ -923,7 +923,7 @@ def test_pepac_runs_when_money_is_large(capsys, tmp_path):
     for seed in range(1, 6):
         code, out, err = run_cli(capsys, "run", "--instance", str(path), "--mechanism", "pepac", "--seed", str(seed))
         assert code == 0, err
-        assert json.loads(out)["run"]["outcome"]["profit"] == engine(partition_mask(inst.n, seed)), seed
+        assert json.loads(out)["run"]["outcome"]["profit"] == engine(next(partition_masks(inst.n, (seed,)))), seed
 
 
 def test_same_seed_byte_identical_output(capsys):
@@ -994,3 +994,24 @@ def test_requires_exactly_one_instance_source(capsys):
         capsys, "benchmark", "--instance", "x.json", "--generate", "kth-price-demo"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--generate", "tightness:l=10,eps=1,n=4", "--mechanism", "pepa", "--seed", "1", "--format", "csv"),
+        ("audit", "--generate", "tightness:l=10,eps=1,n=4", "--mechanism", "pepa", "--seed", "1", "--format", "csv"),
+        ("generate", "--generate", "kth-price-demo", "--format", "csv"),
+        ("validate", "--instance", "x.json", "--format", "json"),
+        ("benchmark", "--generate", "example1:r=10,eps=1,n=4", "--seed", "1"),
+        ("generate", "--generate", "kth-price-demo", "--seed", "1"),
+        ("validate", "--instance", "x.json", "--seed", "1"),
+    ],
+)
+def test_a_command_rejects_options_it_does_not_read(capsys, argv):
+    """``run --format csv`` would print JSON, and ``benchmark --seed`` would
+    be ignored: argparse refuses both with exit code 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -155,7 +155,7 @@ def test_winner_price_is_bid_independent():
             continue
         price = res.price_per_unit
         for sid, _ in res.winners:
-            pos = inst.position_of(sid)
+            pos = sid
             old = inst.bids[pos]
             raised = min(old.valuation + 0.5 * (price - old.valuation), price)
             if raised <= old.valuation:

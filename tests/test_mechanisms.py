@@ -10,7 +10,6 @@ from procure.mechanisms import (
     deviation_outcomes,
     draw_partition,
     make_threshold_posted,
-    partition_mask,
     partition_masks,
     partition_profit_engine,
     resolve_mechanism,
@@ -46,9 +45,22 @@ def test_partition_draw_is_reproducible():
     assert draw_partition(inst, 43) != a
 
 
+def test_coin_i_of_a_draw_belongs_to_seller_i():
+    """A draw's coin for bidder i, the bid at position i, is bit i of the
+    seed's mask, whatever the sellers' cheapest-first order."""
+    seeds = [2**64, 2**64 + 12_345, 3 * 2**64 + 1, *(trial_seed(2**33 + 7, t) for t in range(5))]
+    for n in (1, 7, 64, 65, 130):
+        inst = generate("uniform-random", {"n": n, "seed": n, "qmax": 3, "vmax": 0.9})
+        if n > 1:
+            assert inst.sorted_bids != inst.bids
+        for s in seeds:
+            mask = per_seed_partition_mask(n, s)
+            assert draw_partition(inst, s).flips == tuple(bool(mask >> i & 1) for i in range(n)), (n, s)
+
+
 def test_partition_mask_rejects_negative_seed():
     with pytest.raises(ValueError):
-        partition_mask(4, -1)
+        next(partition_masks(4, (-1,)))
     with pytest.raises(ValueError):
         list(partition_masks(4, [3, -1]))
 
@@ -58,7 +70,7 @@ def test_mask_stream_matches_one_mask_per_seed():
     counter = [trial_seed(2**33, t) for t in range(300)]
     for n in (1, 63, 64, 65, 130):
         for seeds in (wide, counter, [0, 1, 2**32]):
-            assert list(partition_masks(n, seeds)) == [partition_mask(n, s) for s in seeds], n
+            assert list(partition_masks(n, seeds)) == [per_seed_partition_mask(n, s) for s in seeds], n
     # the coin bits themselves: SplitMix64's first outputs (seed 0 gives the
     # reference generator's 0xe220a8397b1dcdaf) and a folded 200-bit seed
     assert list(partition_masks(64, [0, 1, 2**64])) == [0xE220A8397B1DCDAF, 0x910A2DEC89025CC1, 0xBFEF8030DDC2D772]
@@ -88,7 +100,6 @@ def test_coin_stream_matches_the_per_seed_oracle(n):
     for seeds in seed_lists:
         want = [per_seed_partition_mask(n, s) for s in seeds]
         assert list(partition_masks(n, seeds)) == want, (n, len(seeds))
-        assert [partition_mask(n, s) for s in seeds] == want, (n, len(seeds))
 
 
 def test_coin_stream_rejects_a_negative_seed_mid_batch():
@@ -96,7 +107,7 @@ def test_coin_stream_rejects_a_negative_seed_mid_batch():
     with pytest.raises(ValueError, match=message):
         list(partition_masks(70, [*range(1500), -3, 7]))
     with pytest.raises(ValueError, match=message):
-        partition_mask(6, -3)
+        next(partition_masks(6, (-3,)))
 
 
 def test_same_seed_same_run():
@@ -140,14 +151,15 @@ def test_tightness_per_draw_profit_is_zero_or_ten():
 
 def test_side_optima_fields_match_recomputation():
     from procure.benchmarks import optimal_single_price
-    from procure.model import Instance
 
     inst = generate("uniform-random", {"n": 6, "seed": 5, "vmax": 0.9})
     run = run_pepa(inst, seed=9)
     side_a = tuple(b for i, b in enumerate(inst.bids) if run.partition.flips[i])
     side_b = tuple(b for i, b in enumerate(inst.bids) if not run.partition.flips[i])
     for side, recorded in ((side_a, run.f_prime), (side_b, run.f_double_prime)):
-        expect = optimal_single_price(Instance(bids=side, curve=inst.curve)).profit if side else 0.0
+        expect = 0.0
+        if side:
+            expect = optimal_single_price(make_instance([b.valuation for b in side], curve=inst.curve)).profit
         assert abs(recorded - expect) <= 1e-12
 
 
@@ -280,7 +292,7 @@ def test_fast_path_matches_full_runs():
         side_optima = side_optima_by_mask(inst)
         for run_seed in range(40):
             full = run_pepac(inst, seed=run_seed)
-            mask = partition_mask(inst.n, run_seed)
+            mask = per_seed_partition_mask(inst.n, run_seed)
             assert engine(mask) == full.outcome.profit
             f_prime, f_double_prime = side_optima(mask)
             assert (f_prime.hex(), f_double_prime.hex()) == (full.f_prime.hex(), full.f_double_prime.hex())

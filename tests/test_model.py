@@ -80,6 +80,10 @@ def test_instance_validation():
         Instance(bids=(), curve=linear_curve(1.0))
     with pytest.raises(ValueError):
         Instance(bids=(Bid(1.0, 1, 0), Bid(2.0, 1, 0)), curve=linear_curve(1.0))  # dup ids
+    # unique ids that are not the bids' positions
+    for bids in ((Bid(1.0, 1, 1), Bid(2.0, 1, 0)), (Bid(1.0, 1, 0), Bid(2.0, 1, 2))):
+        with pytest.raises(ValueError, match=r"seller ids must be 0\.\.n-1 in bid order"):
+            Instance(bids=bids, curve=linear_curve(1.0))
     # non-concave curve rejected at instance level
     with pytest.raises(ValueError):
         make_instance([1.0, 2.0], curve=pwl_curve([(1, 5.0), (2, 12.0)]))

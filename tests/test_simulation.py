@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import procure.mechanisms as mechanisms
-from procure.mechanisms import partition_mask, partition_profit_engine, resolve_mechanism
+from procure.mechanisms import partition_profit_engine, resolve_mechanism
 from procure.model import Bid, Instance, RevenueCurve, capped_curve, linear_curve, make_instance, pwl_curve
 import procure.simulation as simulation
 from procure.simulation import (
@@ -32,6 +32,7 @@ from oracles import (
     black_box_monotonicity,
     enumerated_expected_profit,
     pepa_expectation_oracle,
+    per_seed_partition_mask,
     per_threshold_counting,
 )
 
@@ -66,7 +67,7 @@ def test_estimate_ratio_standard_error_is_the_stdev_of_the_trials():
     for seed, trials in ((0, 2), (3, 300), (2**33, 50)):
         report = estimate_ratio(inst, "pepac", "f", trials=trials, seed=seed)
         engine = partition_profit_engine(inst)
-        profits = [engine(partition_mask(inst.n, trial_seed(seed, t))) for t in range(trials)]
+        profits = [engine(per_seed_partition_mask(inst.n, trial_seed(seed, t))) for t in range(trials)]
         assert report.mean_profit == math.fsum(profits) / trials
         assert report.std_error == sample_stdev(Counter(profits)) / math.sqrt(trials)
 
@@ -357,7 +358,7 @@ def test_audit_violations_replay():
     mech = resolve_mechanism("kth-price", demand_cap=200)
     truth = mech.run(demo, 0)
     for v in report.violations:
-        pos = demo.position_of(v.bidder)
+        pos = v.bidder
         true_bid = demo.bids[pos]
         base = (truth.outcome.payment_per_unit[pos] - true_bid.valuation) * truth.outcome.allocation[pos]
         bids = list(demo.bids)
@@ -480,7 +481,7 @@ def test_split_audits_validate_every_deviation_and_draw_the_coins_once(monkeypat
 
         return wrapper
 
-    for name in ("make_outcome", "partition_mask", "scan_single_price"):
+    for name in ("make_outcome", "partition_masks", "scan_single_price"):
         monkeypatch.setattr(mechanisms, name, counted(name, getattr(mechanisms, name)))
     monkeypatch.setattr(Instance, "__post_init__", counted("Instance", Instance.__post_init__))
     for inst, mechanism, dims in cases:
@@ -490,12 +491,12 @@ def test_split_audits_validate_every_deviation_and_draw_the_coins_once(monkeypat
         assert deviations >= 20
         assert counts["make_outcome"] == deviations + 1, counts
         assert counts["Instance"] == deviations, counts
-        assert counts["partition_mask"] <= 2, counts
+        assert counts["partition_masks"] <= 2, counts
         assert counts["scan_single_price"] <= deviations + 4, counts
         counts.clear()
         report = audit_allocation_monotonicity(inst, mechanism, grid=10, seed=3)
         assert counts["make_outcome"] == counts["Instance"] == report.deviations_tested, counts
-        assert counts["partition_mask"] == 1, counts
+        assert counts["partition_masks"] == 1, counts
 
 
 def test_capacity_audit_requires_capacitated_instance():
