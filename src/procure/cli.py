@@ -4,7 +4,8 @@ Subcommands: run, benchmark, ratio, audit, generate, validate.
 
 Exit codes: 0 clean, 1 audit violations found, 2 input error (a declared
 supply too large for an exact expectation's state in memory included), 3
-unknown mechanism, 4 benchmark invalid. Randomized commands take --seed,
+unknown mechanism, 4 benchmark invalid, 141 (128 + SIGPIPE) standard output
+closed before the report was written. Randomized commands take --seed,
 falling back to the PROCURE_SEED environment variable; if neither is set a
 seed is chosen and announced on stderr so every reported number stays
 replayable.
@@ -29,6 +30,7 @@ EXIT_VIOLATIONS = 1
 EXIT_INPUT = 2
 EXIT_UNKNOWN_MECHANISM = 3
 EXIT_BAD_BENCHMARK = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
 
 
 def _parse_generator_spec(spec: str) -> tuple[str, dict]:
@@ -196,9 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="procure", description="Prior-free procurement auction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, mechanism=False, trials=False, dims=False):
+    def add_common(p, generate=True, mechanism=False, trials=False, dims=False):
         p.add_argument("--instance", help="path to an instance JSON file")
-        p.add_argument("--generate", help="inline generator spec, e.g. tightness:l=10,eps=1,n=4")
+        if generate:
+            p.add_argument("--generate", help="inline generator spec, e.g. tightness:l=10,eps=1,n=4")
         p.add_argument("--out", help="write the report to this path instead of stdout")
         if mechanism:
             p.add_argument("--seed", type=int, default=None, help="RNG seed (default: PROCURE_SEED, else auto)")
@@ -234,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_generate)
 
     p_val = sub.add_parser("validate", help="check an instance file against the model invariants")
-    add_common(p_val)
+    add_common(p_val, generate=False)
     p_val.set_defaults(func=cmd_validate)
 
     return parser
@@ -252,7 +255,16 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout at exit; point it at devnull so that the
+        # flush cannot raise BrokenPipeError a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except UnknownMechanismError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_MECHANISM

@@ -1006,6 +1006,7 @@ def test_requires_exactly_one_instance_source(capsys):
         ("benchmark", "--generate", "example1:r=10,eps=1,n=4", "--seed", "1"),
         ("generate", "--generate", "kth-price-demo", "--seed", "1"),
         ("validate", "--instance", "x.json", "--seed", "1"),
+        ("validate", "--instance", "x.json", "--generate", "tightness:l=10,eps=1,n=4"),
     ],
 )
 def test_a_command_rejects_options_it_does_not_read(capsys, argv):
@@ -1015,3 +1016,23 @@ def test_a_command_rejects_options_it_does_not_read(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    """Exit 1 would read as "audit found violations". The read end of the
+    pipe is closed before the child starts, so its first write fails
+    whatever the pipe's buffer size."""
+    env = {**os.environ, "PYTHONPATH": str(Path(procure.__file__).resolve().parent.parent)}
+    argv = ["audit", "--generate", "tightness:l=10,eps=1,n=4", "--mechanism", "pepa", "--seed", "1"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "procure", *argv],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+    done = subprocess.run([sys.executable, "-m", "procure", *argv], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0

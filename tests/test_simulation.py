@@ -1,8 +1,11 @@
 import json
 import math
+import os
 import random
 import statistics
 import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
 
@@ -83,6 +86,136 @@ def test_estimate_ratio_memory_does_not_grow_with_the_trials():
     finally:
         tracemalloc.stop()
     assert peak < 400_000, peak
+
+
+MC_INSTANCE = generate("uniform-random", {"n": 40, "seed": 1, "qmin": 1, "qmax": 8, "curve": "pwl"})
+
+
+def _report_fields(report):
+    """Every field of a report, the two moments as ``float.hex``."""
+    return {**report.to_json_dict(), "mean_profit": report.mean_profit.hex(), "std_error": report.std_error.hex()}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(w)`` makes the Monte Carlo split use w processes, through
+    the one place that reads the core count, and returns the list that
+    records each fork."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(simulation, "_TRIALS_PER_WORKER", 1)
+
+    def force(w):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(w)))
+        forks.clear()
+        return forks
+
+    return force
+
+
+@pytest.mark.parametrize("trials", [5_000, 10_000, 20_001])
+def test_estimate_ratio_is_the_same_for_any_number_of_workers(workers, trials):
+    reports = []
+    for w in (1, 2, 3, 4):
+        forks = workers(w)
+        reports.append(_report_fields(estimate_ratio(MC_INSTANCE, "pepac", "f", trials=trials, seed=7)))
+        assert len(forks) == w - 1
+        _assert_no_child_left()
+    assert reports[1:] == reports[:1] * 3
+
+
+def test_worker_counts_merge_in_trial_order(workers):
+    engine = partition_profit_engine(MC_INSTANCE)
+
+    def count(seeds):
+        return Counter(map(engine, mechanisms.partition_masks(MC_INSTANCE.n, seeds)))
+
+    serial = count(range(9_000))
+    parts = [range(0, 10), range(10, 4_000), range(4_000, 9_000)]
+    workers(3)
+    assert list(simulation._count_in_workers(count, parts).items()) == list(serial.items())
+    _assert_no_child_left()
+
+
+def test_a_failed_worker_slice_is_counted_again_here(workers, monkeypatch):
+    workers(1)
+    expected = _report_fields(estimate_ratio(MC_INSTANCE, "pepac", "f", trials=10_000, seed=7))
+    forks = workers(3)
+    parent = os.getpid()
+    build = simulation.partition_profit_engine
+
+    def engine_failing_in_workers(instance):
+        engine = build(instance)
+
+        def profit(mask):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failed")
+            return engine(mask)
+
+        return profit
+
+    monkeypatch.setattr(simulation, "partition_profit_engine", engine_failing_in_workers)
+    assert _report_fields(estimate_ratio(MC_INSTANCE, "pepac", "f", trials=10_000, seed=7)) == expected
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_an_error_here_kills_and_reaps_every_worker(workers, monkeypatch):
+    forks = workers(4)
+    parent = os.getpid()
+
+    def engine_failing(instance):
+        def profit(mask):
+            if os.getpid() != parent:
+                time.sleep(10)  # a worker still busy when the error comes
+            raise RuntimeError("engine failed")
+
+        return profit
+
+    monkeypatch.setattr(simulation, "partition_profit_engine", engine_failing)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="engine failed"):
+        estimate_ratio(MC_INSTANCE, "pepac", "f", trials=20_000, seed=7)
+    assert time.perf_counter() - start < 5
+    assert len(forks) == 3
+    _assert_no_child_left()
+
+
+def test_no_fork_while_a_second_thread_runs(monkeypatch):
+    expected = _report_fields(estimate_ratio(MC_INSTANCE, "pepac", "f", trials=10_000, seed=7))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+
+    def fork():
+        raise AssertionError("forked while a second thread runs")
+
+    monkeypatch.setattr(os, "fork", fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert simulation._worker_count(10_000) == 1
+        assert _report_fields(estimate_ratio(MC_INSTANCE, "pepac", "f", trials=10_000, seed=7)) == expected
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_worker_count_follows_the_allowed_cores_and_the_trials(monkeypatch):
+    per = simulation._TRIALS_PER_WORKER
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert [simulation._worker_count(t) for t in (1, 2 * per - 1, 2 * per, 4 * per, 100 * per)] == [1, 1, 2, 4, 8]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    assert simulation._worker_count(100 * per) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.delattr(os, "fork")
+    assert simulation._worker_count(100 * per) == 1
 
 
 # floats from about 1e-300 to 1e300, a few per list so that values repeat
