@@ -273,7 +273,7 @@ def _count_in_workers(count, parts: list[range]) -> Counter:
     again, so its exception surfaces with its traceback. No child outlives
     the call: any left unreaped, on an exception here, is killed and reaped.
     """
-    children = []  # [pid, read end, part] of each child not yet reaped
+    children = []  # [pid, read end, part] per child; pid is None before the fork and once reaped
     try:
         for part in parts[1:]:
             read_end, write_end = os.pipe()
