@@ -40,7 +40,11 @@ GAIN_TOL = 1e-6  # a deviation must beat truth by more than this to count as a v
 # 24 MB interpreter costs about 2.1 ms, a trial 3-5 us, and each worker
 # warms its own walk memo. On 30-42 capacitated sellers (2-vCPU machine,
 # Python 3.11), two workers break even with one at about 2,000 trials in
-# all, save about 10% at 4,096 and about 25% at 10,000.
+# all, save about 10% at 4,096 and about 25% at 10,000. Only two workers
+# have been timed: the cost of three or more, each forked in turn before
+# the first slice starts, is not measured. The core count is the affinity
+# mask, so a CPU quota (a cgroup's cpu.max) is not seen, and under a quota
+# of one core the workers cost their forks and warm-ups for no gain.
 _TRIALS_PER_WORKER = 2048
 
 
@@ -270,8 +274,10 @@ def _count_in_workers(count, parts: list[range]) -> Counter:
     ``parts[0]`` is counted here and each later part in a forked child,
     which sends ``marshal.dumps`` of its counts through a pipe and leaves
     with ``os._exit``. A part whose child exits non-zero is counted here
-    again, so its exception surfaces with its traceback. No child outlives
-    the call: any left unreaped, on an exception here, is killed and reaped.
+    again, so its exception surfaces with its traceback. If a fork fails
+    (no process or memory to spare), that part and every later one are
+    counted here. No child outlives the call: any left unreaped, on an
+    exception here, is killed and reaped.
     """
     children = []  # [pid, read end, part] per child; pid is None before the fork and once reaped
     try:
@@ -279,7 +285,11 @@ def _count_in_workers(count, parts: list[range]) -> Counter:
             read_end, write_end = os.pipe()
             children.append([None, open(read_end, "rb"), part])
             with open(write_end, "wb") as pipe:
-                pid = os.fork()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    children.pop()[1].close()
+                    break
                 if pid == 0:  # the child never returns into the caller's frames
                     status = 1
                     try:
@@ -297,6 +307,8 @@ def _count_in_workers(count, parts: list[range]) -> Counter:
             _, status = os.waitpid(pid, 0)
             child[0] = None
             counts.update(marshal.loads(data) if status == 0 else count(part))
+        for part in parts[1 + len(children):]:
+            counts.update(count(part))
         return counts
     finally:
         for pid, pipe, _ in children:

@@ -75,8 +75,10 @@ def test_estimate_ratio_standard_error_is_the_stdev_of_the_trials():
         assert report.std_error == sample_stdev(Counter(profits)) / math.sqrt(trials)
 
 
-def test_estimate_ratio_memory_does_not_grow_with_the_trials():
-    # keeping one profit per trial would hold 8 bytes a trial, 800 kB here
+def test_estimate_ratio_memory_does_not_grow_with_the_trials(monkeypatch):
+    # keeping one profit per trial would hold 8 bytes a trial, 800 kB here;
+    # one allowed core keeps every trial in this process, where it is traced
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     inst = generate("uniform-random", {"n": 6, "seed": 2, "qmax": 4, "curve": "pwl"})
     estimate_ratio(inst, "pepac", "f", trials=100, seed=1)
     tracemalloc.start()
@@ -163,6 +165,34 @@ def test_a_failed_worker_slice_is_counted_again_here(workers, monkeypatch):
     monkeypatch.setattr(simulation, "partition_profit_engine", engine_failing_in_workers)
     assert _report_fields(estimate_ratio(MC_INSTANCE, "pepac", "f", trials=10_000, seed=7)) == expected
     assert len(forks) == 2
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("forks_that_succeed", [0, 1, 2])
+def test_a_failed_fork_counts_the_parts_left_here(workers, monkeypatch, forks_that_succeed):
+    engine = partition_profit_engine(MC_INSTANCE)
+
+    def count(seeds):
+        return Counter(map(engine, mechanisms.partition_masks(MC_INSTANCE.n, seeds)))
+
+    serial = list(count(range(9_000)).items())
+    expected = _report_fields(estimate_ratio(MC_INSTANCE, "pepac", "f", trials=10_000, seed=7))
+    forks = workers(4)
+    fork = os.fork  # the fixture's, which records each fork made
+
+    def fork_until_out_of_processes():
+        if len(forks) >= forks_that_succeed:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_until_out_of_processes)
+    assert _report_fields(estimate_ratio(MC_INSTANCE, "pepac", "f", trials=10_000, seed=7)) == expected
+    assert len(forks) == forks_that_succeed
+    _assert_no_child_left()
+    forks.clear()
+    parts = [range(0, 10), range(10, 4_000), range(4_000, 6_000), range(6_000, 9_000)]
+    assert list(simulation._count_in_workers(count, parts).items()) == serial
+    assert len(forks) == forks_that_succeed
     _assert_no_child_left()
 
 
