@@ -16,7 +16,6 @@ from .mechanisms import (
     PartitionDraw,
     UndefinedPriceError,
     UnknownMechanismError,
-    draw_partition,
     resolve_mechanism,
     run_bid_independent,
     run_kth_price,

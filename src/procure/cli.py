@@ -2,8 +2,10 @@
 
 Subcommands: run, benchmark, ratio, audit, generate, validate.
 
-Exit codes: 0 clean, 1 audit violations found, 2 input error (a declared
-supply too large for an exact expectation's state in memory included), 3
+Exit codes: 0 clean, 1 audit violations found, 2 input error (a file that
+cannot be read or written, an option the subcommand does not read with the
+others given, and a declared supply too large for an exact expectation's
+state in memory included), 3
 unknown mechanism, 4 benchmark invalid, 141 (128 + SIGPIPE) standard output
 closed before the report was written. Randomized commands take --seed,
 falling back to the PROCURE_SEED environment variable; if neither is set a
@@ -131,6 +133,8 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_ratio(args) -> int:
+    if args.exact and (args.trials is not None or args.seed is not None):
+        raise InstanceFormatError("ratio --exact reads neither --trials nor --seed")
     instance, family, params = _obtain_instance(args)
     if args.exact:
         report = simulation.exact_ratio(instance, args.mechanism, args.benchmark, demand_cap=args.demand_cap)
@@ -138,9 +142,8 @@ def cmd_ratio(args) -> int:
         method = "exhaustive"
     else:
         seed = _resolve_seed(args)
-        report = simulation.estimate_ratio(
-            instance, args.mechanism, args.benchmark, args.trials, seed, demand_cap=args.demand_cap
-        )
+        trials = 10000 if args.trials is None else args.trials
+        report = simulation.estimate_ratio(instance, args.mechanism, args.benchmark, trials, seed, args.demand_cap)
         method = "monte-carlo"
     if args.format == "csv":
         _emit(
@@ -209,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--demand-cap", type=int, default=None, dest="demand_cap")
         if trials:
             p.add_argument("--format", choices=("json", "csv"), default="json")
-            p.add_argument("--trials", type=int, default=10000)
+            p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials (default: 10000)")
             p.add_argument("--benchmark", choices=("f", "t", "f2"), default="f2")
             p.add_argument("--exact", action="store_true", help="exact expectation over all coin splits")
         if dims:
@@ -271,7 +274,7 @@ def main(argv=None) -> int:
     except BenchmarkNotPositiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_BENCHMARK
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:

@@ -6,6 +6,9 @@ vector into sides b' and b'', compute each side's single-price optimum, and
 try to extract each side's optimum from the other side; the sub-auction with
 the higher buyer profit runs for real. Coins come from a seeded generator
 with a fixed stream order, so a run is a pure function of (instance, seed).
+One draw, given as its coin mask, has one implementation of that core,
+:func:`split_auction`: ``run_pepa``/``run_pepac``, the audits' deviations
+and the Monte Carlo engine's in-band fallback all settle through it.
 """
 
 from __future__ import annotations
@@ -139,23 +142,6 @@ class MechanismRun:
         }
 
 
-def _draw_of_mask(instance: Instance, mask: int, seed: int | None = None) -> PartitionDraw:
-    """The draw whose coins are the bits of ``mask``, aligned to the bid order."""
-    return PartitionDraw(flips=tuple(bool(mask >> i & 1) for i in range(instance.n)), seed=seed)
-
-
-def draw_partition(instance: Instance, seed: int) -> PartitionDraw:
-    return _draw_of_mask(instance, next(partition_masks(instance.n, (seed,))), seed)
-
-
-def _split(instance: Instance, flips) -> tuple[list[Bid], list[Bid]]:
-    """The sides (b', b'') of a draw's ``flips``, each in (valuation, id) order."""
-    sides = ([], [])
-    for bid in instance.sorted_bids:
-        sides[0 if flips[bid.id] else 1].append(bid)
-    return sides
-
-
 def _side_optimum(side, pieces) -> float:
     """A side's single-price optimum, f' or f'': the scan's profit."""
     return scan_single_price([(b.valuation, b.capacity) for b in side], pieces)[0]
@@ -186,34 +172,57 @@ def _settle(instance: Instance, sides, optima, memos) -> tuple[AuctionOutcome, s
     return make_outcome(instance, alloc, pays, profit=chosen.profit), side_name
 
 
-def _run_partitioned(instance: Instance, partition: PartitionDraw) -> MechanismRun:
-    """The split auction on a draw: each side's optimum, then :func:`_settle`."""
+def split_auction(
+    instance: Instance, mask: int, seed: int | None = None
+) -> tuple[Callable[[], MechanismRun], Callable[[int, float, int], AuctionOutcome]]:
+    """The split auction on one coin draw, as two closures ``(truth, deviate)``.
+
+    Bit i of ``mask`` is bidder i's coin, as :func:`partition_masks` gives
+    it; a set bit puts the bid at position i on side b'. The bids are split
+    into sides in (valuation, id) order and both sides' optima are scanned
+    once, here. ``truth()`` settles the truthful run (:func:`_settle`),
+    reporting the draw with ``seed``; nothing is settled until it is called.
+
+    ``deviate(position, v', q')`` is the outcome of the run on
+    ``instance.with_bid(position, v', q')`` under the same draw, field for
+    field. A deviation keeps the seller's id, so it keeps the seller's coin
+    and side. Per deviation it builds and validates the deviating instance
+    (:meth:`Instance.with_bid`), puts the one changed bid back into its
+    side in order, and scans only that side. The other side's bids and
+    optimum are the truthful ones, and its extraction depends only on the
+    target, the deviating side's optimum, so it is memoised by target and
+    shared with ``truth()``: at most one per distinct target per side.
+    Callers check ``pepa``'s unit-capacity precondition themselves.
+    """
     pieces = instance.curve.pieces
-    sides = _split(instance, partition.flips)
-    f_prime, f_double = optima = tuple(_side_optimum(side, pieces) for side in sides)
-    outcome, side_name = _settle(instance, sides, optima, ({}, {}))
-    return MechanismRun(
-        outcome=outcome,
-        partition=partition,
-        f_prime=f_prime,
-        f_double_prime=f_double,
-        chosen_side=side_name,
-    )
+    sides = ([], [])
+    for bid in instance.sorted_bids:
+        sides[0 if mask >> bid.id & 1 else 1].append(bid)
+    optima = tuple(_side_optimum(side, pieces) for side in sides)
+    memos = ({}, {})
+
+    def truth() -> MechanismRun:
+        outcome, side_name = _settle(instance, sides, optima, memos)
+        flips = tuple(bool(mask >> i & 1) for i in range(instance.n))
+        return MechanismRun(outcome, PartitionDraw(flips, seed), *optima, side_name)
+
+    def deviate(position: int, valuation: float, capacity: int) -> AuctionOutcome:
+        deviating = instance.with_bid(position, valuation, capacity)
+        bid = deviating.bids[position]
+        s = 0 if mask >> position & 1 else 1
+        side = [b for b in sides[s] if b.id != bid.id]
+        insort(side, bid, key=attrgetter("valuation", "id"))
+        dev_sides, dev_optima, dev_memos = list(sides), list(optima), list(memos)
+        dev_sides[s], dev_optima[s], dev_memos[s] = side, _side_optimum(side, pieces), {}
+        return _settle(deviating, dev_sides, dev_optima, dev_memos)[0]
+
+    return truth, deviate
 
 
-def _resolve_partition(instance, seed, partition) -> PartitionDraw:
-    if (seed is None) == (partition is None):
-        raise ValueError("provide exactly one of seed or partition")
-    if partition is None:
-        return draw_partition(instance, seed)
-    if len(partition.flips) != instance.n:
-        raise ValueError("partition flips length must match the number of bids")
-    return partition
-
-
-def run_pepac(instance: Instance, seed: int | None = None, partition: PartitionDraw | None = None) -> MechanismRun:
-    """Random-split extraction auction for capacitated sellers."""
-    return _run_partitioned(instance, _resolve_partition(instance, seed, partition))
+def run_pepac(instance: Instance, seed: int) -> MechanismRun:
+    """Random-split extraction auction for capacitated sellers, on the draw
+    of ``seed``."""
+    return split_auction(instance, next(partition_masks(instance.n, (seed,))), seed)[0]()
 
 
 def require_unit_capacity(instance: Instance) -> None:
@@ -222,52 +231,14 @@ def require_unit_capacity(instance: Instance) -> None:
         raise ValueError("pepa requires unit capacities; use pepac")
 
 
-def run_pepa(instance: Instance, seed: int | None = None, partition: PartitionDraw | None = None) -> MechanismRun:
+def run_pepa(instance: Instance, seed: int) -> MechanismRun:
     """Random-split extraction auction for unit-capacity sellers.
 
     Identical to :func:`run_pepac` on the same seed once
     :func:`require_unit_capacity` holds.
     """
     require_unit_capacity(instance)
-    return _run_partitioned(instance, _resolve_partition(instance, seed, partition))
-
-
-def deviation_outcomes(instance: Instance, seed: int) -> Callable[[int, float, int], AuctionOutcome]:
-    """The split auction under one frozen draw, for unilateral deviations:
-    a closure mapping (position, v', q') to the outcome of
-    ``run_pepac(instance.with_bid(position, v', q'), seed)``, field for
-    field.
-
-    A deviation keeps the seller's id, so it keeps the seller's coin and
-    side. The closure draws the coins once, splits the truthful bids into
-    sides in (valuation, id) order and scans both sides' optima. Per
-    deviation it builds and validates the deviating instance
-    (:meth:`Instance.with_bid`), puts the one changed bid back into its
-    side in order, and scans only that side. The other side's bids and
-    optimum are the truthful ones, and its extraction depends only on the
-    target, the deviating side's optimum, so it is memoised by target: at
-    most one per distinct target per side. :func:`_settle` then does what
-    :func:`run_pepac` does, :func:`make_outcome`'s checks included. Callers
-    check ``pepa``'s unit-capacity precondition themselves.
-    """
-    pieces = instance.curve.pieces
-    on_a = draw_partition(instance, seed).flips
-    sides = _split(instance, on_a)
-    optima = tuple(_side_optimum(side, pieces) for side in sides)
-    memos = ({}, {})
-    order = attrgetter("valuation", "id")
-
-    def outcome(position: int, valuation: float, capacity: int) -> AuctionOutcome:
-        deviating = instance.with_bid(position, valuation, capacity)
-        bid = deviating.bids[position]
-        s = 0 if on_a[position] else 1
-        side = [b for b in sides[s] if b.id != bid.id]
-        insort(side, bid, key=order)
-        dev_sides, dev_optima, dev_memos = list(sides), list(optima), list(memos)
-        dev_sides[s], dev_optima[s], dev_memos[s] = side, _side_optimum(side, pieces), {}
-        return _settle(deviating, dev_sides, dev_optima, dev_memos)[0]
-
-    return outcome
+    return run_pepac(instance, seed)
 
 
 # Sellers whose coins key the walk's memo of its state: the cheapest ten.
@@ -280,7 +251,7 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
     coin mask to the two sides' single-price optima (f', f'').
 
     Bit i of the mask set puts bidder i, the bid at position i, on side b',
-    as in :func:`_draw_of_mask`. Both :func:`partition_profit_engine` and
+    as in :func:`split_auction`. Both :func:`partition_profit_engine` and
     exact enumeration (``simulation._min_side_by_enumeration``) take their
     side optima from it, and on every draw they are the floats
     :func:`run_pepac` computes.
@@ -407,7 +378,8 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
       slack in both terms of the band covers that loss.
 
     Inside the band the engine runs the auction itself: the profit of
-    :func:`run_pepac` on the draw of that mask. So the engine returns
+    :func:`split_auction`'s truthful run on that mask, as :func:`run_pepac`
+    settles it. So the engine returns
     :func:`run_pepac`'s float on every draw by construction, the band only
     deciding which draws may skip the run.
     """
@@ -422,7 +394,7 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
             return fb
         if fb - fa > band:
             return fa
-        return _run_partitioned(instance, _draw_of_mask(instance, mask)).outcome.profit
+        return split_auction(instance, mask)[0]().outcome.profit
 
     return profit_for_mask
 
@@ -522,21 +494,12 @@ def run_kth_price(instance: Instance, demand_cap: int) -> AuctionOutcome:
 
 @dataclass(frozen=True)
 class Mechanism:
-    """A named, runnable mechanism with a uniform (instance, seed) interface."""
+    """A named, runnable mechanism with a uniform ``run(instance, seed)``
+    interface; deterministic mechanisms ignore the seed."""
 
     name: str
     randomized: bool
-    runner: Callable[[Instance, int | None], MechanismRun]
-
-    def run(self, instance: Instance, seed: int | None = None) -> MechanismRun:
-        return self.runner(instance, seed)
-
-
-def _wrap_deterministic(fn):
-    def runner(instance, seed=None):
-        return MechanismRun(outcome=fn(instance))
-
-    return runner
+    run: Callable[[Instance, int | None], MechanismRun]
 
 
 def resolve_mechanism(name: str, demand_cap: int | None = None) -> Mechanism:
@@ -545,17 +508,16 @@ def resolve_mechanism(name: str, demand_cap: int | None = None) -> Mechanism:
     Names: ``pepa``, ``pepac``, ``kth-price`` (needs a demand cap), and
     ``bid-independent:<f>`` with f one of ``zero``, ``posted=<price>``,
     ``opp``. A posted price that is not a finite number >= 0 raises
-    :class:`UnknownMechanismError` naming it.
+    :class:`UnknownMechanismError` naming it. A demand cap given to any
+    mechanism but ``kth-price``, which alone reads it, raises ``ValueError``.
     """
-    if name == "pepa":
-        return Mechanism(name, True, lambda inst, seed=None: run_pepa(inst, seed=seed))
-    if name == "pepac":
-        return Mechanism(name, True, lambda inst, seed=None: run_pepac(inst, seed=seed))
     if name == "kth-price":
         if demand_cap is None:
             raise ValueError("kth-price requires a demand cap")
-        return Mechanism(name, False, _wrap_deterministic(lambda inst: run_kth_price(inst, demand_cap)))
-    if name.startswith("bid-independent:"):
+        return Mechanism(name, False, lambda inst, seed=None: MechanismRun(run_kth_price(inst, demand_cap)))
+    if name in ("pepa", "pepac"):
+        mech = Mechanism(name, True, run_pepa if name == "pepa" else run_pepac)
+    elif name.startswith("bid-independent:"):
         spec = name.split(":", 1)[1]
         if spec == "zero":
             f = threshold_zero
@@ -572,5 +534,9 @@ def resolve_mechanism(name: str, demand_cap: int | None = None) -> Mechanism:
             f = make_threshold_posted(price)
         else:
             raise UnknownMechanismError(f"unknown threshold function {spec!r}")
-        return Mechanism(name, False, _wrap_deterministic(lambda inst: run_bid_independent(inst, f)))
-    raise UnknownMechanismError(f"unknown mechanism {name!r}")
+        mech = Mechanism(name, False, lambda inst, seed=None: MechanismRun(run_bid_independent(inst, f)))
+    else:
+        raise UnknownMechanismError(f"unknown mechanism {name!r}")
+    if demand_cap is not None:
+        raise ValueError(f"a demand cap (--demand-cap) is read only by kth-price, not by {name}")
+    return mech

@@ -23,15 +23,14 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-from . import benchmarks
+from . import benchmarks, mechanisms
 from .mechanisms import (
     Mechanism,
-    deviation_outcomes,
-    partition_masks,
     partition_profit_engine,
     require_unit_capacity,
     resolve_mechanism,
     side_optima_by_mask,
+    split_auction,
 )
 from .model import Instance, capped_curve, instance_to_json_dict, linear_curve, make_instance, pwl_curve
 
@@ -364,7 +363,7 @@ def estimate_ratio(
         engine = partition_profit_engine(instance)
 
         def count(seeds: range) -> Counter:
-            return Counter(map(engine, partition_masks(instance.n, seeds)))
+            return Counter(map(engine, mechanisms.partition_masks(instance.n, seeds)))
 
         w = _worker_count(trials)
         cuts = [base + trials * i // w for i in range(w + 1)]
@@ -584,18 +583,19 @@ def seller_utility(outcome, position: int, true_valuation: float) -> float:
 
 
 def _deviation_evaluator(instance: Instance, mech: Mechanism, seed: int):
-    """The audits' one reader of deviation outcomes: a closure mapping
-    (position, v', q') to the outcome of ``mech`` on the instance with that
-    bid, under ``seed``. The split auctions share their coin draw and their
-    untouched side across deviations (:func:`mechanisms.deviation_outcomes`);
+    """The audits' one reader of outcomes under ``seed``: ``(truth,
+    outcome_of)``, with ``truth()`` the truthful run and ``outcome_of`` a
+    closure mapping (position, v', q') to the outcome of ``mech`` on the
+    instance with that bid. The split auctions draw their coins and scan
+    the truthful sides once, for both (:func:`mechanisms.split_auction`);
     every other mechanism runs on the deviating instance."""
     if mech.randomized:
-        return deviation_outcomes(instance, seed)
+        return split_auction(instance, next(mechanisms.partition_masks(instance.n, (seed,))), seed)
 
     def outcome(position: int, valuation: float, capacity: int):
         return mech.run(instance.with_bid(position, valuation, capacity), seed).outcome
 
-    return outcome
+    return lambda: mech.run(instance, seed), outcome
 
 
 def _valuation_grid(instance: Instance, position: int, truth_run) -> list[float]:
@@ -648,8 +648,8 @@ def audit_truthfulness(
     if "capacity" in dims and instance.is_unit_capacity:
         raise ValueError("capacity audits need a capacitated instance")
     mech = _resolve_for(instance, mechanism, demand_cap)
-    truth_run = mech.run(instance, seed)
-    outcome_of = _deviation_evaluator(instance, mech, seed)
+    truth, outcome_of = _deviation_evaluator(instance, mech, seed)
+    truth_run = truth()
     tested = 0
     violations = []
     for pos, bid in enumerate(instance.bids):
@@ -691,7 +691,7 @@ def audit_allocation_monotonicity(
     """
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
-    outcome_of = _deviation_evaluator(instance, _resolve_for(instance, mechanism, demand_cap), seed)
+    _, outcome_of = _deviation_evaluator(instance, _resolve_for(instance, mechanism, demand_cap), seed)
     top = 2.0 * max(b.valuation for b in instance.bids)
     if top <= 0:
         top = 1.0

@@ -10,6 +10,7 @@ import math
 import random
 import time
 from contextlib import contextmanager, redirect_stdout
+from pathlib import Path
 
 from procure.benchmarks import (
     exact_pepa_ratio,
@@ -335,3 +336,22 @@ def test_criterion_11_truthfulness_scope():
             assert all(v["deviating_bid"]["v"] > v["true_bid"]["v"] for v in report["violations"]), spec
             best = max(report["violations"], key=lambda v: v["gain"])
             assert (best["gain"], best["true_bid"]["v"], best["deviating_bid"]["v"]) == (gain, true_ask, deviating_ask)
+
+
+CLAIM_TAGS = {"reproduced", "weaker check", "contradicted", "one mechanism"}
+
+
+def test_claims_table_lists_every_criterion():
+    """README's Claims table: every row carries one tag, every criterion
+    defined here is cited by some row, and every cited criterion is a test."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Claims\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| ") and "---" not in line]
+    header, *rows = rows
+    assert [c.strip() for c in header][2:4] == ["Criteria", "Tag"]
+    cited = set()
+    for row in rows:
+        assert row[3].strip() in CLAIM_TAGS, row
+        cited.update(int(n) for n in row[2].split(","))
+    defined = {int(name.split("_")[2]) for name in globals() if name.startswith("test_criterion_")}
+    assert cited == defined

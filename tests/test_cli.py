@@ -1036,3 +1036,41 @@ def test_a_closed_stdout_exits_141_without_a_traceback():
     assert (done.returncode, done.stderr) == (141, "")
     done = subprocess.run([sys.executable, "-m", "procure", *argv], env=env, capture_output=True, timeout=60)
     assert done.returncode == 0
+
+
+@pytest.mark.parametrize("case", ["write", "read"])
+def test_a_file_that_cannot_be_opened_exits_2_without_a_traceback(tmp_path, case):
+    """A directory given as the report or the instance is an input error,
+    not exit 1, which would read as "audit found violations"."""
+    env = {**os.environ, "PYTHONPATH": str(Path(procure.__file__).resolve().parent.parent)}
+    if case == "write":
+        argv = ["audit", "--generate", "kth-price-demo", "--mechanism", "pepac", "--seed", "1", "--out", str(tmp_path)]
+    else:
+        argv = ["validate", "--instance", str(tmp_path)]
+    done = subprocess.run([sys.executable, "-m", "procure", *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(tmp_path) in lines[0], done.stderr
+
+
+TIGHT_PEPA = ("--generate", "tightness:l=10,eps=1,n=4", "--mechanism", "pepa")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("ratio", *TIGHT_PEPA, "--exact", "--trials", "7", "--seed", "3"), "--trials"),
+        (("ratio", *TIGHT_PEPA, "--exact", "--trials", "10000"), "--trials"),
+        (("ratio", *TIGHT_PEPA, "--exact", "--seed", "3"), "--seed"),
+        (("run", *TIGHT_PEPA, "--demand-cap", "3", "--seed", "1"), "--demand-cap"),
+        (("ratio", *TIGHT_PEPA, "--demand-cap", "3", "--seed", "1"), "--demand-cap"),
+        (("audit", *TIGHT_PEPA, "--demand-cap", "3", "--seed", "1"), "--demand-cap"),
+    ],
+)
+def test_an_option_the_command_would_ignore_exits_2(capsys, argv, option):
+    """``ratio --exact`` reads neither the trial count nor the seed, and only
+    kth-price reads a demand cap: each is refused by name, not ignored."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and option in err, err

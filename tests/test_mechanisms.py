@@ -4,11 +4,8 @@ import random
 import pytest
 
 from procure.mechanisms import (
-    PartitionDraw,
     UndefinedPriceError,
     UnknownMechanismError,
-    deviation_outcomes,
-    draw_partition,
     make_threshold_posted,
     partition_masks,
     partition_profit_engine,
@@ -18,6 +15,7 @@ from procure.mechanisms import (
     run_kth_price,
     run_pepa,
     run_pepac,
+    split_auction,
     threshold_masked_opp,
     threshold_zero,
 )
@@ -31,18 +29,24 @@ TIGHT = generate("tightness", {"l": 10, "eps": 1, "n": 4})
 
 
 def all_partitions(n):
+    """Every coin mask of n bidders, with its flips in bid order."""
     for mask in range(1 << n):
-        yield PartitionDraw(flips=tuple(bool((mask >> i) & 1) for i in range(n)))
+        yield mask, tuple(bool(mask >> i & 1) for i in range(n))
+
+
+def run_on_mask(inst, mask):
+    """The split auction's truthful run on the draw whose coins are ``mask``."""
+    return split_auction(inst, mask)[0]()
 
 
 def test_partition_draw_is_reproducible():
     inst = generate("uniform-random", {"n": 12, "seed": 3, "vmax": 0.9})
-    a = draw_partition(inst, 42)
-    b = draw_partition(inst, 42)
+    a = run_pepac(inst, 42).partition
+    b = run_pepac(inst, 42).partition
     assert a == b
     assert len(a.flips) == 12
     assert a.seed == 42
-    assert draw_partition(inst, 43) != a
+    assert run_pepac(inst, 43).partition != a
 
 
 def test_coin_i_of_a_draw_belongs_to_seller_i():
@@ -55,7 +59,7 @@ def test_coin_i_of_a_draw_belongs_to_seller_i():
             assert inst.sorted_bids != inst.bids
         for s in seeds:
             mask = per_seed_partition_mask(n, s)
-            assert draw_partition(inst, s).flips == tuple(bool(mask >> i & 1) for i in range(n)), (n, s)
+            assert run_pepac(inst, s).partition.flips == tuple(bool(mask >> i & 1) for i in range(n)), (n, s)
 
 
 def test_partition_mask_rejects_negative_seed():
@@ -115,13 +119,6 @@ def test_same_seed_same_run():
     assert run_pepa(inst, seed=7) == run_pepa(inst, seed=7)
 
 
-def test_run_requires_exactly_one_randomness_source():
-    with pytest.raises(ValueError):
-        run_pepa(TIGHT)
-    with pytest.raises(ValueError):
-        run_pepa(TIGHT, seed=1, partition=draw_partition(TIGHT, 1))
-
-
 def test_pepa_rejects_capacitated_instances():
     inst = make_instance([1.0, 2.0], capacities=[2, 1], curve=linear_curve(10.0))
     with pytest.raises(ValueError):
@@ -142,11 +139,11 @@ def test_single_bid_never_profits():
 
 
 def test_tightness_per_draw_profit_is_zero_or_ten():
-    for draw in all_partitions(4):
-        run = run_pepa(TIGHT, partition=draw)
+    for mask, flips in all_partitions(4):
+        run = run_on_mask(TIGHT, mask)
         assert run.outcome.profit in (0.0, 10.0)
         # side optima recorded on the run are recomputable via the oracle
-        assert run.outcome.profit == min_side_profit_oracle(TIGHT, draw.flips)
+        assert run.outcome.profit == min_side_profit_oracle(TIGHT, flips)
 
 
 def test_side_optima_fields_match_recomputation():
@@ -166,9 +163,9 @@ def test_side_optima_fields_match_recomputation():
 def test_profit_is_min_of_side_optima_on_every_draw():
     for seed in range(25):
         inst = generate("uniform-random", {"n": random.Random(seed).randint(1, 6), "seed": seed, "vmax": 1.0})
-        for draw in all_partitions(inst.n):
-            run = run_pepa(inst, partition=draw)
-            want = min_side_profit_oracle(inst, draw.flips)
+        for mask, flips in all_partitions(inst.n):
+            run = run_on_mask(inst, mask)
+            want = min_side_profit_oracle(inst, flips)
             assert abs(run.outcome.profit - want) <= 1e-9
 
 
@@ -178,17 +175,17 @@ def test_profit_min_rule_capacitated():
             "uniform-random",
             {"n": random.Random(seed).randint(2, 5), "seed": seed, "qmax": 3, "vmax": 1.0, "curve": "mixed"},
         )
-        for draw in all_partitions(inst.n):
-            run = run_pepac(inst, partition=draw)
-            want = min_side_profit_oracle(inst, draw.flips, unit=False)
+        for mask, flips in all_partitions(inst.n):
+            run = run_on_mask(inst, mask)
+            want = min_side_profit_oracle(inst, flips, unit=False)
             assert abs(run.outcome.profit - want) <= 1e-9
 
 
 def test_profit_min_rule_ten_bidders():
     inst = generate("uniform-random", {"n": 10, "seed": 77, "vmax": 0.9})
-    for draw in all_partitions(10):
-        run = run_pepa(inst, partition=draw)
-        assert abs(run.outcome.profit - min_side_profit_oracle(inst, draw.flips)) <= 1e-9
+    for mask, flips in all_partitions(10):
+        run = run_on_mask(inst, mask)
+        assert abs(run.outcome.profit - min_side_profit_oracle(inst, flips)) <= 1e-9
 
 
 def _deviation_probes(inst, rng):
@@ -214,9 +211,11 @@ def test_deviation_outcomes_match_whole_runs():
                 "curve": ("linear", "capped", "pwl")[seed % 3],
             },
         )
-        outcome = deviation_outcomes(inst, seed)
+        truth, outcome = split_auction(inst, per_seed_partition_mask(inst.n, seed), seed)
+        assert truth() == run_pepac(inst, seed), seed
         for pos, v, q in _deviation_probes(inst, rng):
             assert outcome(pos, v, q) == run_pepac(inst.with_bid(pos, v, q), seed).outcome, (seed, pos, v, q)
+        assert truth() == run_pepac(inst, seed), seed  # the memo the deviations shared leaves the truth as it was
 
 
 def test_deviation_outcomes_keep_b_prime_on_a_tie():
@@ -225,7 +224,8 @@ def test_deviation_outcomes_keep_b_prime_on_a_tie():
     inst = make_instance([0.3, 0.3, 0.3, 0.3], curve=linear_curve(1.0))
     ties = 0
     for seed in range(16):
-        outcome = deviation_outcomes(inst, seed)
+        truth, outcome = split_auction(inst, per_seed_partition_mask(inst.n, seed), seed)
+        assert truth() == run_pepac(inst, seed)
         for pos, v, q in _deviation_probes(inst, random.Random(seed)):
             run = run_pepac(inst.with_bid(pos, v, q), seed)
             assert outcome(pos, v, q) == run.outcome
@@ -237,7 +237,7 @@ def test_deviation_outcomes_keep_b_prime_on_a_tie():
 
 def test_deviation_outcomes_validate_each_deviating_instance():
     inst = generate("uniform-random", {"n": 4, "seed": 2, "qmin": 2, "qmax": 3, "curve": "capped"})
-    outcome = deviation_outcomes(inst, 5)
+    outcome = split_auction(inst, per_seed_partition_mask(inst.n, 5), 5)[1]
     for pos, v, q in ((0, -1.0, 2), (1, math.nan, 2), (2, 0.5, 0), (3, math.inf, 1)):
         with pytest.raises(ValueError) as ours:
             outcome(pos, v, q)
@@ -309,8 +309,7 @@ def test_walk_stops_once_neither_side_can_grow(monkeypatch):
         )
         rng = random.Random(n)
         masks = [rng.getrandbits(n) & ~0b11 | rng.choice((0b01, 0b10)) for _ in range(50)]  # the cheap pair split
-        runs = [run_pepac(inst, partition=PartitionDraw(tuple(bool(mask >> i & 1) for i in range(n))))
-                for mask in masks]
+        runs = [run_on_mask(inst, mask) for mask in masks]
         side_optima = side_optima_by_mask(inst)
         calls = []
         original = mechanisms.block_optimum
@@ -348,7 +347,7 @@ def test_memoised_walk_matches_full_runs_over_any_number_of_draws():
             masks = range(count) if count == 1 << inst.n else [rng.getrandbits(inst.n) for _ in range(count)]
             side_optima = side_optima_by_mask(inst)
             for mask in masks:
-                run = run_pepac(inst, partition=mechanisms._draw_of_mask(inst, mask))
+                run = run_on_mask(inst, mask)
                 got = side_optima(mask)
                 assert (got[0].hex(), got[1].hex()) == (run.f_prime.hex(), run.f_double_prime.hex()), (inst.n, mask)
 
@@ -614,6 +613,11 @@ def test_registry_errors():
             resolve_mechanism(f"bid-independent:posted={bad}")
     with pytest.raises(ValueError):
         resolve_mechanism("kth-price")  # missing demand cap
+    for name in ("pepa", "pepac", "bid-independent:zero"):  # only kth-price reads a demand cap
+        with pytest.raises(ValueError, match=f"demand cap.*read only by kth-price, not by {name}"):
+            resolve_mechanism(name, demand_cap=3)
+    with pytest.raises(UnknownMechanismError):
+        resolve_mechanism("vickrey", demand_cap=3)
 
 
 def test_registry_run_uniform_interface():
