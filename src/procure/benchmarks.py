@@ -49,14 +49,6 @@ class BenchmarkResult:
     units: int
     price: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "profit": self.profit,
-            "k_winners": self.k_winners,
-            "units": self.units,
-            "price": self.price,
-        }
-
 
 def block_optimum(pieces, v: float, q: int, c: int) -> tuple[float, int]:
     """g(j, c) and its unit count: the best single-price profit whose

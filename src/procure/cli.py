@@ -7,15 +7,17 @@ cannot be read or written, an option the subcommand does not read with the
 others given, and a declared supply too large for an exact expectation's
 state in memory included), 3
 unknown mechanism, 4 benchmark invalid, 141 (128 + SIGPIPE) standard output
-closed before the report was written. Randomized commands take --seed,
+closed before the report was written. Commands that draw coins take --seed,
 falling back to the PROCURE_SEED environment variable; if neither is set a
 seed is chosen and announced on stderr so every reported number stays
-replayable.
+replayable. A command that draws none (a deterministic mechanism, or
+``ratio --exact``) reports a null seed and refuses --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -67,7 +69,16 @@ def _obtain_instance(args) -> tuple[Instance, str, str]:
     return instance, family, args.generate.partition(":")[2]
 
 
-def _resolve_seed(args) -> int:
+def _seed(args, mech, exact: bool = False) -> int | None:
+    """The seed of a command that runs ``mech``: --seed, else PROCURE_SEED,
+    else one chosen and announced on stderr. A deterministic mechanism, or
+    an exact expectation over every draw, reads none: it refuses --seed by
+    name and returns None."""
+    if exact or not mech.randomized:
+        if args.seed is not None:
+            reader = "ratio --exact averages over every coin draw" if exact else f"{mech.name} draws no coins"
+            raise InstanceFormatError(f"{reader} and reads no --seed")
+        return None
     if args.seed is not None:
         return args.seed
     env = os.environ.get("PROCURE_SEED")
@@ -89,25 +100,25 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2))
+def _fields(report) -> dict:
+    """A report dataclass as JSON: its own fields in order, not copied deeper."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+
+
+def _emit_json(args, report=None, /, **fields) -> None:
+    """Write ``report``'s fields, then ``fields``, as JSON. Every dataclass
+    in them, nested ones included, is written as its own fields."""
+    head = {} if report is None else _fields(report)
+    _emit(args, json.dumps({**head, **fields}, indent=2, default=_fields))
 
 
 def cmd_run(args) -> int:
     instance, _, _ = _obtain_instance(args)
     mech = resolve_mechanism(args.mechanism, demand_cap=args.demand_cap)
-    seed = _resolve_seed(args) if mech.randomized else None
+    seed = _seed(args, mech)
     run = mech.run(instance, seed)
     utilities = [simulation.seller_utility(run.outcome, i, bid.valuation) for i, bid in enumerate(instance.bids)]
-    _emit_json(
-        args,
-        {
-            "mechanism": args.mechanism,
-            "seed": seed,
-            "run": run.to_json_dict(),
-            "seller_utilities": utilities,
-        },
-    )
+    _emit_json(args, mechanism=args.mechanism, seed=seed, run=run, seller_utilities=utilities)
     return EXIT_OK
 
 
@@ -116,32 +127,29 @@ def cmd_benchmark(args) -> int:
     f = benchmarks.optimal_single_price(instance)
     t = benchmarks.optimal_multi_price(instance)
     try:
-        f2 = benchmarks.optimal_single_price_min2(instance).to_json_dict()
+        f2 = benchmarks.optimal_single_price_min2(instance)
         f2_note = None
     except benchmarks.BenchmarkUndefinedError as exc:
         f2 = None
         f2_note = str(exc)
     if args.format == "csv":
-        f2_profit = "" if f2 is None else repr(f2["profit"])
+        f2_profit = "" if f2 is None else repr(f2.profit)
         _emit(args, "f,t,f2,opp\n" + ",".join([repr(f.profit), repr(t.profit), f2_profit, repr(f.price)]))
         return EXIT_OK
-    _emit_json(
-        args,
-        {"f": f.to_json_dict(), "t": t.to_json_dict(), "f2": f2, "f2_note": f2_note, "opp": f.price},
-    )
+    _emit_json(args, f=f, t=t, f2=f2, f2_note=f2_note, opp=f.price)
     return EXIT_OK
 
 
 def cmd_ratio(args) -> int:
-    if args.exact and (args.trials is not None or args.seed is not None):
-        raise InstanceFormatError("ratio --exact reads neither --trials nor --seed")
+    if args.exact and args.trials is not None:
+        raise InstanceFormatError("ratio --exact reads no --trials")
     instance, family, params = _obtain_instance(args)
+    mech = resolve_mechanism(args.mechanism, demand_cap=args.demand_cap)
+    seed = _seed(args, mech, args.exact)
     if args.exact:
         report = simulation.exact_ratio(instance, args.mechanism, args.benchmark, demand_cap=args.demand_cap)
-        seed = None
         method = "exhaustive"
     else:
-        seed = _resolve_seed(args)
         trials = 10000 if args.trials is None else args.trials
         report = simulation.estimate_ratio(instance, args.mechanism, args.benchmark, trials, seed, args.demand_cap)
         method = "monte-carlo"
@@ -153,9 +161,7 @@ def cmd_ratio(args) -> int:
             + simulation.ratio_csv_row(report, family, params, args.mechanism, args.benchmark),
         )
         return EXIT_OK
-    payload = report.to_json_dict()
-    payload.update({"method": method, "seed": seed, "mechanism": args.mechanism, "benchmark_name": args.benchmark})
-    _emit_json(args, payload)
+    _emit_json(args, report, method=method, seed=seed, mechanism=args.mechanism, benchmark_name=args.benchmark)
     return EXIT_OK
 
 
@@ -163,14 +169,11 @@ def cmd_audit(args) -> int:
     instance, _, _ = _obtain_instance(args)
     dims = tuple(d.strip() for d in args.dims.split(",") if d.strip())
     mech = resolve_mechanism(args.mechanism, demand_cap=args.demand_cap)
-    seed = _resolve_seed(args) if mech.randomized else 0
+    seed = _seed(args, mech)
     report = simulation.audit_truthfulness(
         instance, args.mechanism, dims=dims, seed=seed, demand_cap=args.demand_cap
     )
-    payload = report.to_json_dict()
-    payload["seed"] = seed
-    payload["dims"] = list(dims)
-    _emit_json(args, payload)
+    _emit_json(args, **report.to_json_dict(), seed=seed, dims=list(dims))
     return EXIT_OK if report.clean else EXIT_VIOLATIONS
 
 
@@ -186,13 +189,11 @@ def cmd_validate(args) -> int:
     instance = load_instance(args.instance)
     _emit_json(
         args,
-        {
-            "valid": True,
-            "bidders": instance.n,
-            "total_supply": instance.total_supply,
-            "unit_capacity": instance.is_unit_capacity,
-            "curve_kind": instance.curve.kind,
-        },
+        valid=True,
+        bidders=instance.n,
+        total_supply=instance.total_supply,
+        unit_capacity=instance.is_unit_capacity,
+        curve_kind=instance.curve.kind,
     )
     return EXIT_OK
 

@@ -117,9 +117,6 @@ class PartitionDraw:
     flips: tuple[bool, ...]
     seed: int | None = None
 
-    def to_json_dict(self) -> dict:
-        return {"flips": list(self.flips), "seed": self.seed}
-
 
 @dataclass(frozen=True)
 class MechanismRun:
@@ -131,15 +128,6 @@ class MechanismRun:
     f_prime: float | None = None
     f_double_prime: float | None = None
     chosen_side: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "outcome": self.outcome.to_json_dict(),
-            "partition": self.partition.to_json_dict() if self.partition else None,
-            "f_prime": self.f_prime,
-            "f_double_prime": self.f_double_prime,
-            "chosen_side": self.chosen_side,
-        }
 
 
 def _side_optimum(side, pieces) -> float:

@@ -282,13 +282,6 @@ class AuctionOutcome:
     def units(self) -> int:
         return sum(self.allocation)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "allocation": list(self.allocation),
-            "payment_per_unit": list(self.payment_per_unit),
-            "profit": self.profit,
-        }
-
 
 def make_outcome(instance: Instance, allocation, payment_per_unit, profit: float | None = None) -> AuctionOutcome:
     """Build an outcome, checking feasibility, IR, and the profit identity.

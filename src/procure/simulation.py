@@ -18,6 +18,7 @@ import marshal
 import math
 import os
 import random
+import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -60,17 +61,6 @@ class RatioReport:
     ratio_estimate: float
     ratio_lower_bound_3sigma: float
     instance_digest: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "mean_profit": self.mean_profit,
-            "std_error": self.std_error,
-            "benchmark": self.benchmark,
-            "ratio_estimate": self.ratio_estimate,
-            "ratio_lower_bound_3sigma": self.ratio_lower_bound_3sigma,
-            "instance_digest": self.instance_digest,
-        }
 
 
 def _ratio_report(trials: int, mean: float, stderr: float, bench: float, digest: str) -> RatioReport:
@@ -169,7 +159,7 @@ def trial_seed(master: int, index: int) -> int:
     return master * 2**32 + index
 
 
-def _instance_digest(instance: Instance, mechanism: str, benchmark: str, trials: int, seed: int) -> str:
+def _instance_digest(instance: Instance, mechanism: str, benchmark: str, trials: int, seed: int | None) -> str:
     payload = {
         "instance": instance_to_json_dict(instance),
         "mechanism": mechanism,
@@ -324,7 +314,7 @@ def estimate_ratio(
     mechanism: str,
     benchmark: str,
     trials: int,
-    seed: int,
+    seed: int | None,
     demand_cap: int | None = None,
 ) -> RatioReport:
     """Monte Carlo estimate of expected profit relative to a benchmark.
@@ -582,7 +572,7 @@ def seller_utility(outcome, position: int, true_valuation: float) -> float:
     return (outcome.payment_per_unit[position] - true_valuation) * x
 
 
-def _deviation_evaluator(instance: Instance, mech: Mechanism, seed: int):
+def _deviation_evaluator(instance: Instance, mech: Mechanism, seed: int | None):
     """The audits' one reader of outcomes under ``seed``: ``(truth,
     outcome_of)``, with ``truth()`` the truthful run and ``outcome_of`` a
     closure mapping (position, v', q') to the outcome of ``mech`` on the
@@ -600,7 +590,8 @@ def _deviation_evaluator(instance: Instance, mech: Mechanism, seed: int):
 
 def _valuation_grid(instance: Instance, position: int, truth_run) -> list[float]:
     """Deviation probes: scaled own value, the breakpoints set by the other
-    bids, and the bidder's own offered payment when they won."""
+    bids, and the bidder's own offered payment when they won. A scaled
+    value that overflows to inf is not a valuation, and is dropped."""
     v = instance.bids[position].valuation
     delta = 1e-6
     probes = {0.0, 0.5 * v, 0.9 * v, 1.1 * v, 2.0 * v}
@@ -613,7 +604,7 @@ def _valuation_grid(instance: Instance, position: int, truth_run) -> list[float]
         p = truth_run.outcome.payment_per_unit[position]
         probes.add(p + delta)
         probes.add(max(0.0, p - delta))
-    probes.discard(v)
+    probes.difference_update((v, math.inf))
     return sorted(probes)
 
 
@@ -629,7 +620,7 @@ def audit_truthfulness(
     instance: Instance,
     mechanism: str,
     dims=("valuation",),
-    seed: int = 0,
+    seed: int | None = 0,
     demand_cap: int | None = None,
 ) -> AuditReport:
     """Search for profitable unilateral misreports under a frozen coin draw.
@@ -686,15 +677,14 @@ def audit_allocation_monotonicity(
     """Sweep each bidder's valuation and flag any allocation increase.
 
     A sane procurement rule allocates weakly less as a seller asks for
-    more. The sweep spans [0, 2 * max bid] on a fixed coin draw; a
-    violation records the two valuations and the allocation jump.
+    more. The sweep spans [0, 2 * max bid] on a fixed coin draw, capped
+    where its points would overflow; a violation records the two
+    valuations and the allocation jump.
     """
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
     _, outcome_of = _deviation_evaluator(instance, _resolve_for(instance, mechanism, demand_cap), seed)
-    top = 2.0 * max(b.valuation for b in instance.bids)
-    if top <= 0:
-        top = 1.0
+    top = min(2.0 * max(b.valuation for b in instance.bids), sys.float_info.max / grid) or 1.0
     values = [top * k / (grid - 1) for k in range(grid)]
     tested = 0
     violations = []

@@ -7,6 +7,7 @@ the highest winning valuation, keeping only candidates a uniform-price
 auction could actually produce.
 """
 
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb, fsum, inf
@@ -509,7 +510,7 @@ def black_box_monotonicity(instance, mechanism, grid=64, seed=0, demand_cap=None
     swept valuation; :func:`procure.simulation.audit_allocation_monotonicity`
     must report the same."""
     mech = resolve_mechanism(mechanism, demand_cap=demand_cap)
-    top = 2.0 * max(b.valuation for b in instance.bids) or 1.0
+    top = min(2.0 * max(b.valuation for b in instance.bids), sys.float_info.max / grid) or 1.0
     values = [top * k / (grid - 1) for k in range(grid)]
     violations = []
     for pos, bid in enumerate(instance.bids):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -9,7 +10,7 @@ import pytest
 
 import procure
 from procure import simulation
-from procure.cli import main
+from procure.cli import build_parser, main
 from procure.mechanisms import partition_masks, partition_profit_engine
 from procure.model import dumps_instance, loads_instance
 
@@ -511,6 +512,28 @@ GOLDEN_BENCHMARK = {
 }
 """,
         "f,t,f2,opp\n4.0,6.0,4.0,1.0\n",
+    ),
+    # one bid: F^(2) is undefined, so f2 is null with a note, and CSV leaves it empty
+    "uniform-random:n=1,seed=1": (
+        """{
+  "f": {
+    "profit": 0.43079612517778776,
+    "k_winners": 1,
+    "units": 1,
+    "price": 0.5692038748222122
+  },
+  "t": {
+    "profit": 0.43079612517778776,
+    "k_winners": 1,
+    "units": 1,
+    "price": null
+  },
+  "f2": null,
+  "f2_note": "needs at least 2 bidders",
+  "opp": 0.5692038748222122
+}
+""",
+        "f,t,f2,opp\n0.43079612517778776,0.43079612517778776,,0.5692038748222122\n",
     ),
 }
 
@@ -1055,6 +1078,7 @@ def test_a_file_that_cannot_be_opened_exits_2_without_a_traceback(tmp_path, case
 
 
 TIGHT_PEPA = ("--generate", "tightness:l=10,eps=1,n=4", "--mechanism", "pepa")
+KTH_DEMO = ("--generate", "kth-price-demo", "--mechanism", "kth-price", "--demand-cap", "200")
 
 
 @pytest.mark.parametrize(
@@ -1066,11 +1090,124 @@ TIGHT_PEPA = ("--generate", "tightness:l=10,eps=1,n=4", "--mechanism", "pepa")
         (("run", *TIGHT_PEPA, "--demand-cap", "3", "--seed", "1"), "--demand-cap"),
         (("ratio", *TIGHT_PEPA, "--demand-cap", "3", "--seed", "1"), "--demand-cap"),
         (("audit", *TIGHT_PEPA, "--demand-cap", "3", "--seed", "1"), "--demand-cap"),
+        (("run", *KTH_DEMO, "--seed", "3"), "--seed"),
+        (("audit", *KTH_DEMO, "--seed", "3"), "--seed"),
+        (("ratio", *KTH_DEMO, "--seed", "3"), "--seed"),
     ],
 )
 def test_an_option_the_command_would_ignore_exits_2(capsys, argv, option):
-    """``ratio --exact`` reads neither the trial count nor the seed, and only
-    kth-price reads a demand cap: each is refused by name, not ignored."""
+    """``ratio --exact`` reads neither the trial count nor the seed, only
+    kth-price reads a demand cap, and a deterministic mechanism reads no
+    seed: each is refused by name, not ignored."""
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and option in err, err
+
+
+@pytest.mark.parametrize("command", ["run", "audit", "ratio"])
+@pytest.mark.parametrize("mechanism", [KTH_DEMO, (*TIGHT_PEPA[:2], "--mechanism", "bid-independent:opp")])
+def test_a_deterministic_mechanism_reports_a_null_seed_and_announces_none(capsys, monkeypatch, command, mechanism):
+    """Without --seed, a mechanism that draws no coins neither reads
+    PROCURE_SEED nor announces a seed of its own."""
+    monkeypatch.setenv("PROCURE_SEED", "not a seed")
+    code, out, err = run_cli(capsys, command, *mechanism)
+    assert code in (0, 1) and err == "", err
+    assert json.loads(out)["seed"] is None
+
+
+HUGE_ASK = {
+    "bids": [{"v": 1.0, "q": 1}, {"v": 1e308, "q": 1}, {"v": 2.0, "q": 1}],
+    "curve": {"kind": "linear", "r": 10.0},
+}
+
+
+def test_an_audit_of_a_valid_instance_does_not_fail_on_its_own_probes(capsys, tmp_path):
+    """Doubling the ask 1e308 overflows to inf, which is no valuation; the
+    audit drops that probe instead of exiting 2 on it."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_ASK))
+    assert run_cli(capsys, "validate", "--instance", str(path))[0] == 0
+    assert run_cli(capsys, "run", "--instance", str(path), "--mechanism", "pepa", "--seed", "1")[0] == 0
+    code, out, err = run_cli(capsys, "audit", "--instance", str(path), "--mechanism", "pepa", "--seed", "1")
+    assert code in (0, 1) and err == "", err
+    assert json.loads(out)["deviations_tested"] > 0
+
+
+class RecordingNamespace(argparse.Namespace):
+    """A parsed command line that records every name a command reads from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.read_names = set()
+
+    def __getattribute__(self, name):
+        object.__getattribute__(self, "read_names").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _option_reads(tmp_path):
+    """(subcommand, option, argv): a command line that gives the option a
+    value other than its default, once for each way the subcommand can
+    read it."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(dumps_instance(simulation.generate("tightness", {"l": 10, "eps": 1, "n": 4})))
+    tight = ("--generate", "tightness:l=10,eps=1,n=4")
+    out = ("--out", str(tmp_path / "report.txt"))
+    pepa = ("--mechanism", "pepa", "--seed", "1")
+    rows = [
+        ("benchmark", "format", (*tight, "--format", "csv")),
+        ("audit", "dims", (*KTH_DEMO, "--dims", "capacity")),
+        ("validate", "instance", ("--instance", str(inst))),
+        ("validate", "out", ("--instance", str(inst), *out)),
+    ]
+    for command in ("run", "benchmark", "ratio", "audit", "generate"):
+        mech = pepa if command in ("run", "ratio", "audit") else ()
+        rows += [
+            (command, "instance", ("--instance", str(inst), *mech)),
+            (command, "generate", (*tight, *mech)),
+            (command, "out", (*tight, *mech, *out)),
+        ]
+    for command in ("run", "ratio", "audit"):
+        rows += [(command, "seed", (*tight, "--mechanism", m, "--seed", "1")) for m in ("pepa", "pepac")]
+        rows += [
+            (command, "seed", (*tight, "--mechanism", "bid-independent:zero", "--seed", "1")),
+            (command, "seed", (*KTH_DEMO, "--seed", "1")),
+            (command, "mechanism", (*tight, "--mechanism", "bid-independent:opp")),
+            (command, "demand_cap", KTH_DEMO),
+            (command, "demand_cap", (*tight, *pepa, "--demand-cap", "3")),
+        ]
+    rows += [
+        ("ratio", "format", (*tight, *pepa, "--format", "csv")),
+        ("ratio", "trials", (*tight, *pepa, "--trials", "9")),
+        ("ratio", "trials", (*tight, "--mechanism", "pepa", "--exact", "--trials", "9")),
+        ("ratio", "seed", (*tight, *pepa, "--exact")),
+        ("ratio", "benchmark", (*tight, *pepa, "--benchmark", "f")),
+        ("ratio", "exact", (*tight, "--mechanism", "pepa", "--exact")),
+    ]
+    return [(command, dest, (command, *argv)) for command, dest, argv in rows]
+
+
+def test_every_option_a_subcommand_accepts_is_read(capsys, tmp_path):
+    """An option that parses but that the command never reads would be
+    silently ignored. Each row gives one option and checks that the
+    command read it, whether it then ran or refused the option by name; the
+    rows together cover every option of every subcommand."""
+    rows = _option_reads(tmp_path)
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        (command, action.dest)
+        for command, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.dest not in ("help", "func")
+    }
+    assert {(command, dest) for command, dest, _ in rows} == accepted
+    for command, dest, argv in rows:
+        args = build_parser().parse_args(argv, namespace=RecordingNamespace())
+        args.read_names.clear()
+        try:
+            code = args.func(args)
+        except ValueError:
+            code = None  # refused by name, which reads the option too
+        capsys.readouterr()
+        assert code in (0, 1, None), argv
+        assert dest in args.read_names, f"{command} does not read --{dest.replace('_', '-')}: {argv}"

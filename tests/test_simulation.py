@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -95,7 +96,7 @@ MC_INSTANCE = generate("uniform-random", {"n": 40, "seed": 1, "qmin": 1, "qmax":
 
 def _report_fields(report):
     """Every field of a report, the two moments as ``float.hex``."""
-    return {**report.to_json_dict(), "mean_profit": report.mean_profit.hex(), "std_error": report.std_error.hex()}
+    return {**dataclasses.asdict(report), "mean_profit": report.mean_profit.hex(), "std_error": report.std_error.hex()}
 
 
 def _assert_no_child_left():
@@ -710,6 +711,19 @@ def test_kth_price_valuation_sweep_is_monotone():
     demo = generate("kth-price-demo")
     report = audit_allocation_monotonicity(demo, "kth-price", grid=50, demand_cap=200)
     assert report.clean, report.violations
+
+
+def test_an_ask_near_the_float_limit_audits_without_an_overflowing_probe():
+    """Twice the ask 1e308 is inf, which is no valuation: the truthfulness
+    audit drops that probe and keeps 1.1 times the ask, and the sweep is
+    capped below the float limit instead of starting at ``inf * 0``. The
+    CLI audit of the same instance is in ``test_cli.py``."""
+    inst = make_instance([1.0, 1e308, 2.0], curve=linear_curve(10.0))
+    probes = simulation._valuation_grid(inst, 1, resolve_mechanism("pepa").run(inst, 1))
+    assert math.inf not in probes and 1.1 * 1e308 in probes
+    report = audit_allocation_monotonicity(inst, "pepa", seed=1)
+    assert report == black_box_monotonicity(inst, "pepa", seed=1)
+    assert report.deviations_tested == 64 * inst.n
 
 
 # --- generators -----------------------------------------------------------------
