@@ -67,7 +67,7 @@ def main():
     report = audit_truthfulness(demo, "kth-price", dims=("capacity",), demand_cap=200)
     print(f"\nkth-price on the demand-capped demo: {len(report.violations)} profitable underreports")
     for v in report.violations:
-        print(f"  seller {v.bidder}: q {v.true_bid[1]} -> {v.deviating_bid[1]}, gain {v.gain:.1f}")
+        print(f"  seller {v.bidder}: q {v.true_bid.q} -> {v.deviating_bid.q}, gain {v.gain:.1f}")
 
 
 if __name__ == "__main__":

@@ -17,13 +17,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from procure.benchmarks import exact_pepa_ratio
 from procure.model import linear_curve, make_instance
-from procure.simulation import (
-    RATIO_CSV_HEADER,
-    estimate_ratio,
-    exact_ratio,
-    generate,
-    ratio_csv_row,
-)
+from procure.cli import RATIO_CSV_HEADER, ratio_csv_row
+from procure.simulation import estimate_ratio, exact_ratio, generate
 
 
 def exact_row(instance, family, params, mechanism="pepa", benchmark="f2"):

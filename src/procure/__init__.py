@@ -46,6 +46,7 @@ from .simulation import (
     AuditViolation,
     BenchmarkNotPositiveError,
     RatioReport,
+    ReportedBid,
     audit_allocation_monotonicity,
     audit_truthfulness,
     benchmark_value,

@@ -17,8 +17,10 @@ replayable. A command that draws none (a deterministic mechanism, or
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
+import io
 import json
 import os
 import secrets
@@ -45,6 +47,8 @@ def _parse_generator_spec(spec: str) -> tuple[str, dict]:
             key, sep, value = item.partition("=")
             if not sep or not key:
                 raise InstanceFormatError(f"bad generator parameter {item!r}; expected key=value")
+            if key in params:
+                raise InstanceFormatError(f"generator parameter {key!r} given twice")
             try:
                 params[key] = int(value)
             except ValueError:
@@ -140,6 +144,27 @@ def cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
+RATIO_CSV_HEADER = "family,params,mechanism,benchmark,trials,mean,stderr,ratio"
+
+
+def ratio_csv_row(report: simulation.RatioReport, family: str, params: str, mechanism: str, benchmark_name: str) -> str:
+    """One ratio report as a CSV row under :data:`RATIO_CSV_HEADER`."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(
+        [
+            family,
+            params,
+            mechanism,
+            benchmark_name,
+            report.trials,
+            repr(report.mean_profit),
+            repr(report.std_error),
+            repr(report.ratio_estimate),
+        ]
+    )
+    return buf.getvalue()
+
+
 def cmd_ratio(args) -> int:
     if args.exact and args.trials is not None:
         raise InstanceFormatError("ratio --exact reads no --trials")
@@ -154,12 +179,7 @@ def cmd_ratio(args) -> int:
         report = simulation.estimate_ratio(instance, args.mechanism, args.benchmark, trials, seed, args.demand_cap)
         method = "monte-carlo"
     if args.format == "csv":
-        _emit(
-            args,
-            simulation.RATIO_CSV_HEADER
-            + "\n"
-            + simulation.ratio_csv_row(report, family, params, args.mechanism, args.benchmark),
-        )
+        _emit(args, RATIO_CSV_HEADER + "\n" + ratio_csv_row(report, family, params, args.mechanism, args.benchmark))
         return EXIT_OK
     _emit_json(args, report, method=method, seed=seed, mechanism=args.mechanism, benchmark_name=args.benchmark)
     return EXIT_OK
@@ -173,7 +193,7 @@ def cmd_audit(args) -> int:
     report = simulation.audit_truthfulness(
         instance, args.mechanism, dims=dims, seed=seed, demand_cap=args.demand_cap
     )
-    _emit_json(args, **report.to_json_dict(), seed=seed, dims=list(dims))
+    _emit_json(args, report, seed=seed, dims=dims)
     return EXIT_OK if report.clean else EXIT_VIOLATIONS
 
 

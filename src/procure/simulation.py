@@ -10,9 +10,7 @@ how the loop is scheduled, or over how many processes it is split.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import marshal
 import math
@@ -76,42 +74,22 @@ def _ratio_report(trials: int, mean: float, stderr: float, bench: float, digest:
     )
 
 
-RATIO_CSV_HEADER = "family,params,mechanism,benchmark,trials,mean,stderr,ratio"
+@dataclass(frozen=True)
+class ReportedBid:
+    """A seller's report in an audit violation: ask per unit ``v`` and
+    capacity ``q``, the field names of a bid in the instance file format."""
 
-
-def ratio_csv_row(report: RatioReport, family: str, params: str, mechanism: str, benchmark_name: str) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow(
-        [
-            family,
-            params,
-            mechanism,
-            benchmark_name,
-            report.trials,
-            repr(report.mean_profit),
-            repr(report.std_error),
-            repr(report.ratio_estimate),
-        ]
-    )
-    return buf.getvalue()
+    v: float
+    q: int
 
 
 @dataclass(frozen=True)
 class AuditViolation:
     bidder: int
     dim: str
-    true_bid: tuple[float, int]
-    deviating_bid: tuple[float, int]
+    true_bid: ReportedBid
+    deviating_bid: ReportedBid
     gain: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bidder": self.bidder,
-            "dim": self.dim,
-            "true_bid": {"v": self.true_bid[0], "q": self.true_bid[1]},
-            "deviating_bid": {"v": self.deviating_bid[0], "q": self.deviating_bid[1]},
-            "gain": self.gain,
-        }
 
 
 @dataclass(frozen=True)
@@ -123,13 +101,6 @@ class AuditReport:
     @property
     def clean(self) -> bool:
         return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mechanism": self.mechanism,
-            "deviations_tested": self.deviations_tested,
-            "violations": [v.to_json_dict() for v in self.violations],
-        }
 
 
 def benchmark_value(instance: Instance, name: str) -> float:
@@ -320,8 +291,8 @@ def estimate_ratio(
     """Monte Carlo estimate of expected profit relative to a benchmark.
 
     Rejects instances whose benchmark is not strictly positive. A
-    deterministic mechanism is executed once and its profit replicated, so
-    its standard error is exactly 0.
+    deterministic mechanism is executed once: its mean is that run's
+    profit, bit for bit, and its standard error is exactly 0.
 
     Trial t draws its coins from seed ``trial_seed(seed, t)``, which is
     ``trial_seed(seed, 0) + t``, so the masks of all trials come from one
@@ -358,12 +329,11 @@ def estimate_ratio(
         w = _worker_count(trials)
         cuts = [base + trials * i // w for i in range(w + 1)]
         counts = _count_in_workers(count, [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])])
+        _, total, _, scale = _moment_sums(counts)
+        mean = total / scale / trials
+        stderr = (sample_stdev(counts) if trials > 1 else 0.0) / math.sqrt(trials)
     else:
-        counts = Counter({mech.run(instance, None).outcome.profit: trials})
-    _, total, _, scale = _moment_sums(counts)
-    mean = total / scale / trials
-    std = sample_stdev(counts) if trials > 1 else 0.0
-    stderr = std / math.sqrt(trials)
+        mean, stderr = mech.run(instance, None).outcome.profit, 0.0
     return _ratio_report(trials, mean, stderr, bench, _instance_digest(instance, mechanism, benchmark, trials, seed))
 
 
@@ -659,8 +629,8 @@ def audit_truthfulness(
                     AuditViolation(
                         bidder=bid.id,
                         dim=dim,
-                        true_bid=(bid.valuation, bid.capacity),
-                        deviating_bid=(dev_v, dev_q),
+                        true_bid=ReportedBid(bid.valuation, bid.capacity),
+                        deviating_bid=ReportedBid(dev_v, dev_q),
                         gain=gain,
                     )
                 )
@@ -699,8 +669,8 @@ def audit_allocation_monotonicity(
                     AuditViolation(
                         bidder=bid.id,
                         dim="valuation",
-                        true_bid=(prev_v, bid.capacity),
-                        deviating_bid=(v, bid.capacity),
+                        true_bid=ReportedBid(prev_v, bid.capacity),
+                        deviating_bid=ReportedBid(v, bid.capacity),
                         gain=float(x - prev_x),
                     )
                 )

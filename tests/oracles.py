@@ -19,6 +19,7 @@ from procure.simulation import (
     GAIN_TOL,
     AuditReport,
     AuditViolation,
+    ReportedBid,
     _capacity_grid,
     _on_one_scale,
     _side_thresholds,
@@ -497,8 +498,8 @@ def black_box_audit(instance, mechanism, dims=("valuation",), seed=0, demand_cap
                     AuditViolation(
                         bidder=bid.id,
                         dim="capacity" if dev_q != bid.capacity else "valuation",
-                        true_bid=(bid.valuation, bid.capacity),
-                        deviating_bid=(dev_v, dev_q),
+                        true_bid=ReportedBid(bid.valuation, bid.capacity),
+                        deviating_bid=ReportedBid(dev_v, dev_q),
                         gain=gain,
                     )
                 )
@@ -521,8 +522,8 @@ def black_box_monotonicity(instance, mechanism, grid=64, seed=0, demand_cap=None
                     AuditViolation(
                         bidder=bid.id,
                         dim="valuation",
-                        true_bid=(prev_v, bid.capacity),
-                        deviating_bid=(v, bid.capacity),
+                        true_bid=ReportedBid(prev_v, bid.capacity),
+                        deviating_bid=ReportedBid(v, bid.capacity),
                         gain=float(x - prev_x),
                     )
                 )

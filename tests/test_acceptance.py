@@ -23,6 +23,7 @@ from procure.cli import main
 from procure.extraction import pec
 from procure.model import linear_curve, make_instance
 from procure.simulation import (
+    ReportedBid,
     audit_truthfulness,
     estimate_ratio,
     exhaustive_expected_profit,
@@ -193,7 +194,7 @@ def test_criterion_6_truthfulness_audits():
             assert report.clean, (seed, report.violations)
         demo = generate("kth-price-demo")
         report = audit_truthfulness(demo, "kth-price", dims=("capacity",), demand_cap=200)
-        hits = [v for v in report.violations if v.bidder == 1 and v.deviating_bid == (8.0, 90)]
+        hits = [v for v in report.violations if v.bidder == 1 and v.deviating_bid == ReportedBid(8.0, 90)]
         assert len(hits) == 1
         assert abs(hits[0].gain - 160.0) <= 1e-9
 

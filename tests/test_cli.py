@@ -10,7 +10,7 @@ import pytest
 
 import procure
 from procure import simulation
-from procure.cli import build_parser, main
+from procure.cli import _fields, build_parser, main
 from procure.mechanisms import partition_masks, partition_profit_engine
 from procure.model import dumps_instance, loads_instance
 
@@ -424,7 +424,9 @@ def test_allocation_monotonicity_golden_report():
     inst = simulation.generate("uniform-random", {"n": 6, "seed": 4, "qmin": 100, "qmax": 400, "curve": "pwl"})
     assert inst.total_supply == 1453
     report = simulation.audit_allocation_monotonicity(inst, "pepac", seed=3)
-    assert report.to_json_dict() == {"mechanism": "pepac", "deviations_tested": 384, "violations": []}
+    # compared as JSON text, so a -0.0 against a 0.0 would show
+    expected = {"mechanism": "pepac", "deviations_tested": 384, "violations": []}
+    assert json.dumps(report, default=_fields) == json.dumps(expected)
 
 
 # benchmark reports pinned byte for byte against the per-unit scans, profits
@@ -1093,15 +1095,76 @@ KTH_DEMO = ("--generate", "kth-price-demo", "--mechanism", "kth-price", "--deman
         (("run", *KTH_DEMO, "--seed", "3"), "--seed"),
         (("audit", *KTH_DEMO, "--seed", "3"), "--seed"),
         (("ratio", *KTH_DEMO, "--seed", "3"), "--seed"),
+        (("generate", "--generate", "tightness:l=10,l=20"), "'l'"),
+        (("generate", "--generate", "tightness:l=10,eps=1,n=4,n=3"), "'n'"),
     ],
 )
 def test_an_option_the_command_would_ignore_exits_2(capsys, argv, option):
     """``ratio --exact`` reads neither the trial count nor the seed, only
-    kth-price reads a demand cap, and a deterministic mechanism reads no
-    seed: each is refused by name, not ignored."""
+    kth-price reads a demand cap, a deterministic mechanism reads no seed,
+    and a generator key given twice would overwrite its first value: each
+    is refused by name, not ignored."""
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and option in err, err
+
+
+LOADER_BIDS = [{"v": 1.0, "q": 1}, {"v": 2.0, "q": 2}]
+LOADER_LINEAR = {"kind": "linear", "r": 10.0}
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ([LOADER_BIDS, LOADER_LINEAR], "top level must be an object"),
+        ({"curve": LOADER_LINEAR}, "missing required field 'bids'"),
+        ({"bids": LOADER_BIDS}, "missing required field 'curve'"),
+        ({"bids": [], "curve": LOADER_LINEAR}, "'bids' must be a non-empty array"),
+        ({"bids": {"v": 1.0, "q": 1}, "curve": LOADER_LINEAR}, "'bids' must be a non-empty array"),
+        ({"bids": LOADER_BIDS, "curve": {"r": 10.0}}, "'curve' must be an object with a 'kind' field"),
+        ({"bids": LOADER_BIDS, "curve": {"kind": "linear"}}, "curve missing required field 'r'"),
+        ({"bids": LOADER_BIDS, "curve": {"kind": "capped", "r": 10.0}}, "curve missing required field 'D'"),
+        ({"bids": LOADER_BIDS, "curve": {"kind": "pwl"}}, "curve missing required field 'points'"),
+        (
+            {"bids": LOADER_BIDS, "curve": {"kind": "pwl", "points": {"1": 2.0}}},
+            "curve.points must be an array of [q, R] pairs",
+        ),
+        (
+            {"bids": LOADER_BIDS, "curve": {"kind": "pwl", "points": [[1, 2.0, 3.0]]}},
+            "curve.points[0] must be a [q, R] pair, got [1, 2.0, 3.0]",
+        ),
+        (
+            {"bids": LOADER_BIDS, "curve": {"kind": "pwl", "points": [1]}},
+            "curve.points[0] must be a [q, R] pair, got 1",
+        ),
+        (
+            {"bids": LOADER_BIDS, "curve": {"kind": "pwl", "points": []}},
+            "curve: pwl curve needs at least one breakpoint",
+        ),
+        (
+            {"bids": LOADER_BIDS, "curve": {"kind": "pwl", "points": [[1, 1.0], [3, 9.0]]}},
+            "revenue curve rejected: marginal revenue increases at k=1: R(2)-R(1)=4 > R(1)-R(0)=1",
+        ),
+        (("run", *TIGHT_PEPA), "PROCURE_SEED must be an integer, got 'x1'"),
+        (("validate",), "validate needs --instance PATH"),
+        (("run", *KTH_DEMO[:4], "--demand-cap", "-1"), "demand cap must be >= 0, got -1"),
+    ],
+    ids=[
+        "not-an-object", "no-bids", "no-curve", "empty-bids", "bids-not-an-array", "no-kind", "no-r", "no-D",
+        "no-points", "points-not-an-array", "point-of-three", "point-not-an-array", "no-breakpoints",
+        "not-concave", "bad-env-seed", "validate-without-instance", "negative-demand-cap",
+    ],
+)
+def test_a_rejected_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, source, message):
+    """A malformed instance file is validated; a tuple is a command line.
+    Every row runs with a PROCURE_SEED that is no integer, which only a
+    command that draws coins reads."""
+    monkeypatch.setenv("PROCURE_SEED", "x1")
+    if not isinstance(source, tuple):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(source))
+        source = ("validate", "--instance", str(path))
+    assert run_cli(capsys, *source) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["run", "audit", "ratio"])

@@ -14,19 +14,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import procure.mechanisms as mechanisms
+from procure.cli import RATIO_CSV_HEADER, _fields, ratio_csv_row
 from procure.mechanisms import partition_profit_engine, resolve_mechanism
 from procure.model import Bid, Instance, RevenueCurve, capped_curve, linear_curve, make_instance, pwl_curve
 import procure.simulation as simulation
 from procure.simulation import (
     BenchmarkNotPositiveError,
-    RATIO_CSV_HEADER,
+    ReportedBid,
     audit_allocation_monotonicity,
     audit_truthfulness,
     benchmark_value,
     estimate_ratio,
     exhaustive_expected_profit,
     generate,
-    ratio_csv_row,
     sample_stdev,
     trial_seed,
 )
@@ -64,6 +64,18 @@ def test_estimate_ratio_deterministic_mechanism_has_zero_stderr():
     report = estimate_ratio(demo, "kth-price", "f2", trials=100, seed=0, demand_cap=200)
     assert report.std_error == 0.0
     assert report.mean_profit == 1000.0
+
+
+@pytest.mark.parametrize("trials", [3, 7])
+def test_a_deterministic_mechanism_reports_its_run_profit_as_the_mean(trials):
+    """Replicating one profit over the trials and dividing their rounded
+    sum by the trial count would round twice: 1.6360000000000003 here,
+    where the run's profit is 1.6360000000000001."""
+    inst = make_instance([0.762, 0.002, 0.445], curve=linear_curve(1.58))
+    profit = resolve_mechanism("kth-price", demand_cap=2).run(inst, None).outcome.profit
+    report = estimate_ratio(inst, "kth-price", "f", trials=trials, seed=None, demand_cap=2)
+    assert (report.mean_profit, report.std_error) == (profit, 0.0)
+    assert report.mean_profit == exhaustive_expected_profit(inst, "kth-price", demand_cap=2)
 
 
 def test_estimate_ratio_standard_error_is_the_stdev_of_the_trials():
@@ -490,7 +502,7 @@ def test_slot_stealing_on_capped_curves():
         curve=capped_curve(1.0, 1),
     )
     report = audit_truthfulness(inst, "pepa", dims=("valuation",), seed=11)
-    shading = [v for v in report.violations if v.deviating_bid[0] < v.true_bid[0]]
+    shading = [v for v in report.violations if v.deviating_bid.v < v.true_bid.v]
     assert shading, "expected an ask-shading violation on the capped curve"
     # yet the allocation rule itself stays monotone in the reported ask
     mono = audit_allocation_monotonicity(inst, "pepa", grid=60, seed=11)
@@ -511,7 +523,7 @@ def test_kth_price_capacity_audit_finds_the_known_deviation():
     demo = generate("kth-price-demo")
     report = audit_truthfulness(demo, "kth-price", dims=("capacity",), demand_cap=200)
     assert not report.clean
-    hit = [v for v in report.violations if v.bidder == 1 and v.deviating_bid == (8.0, 90)]
+    hit = [v for v in report.violations if v.bidder == 1 and v.deviating_bid == ReportedBid(8.0, 90)]
     assert len(hit) == 1
     assert abs(hit[0].gain - 160.0) <= 1e-9
 
@@ -526,7 +538,7 @@ def test_audit_violations_replay():
         true_bid = demo.bids[pos]
         base = (truth.outcome.payment_per_unit[pos] - true_bid.valuation) * truth.outcome.allocation[pos]
         bids = list(demo.bids)
-        bids[pos] = Bid(v.deviating_bid[0], v.deviating_bid[1], true_bid.id)
+        bids[pos] = Bid(v.deviating_bid.v, v.deviating_bid.q, true_bid.id)
         dev = mech.run(Instance(bids=tuple(bids), curve=demo.curve), 0)
         gained = (dev.outcome.payment_per_unit[pos] - true_bid.valuation) * dev.outcome.allocation[pos] - base
         assert abs(gained - v.gain) <= 1e-9
@@ -564,7 +576,7 @@ SPLIT_AUDITS = [
 
 def _same_report(ours, oracle):
     # compared as JSON text, so a -0.0 against a 0.0 would show
-    assert json.dumps(ours.to_json_dict()) == json.dumps(oracle.to_json_dict())
+    assert json.dumps(ours, default=_fields) == json.dumps(oracle, default=_fields)
 
 
 @pytest.mark.parametrize("curve", ["linear", "capped", "pwl"])
