@@ -9,7 +9,7 @@ from .benchmarks import (
     optimal_single_price,
     optimal_single_price_min2,
 )
-from .extraction import ExtractionResult, pe, pec
+from .extraction import ExtractionResult
 from .mechanisms import (
     Mechanism,
     MechanismRun,
@@ -31,7 +31,6 @@ from .model import (
     InstanceFormatError,
     RevenueCurve,
     capped_curve,
-    dump_instance,
     dumps_instance,
     linear_curve,
     load_instance,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .benchmarks import block_parts
-from .model import EPS, Instance, leq, piece_revenue
+from .model import EPS, leq, piece_revenue
 
 
 @dataclass(frozen=True)
@@ -30,16 +30,6 @@ class ExtractionResult:
     winners: tuple[tuple[int, int], ...]
     price_per_unit: float
     profit: float
-
-    @property
-    def traded(self) -> bool:
-        return bool(self.winners)
-
-    def units_for(self, seller_id: int) -> int:
-        for sid, units in self.winners:
-            if sid == seller_id:
-                return units
-        return 0
 
 
 NO_TRADE = ExtractionResult(winners=(), price_per_unit=0.0, profit=0.0)
@@ -175,17 +165,3 @@ def _last_qualifying_in_block(pieces, v: float, target: float, first: int, last:
                 break  # lo..u all fail
     return None
 
-
-def pe(instance: Instance, target: float) -> ExtractionResult:
-    """Unit-capacity extraction: the largest k cheapest sellers with
-    v_[k] <= (R(k) - P) / k. It is :func:`pec` once the capacities are
-    checked to be 1."""
-    if not instance.is_unit_capacity:
-        raise ValueError("pe requires unit capacities; use pec for capacitated instances")
-    return pec(instance, target)
-
-
-def pec(instance: Instance, target: float) -> ExtractionResult:
-    """Capacitated extraction: :func:`run_extraction` over the instance's
-    sorted bids and revenue curve."""
-    return run_extraction(instance.sorted_bids, instance.curve.pieces, target)

@@ -46,12 +46,18 @@ def _mix64(z: int, lanes: int = _M64) -> int:
     return (z ^ (z >> 31)) & lanes
 
 
+def require_seed(seed) -> None:
+    """A run seed must be a non-negative int: anything else raises
+    ``ValueError`` naming it."""
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _seed_state(seed: int) -> int:
     """A run seed's 64-bit SplitMix64 state: the seed itself below 2^64, a
-    wider seed folded in word by word with :func:`_mix64`. A negative seed
-    raises ``ValueError``."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    wider seed folded in word by word with :func:`_mix64`. A seed that
+    :func:`require_seed` rejects raises its ``ValueError``."""
+    require_seed(seed)
     state = seed & _M64
     hi = seed >> 64
     while hi:
@@ -72,16 +78,17 @@ def partition_masks(n: int, seeds: Iterable[int]) -> Iterator[int]:
     It takes up to ``_LANES`` seeds at a time and packs their states into
     one int, one per 128-bit lane, so that each 64 coins of all of them
     cost one stepping add and one :func:`_mix64` on that int. The masks
-    are read back through ``to_bytes`` and an ``array("Q")``. A negative
-    seed raises ``ValueError`` when its batch of seeds is due.
+    are read back through ``to_bytes`` and an ``array("Q")``. A seed that
+    is not a non-negative int raises ``ValueError`` (:func:`require_seed`)
+    when its batch of seeds is due.
     """
     keep = (1 << n) - 1
     shifts = range(0, max(n, 1), 64)
     seeds = iter(seeds)
     while batch := list(islice(seeds, _LANES)):
-        if 0 <= min(batch) and max(batch) <= _M64:
+        try:
             states = array("Q", batch)
-        else:
+        except (OverflowError, TypeError):  # a seed past 2^64 or not a 64-bit int
             states = array("Q", map(_seed_state, batch))
         size = 16 * len(states)
         packed = array("Q", bytes(size))

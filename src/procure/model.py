@@ -61,7 +61,7 @@ class RevenueCurve:
     points: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
-        if self.kind in ("linear", "capped") and not math.isfinite(self.r):
+        if self.kind in ("linear", "capped") and (isinstance(self.r, bool) or not math.isfinite(self.r)):
             raise ValueError(f"{self.kind} curve needs a finite slope r, got {self.r}")
         if self.kind == "linear":
             if not (self.r >= 0):
@@ -69,16 +69,16 @@ class RevenueCurve:
         elif self.kind == "capped":
             if not (self.r >= 0):
                 raise ValueError(f"capped curve needs slope r >= 0, got {self.r}")
-            if not (isinstance(self.cap, int) and self.cap >= 1):
+            if not (isinstance(self.cap, int) and not isinstance(self.cap, bool) and self.cap >= 1):
                 raise ValueError(f"capped curve needs integer cap >= 1, got {self.cap}")
         elif self.kind == "pwl":
             if not self.points:
                 raise ValueError("pwl curve needs at least one breakpoint")
             prev_q, prev_rev = 0, 0.0
             for i, (q, rev) in enumerate(self.points):
-                if not math.isfinite(rev):
+                if isinstance(rev, bool) or not math.isfinite(rev):
                     raise ValueError(f"pwl breakpoint revenue points[{i}][1] must be finite, got {rev}")
-                if not (isinstance(q, int) and q > prev_q):
+                if not (isinstance(q, int) and not isinstance(q, bool) and q > prev_q):
                     raise ValueError(f"pwl breakpoint quantities must be strictly increasing ints, got {q} after {prev_q}")
                 if rev < prev_rev:
                     raise ValueError(f"pwl revenue must be non-decreasing, got {rev} after {prev_rev}")
@@ -195,9 +195,9 @@ class Bid:
 
     def __post_init__(self):
         v = float(self.valuation)
-        if not (v >= 0.0) or v != v or v == float("inf"):
+        if isinstance(self.valuation, bool) or not (v >= 0.0) or v != v or v == float("inf"):
             raise ValueError(f"valuation must be a finite non-negative number, got {self.valuation}")
-        if not (isinstance(self.capacity, int) and self.capacity >= 1):
+        if not (isinstance(self.capacity, int) and not isinstance(self.capacity, bool) and self.capacity >= 1):
             raise ValueError(f"capacity must be an integer >= 1, got {self.capacity}")
 
 
@@ -278,9 +278,6 @@ class AuctionOutcome:
     allocation: tuple[int, ...]
     payment_per_unit: tuple[float, ...]
     profit: float
-
-    def units(self) -> int:
-        return sum(self.allocation)
 
 
 def make_outcome(instance: Instance, allocation, payment_per_unit, profit: float | None = None) -> AuctionOutcome:
@@ -453,6 +450,3 @@ def load_instance(path) -> Instance:
 def dumps_instance(instance: Instance) -> str:
     return json.dumps(instance_to_json_dict(instance), indent=2)
 
-
-def dump_instance(instance: Instance, path) -> None:
-    Path(path).write_text(dumps_instance(instance) + "\n")

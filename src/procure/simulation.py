@@ -26,6 +26,7 @@ from . import benchmarks, mechanisms
 from .mechanisms import (
     Mechanism,
     partition_profit_engine,
+    require_seed,
     require_unit_capacity,
     resolve_mechanism,
     side_optima_by_mask,
@@ -300,10 +301,12 @@ def estimate_ratio(
     are kept as value counts, so memory does not grow with the trial count.
     Both moments are exact and do not depend on the order of the trials:
     the mean is the exact sum of the counts (:func:`_moment_sums`), rounded
-    once as ``math.fsum`` rounds it, divided by the trial count, and the
+    once as ``math.fsum`` rounds it, divided by the trial count (or, where
+    that sum is past the largest float, the exact mean rounded once), and the
     standard deviation is :func:`sample_stdev` of the counts, the correctly
     rounded square root of the exact sample variance. A randomized
-    mechanism rejects a negative seed, naming it.
+    mechanism rejects a seed that is not a non-negative int, naming it
+    (:func:`mechanisms.require_seed`).
 
     The trial range is cut into contiguous slices, one per allowed core
     with at least ``_TRIALS_PER_WORKER`` trials each (:func:`_worker_count`),
@@ -318,8 +321,7 @@ def estimate_ratio(
     bench = _positive_benchmark(instance, benchmark)
     mech = _resolve_for(instance, mechanism, demand_cap)
     if mech.randomized:
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        require_seed(seed)
         base = trial_seed(seed, 0)
         engine = partition_profit_engine(instance)
 
@@ -330,7 +332,10 @@ def estimate_ratio(
         cuts = [base + trials * i // w for i in range(w + 1)]
         counts = _count_in_workers(count, [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])])
         _, total, _, scale = _moment_sums(counts)
-        mean = total / scale / trials
+        try:
+            mean = total / scale / trials
+        except OverflowError:  # the sum is past the largest float; its mean is not
+            mean = total / (scale * trials)
         stderr = (sample_stdev(counts) if trials > 1 else 0.0) / math.sqrt(trials)
     else:
         mean, stderr = mech.run(instance, None).outcome.profit, 0.0
@@ -418,14 +423,18 @@ def _expected_min_side_optimum(instance: Instance) -> float:
 
 
 def _min_side_by_enumeration(instance: Instance) -> float:
-    """``fsum`` of min(f', f'') over all 2^n draws, divided by 2^n, walking
-    only half of them.
+    """The exact sum of min(f', f'') over all 2^n draws divided by 2^n,
+    rounded once, walking only half of them.
 
     A draw's complement swaps its sides, so the walk returns (f'', f') for
     it and the two draws share one minimum. The 2^(n-1) masks with bit
     n - 1 clear hold one draw of each pair, so the sum over all 2^n draws is
-    twice theirs. Doubling and halving are exact, so ``fsum`` of the half
-    divided by 2^(n-1) is the float of the whole.
+    twice theirs. The minima are counted by value and summed exactly as
+    ints on one power-of-two scale (:func:`_moment_sums`), and one int
+    division by that scale times 2^(n-1) rounds the mean, as in
+    :func:`_min_side_by_counting`. Wherever ``fsum`` of the minima is
+    finite and the mean is a normal float, that is ``fsum`` divided by
+    2^(n-1); a sum past the largest float does not overflow.
 
     Each draw's (f', f'') comes from :func:`mechanisms.side_optima_by_mask`,
     the walk the Monte Carlo engine runs, which computes each threshold
@@ -434,15 +443,17 @@ def _min_side_by_enumeration(instance: Instance) -> float:
     operations in all. A draw's walk ends once no remaining seller can
     raise either side, and starts after the ``mechanisms._HEAD`` cheapest
     sellers from the state its memo keeps for their coins, at most
-    2^_HEAD entries, so memory stays O(1) in the number of draws. The walk's
-    bit i is bidder i, the bid at position i, not the i-th cheapest,
-    but either order yields the same multiset of minima over all 2^n masks,
-    hence over the half, and ``fsum`` is correctly rounded, so the sum does
+    2^_HEAD entries. A minimum is 0 or some g(j, c), so the counts hold at
+    most one entry per threshold, and memory does not grow with the number
+    of draws. The walk's bit i is bidder i, the bid at position i, not the
+    i-th cheapest, but either order yields the same multiset of minima over
+    all 2^n masks, hence over the half, and the sum is exact, so it does
     not depend on it.
     """
     side_optima = side_optima_by_mask(instance)
-    half = 1 << (instance.n - 1)
-    return math.fsum(min(side_optima(mask)) for mask in range(half)) / half
+    counts = Counter(min(side_optima(mask)) for mask in range(1 << (instance.n - 1)))
+    _, total, _, scale = _moment_sums(counts)
+    return total / (scale << (instance.n - 1))
 
 
 def _min_side_by_counting(instance: Instance) -> float:

@@ -20,7 +20,7 @@ from procure.benchmarks import (
     optimal_single_price_min2,
 )
 from procure.cli import main
-from procure.extraction import pec
+from procure.extraction import run_extraction
 from procure.model import linear_curve, make_instance
 from procure.simulation import (
     ReportedBid,
@@ -216,11 +216,11 @@ def test_criterion_7_extraction_identity():
             f = optimal_single_price(inst).profit
             for fraction in (0.0, rng.uniform(0.0, 1.0), 1.0, rng.uniform(1.0, 1.5)):
                 target = fraction * f
-                res = pec(inst, target)
+                res = run_extraction(inst.sorted_bids, inst.curve.pieces, target)
                 if target <= f:
                     assert abs(res.profit - target) <= 1e-9, (seed, fraction)
                 else:
-                    assert res.profit == 0.0 and not res.traded, (seed, fraction)
+                    assert res.profit == 0.0 and not res.winners, (seed, fraction)
 
 
 def test_criterion_8_harmonic_gap():

@@ -981,6 +981,15 @@ def test_env_seed_fallback(capsys, monkeypatch):
     assert "auto-chosen" not in err
 
 
+@pytest.mark.parametrize("argv", [("--benchmark", "f", "--exact"), ("--seed", "1", "--trials", "10")])
+def test_ratio_of_profits_summing_past_the_largest_float(capsys, argv):
+    code, out, err = run_cli(
+        capsys, "ratio", "--generate", "uniform-random:n=3,seed=1,curve=pwl,r=1e308", "--mechanism", "pepac", *argv
+    )
+    assert (code, err) == (0, "")
+    assert 4e307 < json.loads(out)["mean_profit"] < 6e307
+
+
 @pytest.mark.parametrize("seed_from", ["flag", "env"])
 def test_ratio_rejects_a_negative_seed_by_the_value_given(capsys, monkeypatch, seed_from):
     argv = ["ratio", "--generate", "tightness:l=10,eps=1,n=4", "--mechanism", "pepa", "--trials", "5"]

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from procure.benchmarks import optimal_single_price
 from procure import extraction
-from procure.extraction import pe, pec, run_extraction
+from procure.extraction import run_extraction
 from procure.model import EPS, Bid, Instance, capped_curve, linear_curve, make_instance, pwl_curve
 from procure.simulation import generate
 
@@ -29,21 +29,21 @@ FIXTURE = make_instance([1.0, 9.0, 10.0, 10.0], curve=linear_curve(10.0))
 
 
 def test_pe_extracts_target_exactly():
-    res = pe(FIXTURE, 2.0)
-    assert res.traded
+    res = run_extraction(FIXTURE.sorted_bids, FIXTURE.curve.pieces, 2.0)
+    assert res.winners
     assert res.winners == ((0, 1), (1, 1))
     assert res.price_per_unit == 9.0
     assert res.profit == 2.0
 
 
 def test_pe_fails_above_optimum():
-    res = pe(FIXTURE, 12.0)  # single-price optimum is 9
-    assert not res.traded
+    res = run_extraction(FIXTURE.sorted_bids, FIXTURE.curve.pieces, 12.0)  # single-price optimum is 9
+    assert not res.winners
     assert res.profit == 0.0
 
 
 def test_pe_zero_target_trades_widest_prefix():
-    res = pe(FIXTURE, 0.0)
+    res = run_extraction(FIXTURE.sorted_bids, FIXTURE.curve.pieces, 0.0)
     # largest k with v_[k] <= R(k)/k: k=4 fails (10 > 9.5... no), check directly
     # R(k)/k = 10 for all k under linear(10), so all four qualify
     assert res.winners == ((0, 1), (1, 1), (2, 1), (3, 1))
@@ -51,20 +51,14 @@ def test_pe_zero_target_trades_widest_prefix():
     assert res.profit == 0.0
 
 
-def test_pe_requires_unit_capacity():
-    inst = make_instance([1.0, 2.0], capacities=[2, 1], curve=linear_curve(10.0))
-    with pytest.raises(ValueError):
-        pe(inst, 1.0)
-
-
 def test_negative_target_rejected():
     with pytest.raises(ValueError):
-        pe(FIXTURE, -1.0)
+        run_extraction(FIXTURE.sorted_bids, FIXTURE.curve.pieces, -1.0)
 
 
 def test_pec_partial_marginal_seller():
     inst = make_instance([1.0, 9.0, 10.0], capacities=[2, 1, 3], curve=linear_curve(10.0))
-    res = pec(inst, 2.0)
+    res = run_extraction(inst.sorted_bids, inst.curve.pieces, 2.0)
     assert res.winners == ((0, 2), (1, 1))
     assert abs(res.price_per_unit - 28.0 / 3.0) < 1e-12
     assert res.profit == 2.0
@@ -72,15 +66,7 @@ def test_pec_partial_marginal_seller():
 
 def test_pec_no_trade_when_curve_too_flat():
     inst = make_instance([5.0], capacities=[3], curve=linear_curve(4.0))
-    assert not pec(inst, 10.0).traded
-
-
-def test_pec_equals_pe_on_unit_instances():
-    for seed in range(50):
-        inst = generate("uniform-random", {"n": random.Random(seed).randint(1, 8), "seed": seed, "vmax": 0.9})
-        f = optimal_single_price(inst).profit
-        for target in (0.0, 0.3 * f, f):
-            assert pe(inst, target) == pec(inst, target)
+    assert not run_extraction(inst.sorted_bids, inst.curve.pieces, 10.0).winners
 
 
 def test_largest_qualifying_count_matches_exhaustive_check():
@@ -106,7 +92,7 @@ def test_largest_qualifying_count_matches_exhaustive_check():
             if sorted_bids[j].valuation <= price + 1e-9:
                 qualifying.append(u)
         if not qualifying:
-            assert not res.traded
+            assert not res.winners
         else:
             assert sum(units for _, units in res.winners) == max(qualifying)
 
@@ -121,12 +107,12 @@ def test_profit_identity(seed, target_fraction):
     )
     f = optimal_single_price(inst).profit
     target = target_fraction * f
-    res = pec(inst, target)
+    res = run_extraction(inst.sorted_bids, inst.curve.pieces, target)
     if target <= f:
-        assert res.traded or target == 0.0
+        assert res.winners or target == 0.0
         assert abs(res.profit - target) <= 1e-9
     else:
-        assert not res.traded
+        assert not res.winners
         assert res.profit == 0.0
 
 
@@ -136,8 +122,8 @@ def test_profit_identity_at_exact_boundary():
         f = optimal_single_price(inst).profit
         if f <= 0:
             continue
-        res = pec(inst, f)
-        assert res.traded
+        res = run_extraction(inst.sorted_bids, inst.curve.pieces, f)
+        assert res.winners
         assert abs(res.profit - f) <= 1e-9
 
 
@@ -150,8 +136,8 @@ def test_winner_price_is_bid_independent():
         if f <= 0:
             continue
         target = 0.5 * f
-        res = pe(inst, target)
-        if not res.traded:
+        res = run_extraction(inst.sorted_bids, inst.curve.pieces, target)
+        if not res.winners:
             continue
         price = res.price_per_unit
         for sid, _ in res.winners:
@@ -160,8 +146,9 @@ def test_winner_price_is_bid_independent():
             raised = min(old.valuation + 0.5 * (price - old.valuation), price)
             if raised <= old.valuation:
                 continue
-            res2 = pe(_replace_bid(inst, pos, valuation=raised), target)
-            if res2.units_for(sid) > 0:
+            raised_inst = _replace_bid(inst, pos, valuation=raised)
+            res2 = run_extraction(raised_inst.sorted_bids, raised_inst.curve.pieces, target)
+            if dict(res2.winners).get(sid, 0) > 0:
                 assert res2.price_per_unit == price
                 checked += 1
     assert checked > 20
@@ -181,12 +168,13 @@ def test_capacity_underreport_never_pays_under_linear_curves():
         if f <= 0:
             continue
         target = rng.uniform(0.0, f)
-        truth = pec(inst, target)
+        truth = run_extraction(inst.sorted_bids, inst.curve.pieces, target)
         for pos, bid in enumerate(inst.bids):
-            true_util = truth.units_for(bid.id) * (truth.price_per_unit - bid.valuation)
+            true_util = dict(truth.winners).get(bid.id, 0) * (truth.price_per_unit - bid.valuation)
             for q_hat in range(1, bid.capacity):
-                dev = pec(_replace_bid(inst, pos, capacity=q_hat), target)
-                dev_util = dev.units_for(bid.id) * (dev.price_per_unit - bid.valuation)
+                dev_inst = _replace_bid(inst, pos, capacity=q_hat)
+                dev = run_extraction(dev_inst.sorted_bids, dev_inst.curve.pieces, target)
+                dev_util = dict(dev.winners).get(bid.id, 0) * (dev.price_per_unit - bid.valuation)
                 assert dev_util <= true_util + 1e-9
                 checked += 1
     assert checked > 100

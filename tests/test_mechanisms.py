@@ -585,7 +585,7 @@ def test_kth_price_undefined_when_everyone_wins():
 
 def test_kth_price_zero_cap_is_empty():
     out = run_kth_price(DEMO, 0)
-    assert out.units() == 0
+    assert sum(out.allocation) == 0
     assert out.profit == 0.0
 
 

@@ -73,6 +73,11 @@ def test_bid_validation():
         Bid(1.0, 0, 0)
     with pytest.raises(ValueError):
         Bid(float("nan"), 1, 0)
+    # a bool is no ask or capacity: the instance file could not be read back
+    with pytest.raises(ValueError, match="^valuation must be"):
+        Bid(True, 1, 0)
+    with pytest.raises(ValueError, match="^capacity must be"):
+        Bid(2.0, True, 0)
 
 
 def test_instance_validation():
@@ -87,6 +92,15 @@ def test_instance_validation():
     # non-concave curve rejected at instance level
     with pytest.raises(ValueError):
         make_instance([1.0, 2.0], curve=pwl_curve([(1, 5.0), (2, 12.0)]))
+    # bools where the file format needs numbers, rejected by name
+    with pytest.raises(ValueError, match="^valuation must be"):
+        Instance(bids=(Bid(True, True, 0), Bid(2.0, 3, 1)), curve=linear_curve(5.0))
+    with pytest.raises(ValueError, match="^linear curve needs a finite slope r, got True$"):
+        linear_curve(True)
+    with pytest.raises(ValueError, match="^capped curve needs integer cap >= 1, got True$"):
+        capped_curve(5.0, True)
+    with pytest.raises(ValueError, match="^capped curve needs a finite slope r, got True$"):
+        capped_curve(True, 2)
 
 
 def test_sorted_view_breaks_ties_by_id():
@@ -299,6 +313,12 @@ def test_json_round_trip_is_bit_identical():
     text = dumps_instance(inst)
     again = dumps_instance(loads_instance(text))
     assert text == again
+    # an instance built with ints where floats are usual loads back equal
+    for inst in (
+        Instance(bids=(Bid(1, 2, 0), Bid(2.0, 3, 1)), curve=linear_curve(5)),
+        Instance(bids=(Bid(0, 1, 0),), curve=capped_curve(3, 2)),
+    ):
+        assert loads_instance(dumps_instance(inst)) == inst
 
 
 def test_json_round_trip_pwl():

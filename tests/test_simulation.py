@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -327,6 +328,40 @@ def test_pepa_estimators_reject_capacitated_instances():
     with pytest.raises(ValueError, match=message):
         exhaustive_expected_profit(inst, "pepa")
     estimate_ratio(inst, "pepac", "f", trials=10, seed=1)
+
+
+@pytest.mark.parametrize("seed", [None, 1.5])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda seed: mechanisms.run_pepac(TIGHT, seed),
+        lambda seed: estimate_ratio(TIGHT, "pepac", "f", 100, seed),
+        lambda seed: audit_truthfulness(TIGHT, "pepac", seed=seed),
+        lambda seed: audit_allocation_monotonicity(TIGHT, "pepac", seed=seed),
+    ],
+    ids=["run_pepac", "estimate_ratio", "audit_truthfulness", "audit_allocation_monotonicity"],
+)
+def test_a_seed_that_is_not_an_int_is_rejected_by_name(entry, seed):
+    with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {seed}$"):
+        entry(seed)
+
+
+# R(m) = 9.1e307 is finite, but the profits of its draws sum past the largest float
+HUGE = generate("uniform-random", {"n": 3, "seed": 1, "curve": "pwl", "r": 1e308})
+
+
+def test_exact_expectation_of_profits_summing_past_the_largest_float():
+    enumerated = simulation._min_side_by_enumeration(HUGE)
+    assert enumerated.hex() == simulation._min_side_by_counting(HUGE).hex()
+    assert enumerated == 5.915425133516349e307
+
+
+def test_monte_carlo_mean_of_profits_summing_past_the_largest_float():
+    report = estimate_ratio(HUGE, "pepac", "f", trials=10, seed=1)
+    engine = partition_profit_engine(HUGE)
+    profits = [engine(per_seed_partition_mask(HUGE.n, trial_seed(1, t))) for t in range(10)]
+    assert math.isinf(sum(profits))
+    assert report.mean_profit == float(sum(map(Fraction, profits)) / 10) == 4.732340106813079e307
 
 
 def test_exhaustive_single_bidder_is_zero():
