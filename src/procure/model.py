@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +26,15 @@ def leq(a: float, b: float) -> bool:
 
 class InstanceFormatError(ValueError):
     """Raised when an instance file violates the on-disk schema or a type invariant."""
+
+
+def _money(value, field: str) -> float:
+    """A money field as a float: the one check of every ask, slope and pwl
+    revenue. A value that is not a finite, non-negative int or float (a
+    bool is neither) raises ``ValueError`` naming ``field``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{field} must be a finite non-negative number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +59,10 @@ class RevenueCurve:
     reads a few values of R per seller block instead of one per unit, and
     nothing is tabulated over the supply.
 
-    Construction rejects negative marginal revenue (revenue must be
-    non-decreasing). Concavity is a separate, instance-level check done by
+    Construction stores ``r`` and each pwl revenue as a float and rejects
+    negative marginal revenue (revenue must be non-decreasing); an error
+    names the field at fault (``r``, ``cap``, ``points[i][j]``).
+    Concavity is a separate, instance-level check done by
     :func:`validate_curve`, so that externally supplied curves can be
     inspected and rejected with a precise violation index.
     """
@@ -61,30 +73,25 @@ class RevenueCurve:
     points: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
-        if self.kind in ("linear", "capped") and (isinstance(self.r, bool) or not math.isfinite(self.r)):
-            raise ValueError(f"{self.kind} curve needs a finite slope r, got {self.r}")
-        if self.kind == "linear":
-            if not (self.r >= 0):
-                raise ValueError(f"linear curve needs slope r >= 0, got {self.r}")
-        elif self.kind == "capped":
-            if not (self.r >= 0):
-                raise ValueError(f"capped curve needs slope r >= 0, got {self.r}")
-            if not (isinstance(self.cap, int) and not isinstance(self.cap, bool) and self.cap >= 1):
-                raise ValueError(f"capped curve needs integer cap >= 1, got {self.cap}")
+        if self.kind in ("linear", "capped"):
+            object.__setattr__(self, "r", _money(self.r, "r"))
+            if self.kind == "capped" and not (isinstance(self.cap, int) and not isinstance(self.cap, bool) and self.cap >= 1):
+                raise ValueError(f"cap must be an integer >= 1, got {self.cap!r}")
         elif self.kind == "pwl":
             if not self.points:
-                raise ValueError("pwl curve needs at least one breakpoint")
-            prev_q, prev_rev = 0, 0.0
+                raise ValueError("points must hold at least one breakpoint")
+            points, prev_q, prev_rev = [], 0, 0.0
             for i, (q, rev) in enumerate(self.points):
-                if isinstance(rev, bool) or not math.isfinite(rev):
-                    raise ValueError(f"pwl breakpoint revenue points[{i}][1] must be finite, got {rev}")
                 if not (isinstance(q, int) and not isinstance(q, bool) and q > prev_q):
-                    raise ValueError(f"pwl breakpoint quantities must be strictly increasing ints, got {q} after {prev_q}")
+                    raise ValueError(f"points[{i}][0] must be an integer > {prev_q}, got {q!r}")
+                rev = _money(rev, f"points[{i}][1]")
                 if rev < prev_rev:
-                    raise ValueError(f"pwl revenue must be non-decreasing, got {rev} after {prev_rev}")
+                    raise ValueError(f"points[{i}][1] must be >= {prev_rev!r}, got {rev!r}")
+                points.append((q, rev))
                 prev_q, prev_rev = q, rev
+            object.__setattr__(self, "points", tuple(points))
         else:
-            raise ValueError(f"unknown curve kind {self.kind!r}")
+            raise ValueError(f"kind must be one of linear/capped/pwl, got {self.kind!r}")
 
     def at(self, q: int) -> float:
         """R(q) for a non-negative integer unit count: :func:`piece_revenue`
@@ -150,7 +157,7 @@ def capped_curve(r: float, cap: int) -> RevenueCurve:
 
 
 def pwl_curve(points) -> RevenueCurve:
-    return RevenueCurve(kind="pwl", points=tuple((int(q), float(rev)) for q, rev in points))
+    return RevenueCurve(kind="pwl", points=points)
 
 
 def validate_curve(curve: RevenueCurve, max_q: int) -> CurveValidation:
@@ -187,18 +194,18 @@ def validate_curve(curve: RevenueCurve, max_q: int) -> CurveValidation:
 
 @dataclass(frozen=True)
 class Bid:
-    """One seller's offer: asking price per unit and how many units they can supply."""
+    """One seller's offer: asking price per unit and how many units they can supply.
+
+    The ask is stored as a float; an error names the field at fault."""
 
     valuation: float
     capacity: int = 1
     id: int = 0
 
     def __post_init__(self):
-        v = float(self.valuation)
-        if isinstance(self.valuation, bool) or not (v >= 0.0) or v != v or v == float("inf"):
-            raise ValueError(f"valuation must be a finite non-negative number, got {self.valuation}")
+        object.__setattr__(self, "valuation", _money(self.valuation, "valuation"))
         if not (isinstance(self.capacity, int) and not isinstance(self.capacity, bool) and self.capacity >= 1):
-            raise ValueError(f"capacity must be an integer >= 1, got {self.capacity}")
+            raise ValueError(f"capacity must be an integer >= 1, got {self.capacity!r}")
 
 
 @dataclass(frozen=True)
@@ -210,7 +217,7 @@ class Instance:
     index of its coin in a draw, and a revenue curve that is concave with
     R(0) = 0 over the instance's total supply m, which
     :func:`validate_curve` checks on the curve's pieces in O(k), whatever
-    m. Instances are immutable; sorted
+    m, and whose R(m) is finite. Instances are immutable; sorted
     views are derived on demand and cached. The scans and extraction read
     the curve through its affine pieces (:attr:`RevenueCurve.pieces`),
     which the curve caches.
@@ -228,6 +235,9 @@ class Instance:
         check = validate_curve(self.curve, self.total_supply)
         if not check.ok:
             raise ValueError(f"revenue curve rejected: {check.message}")
+        top = self.curve.at(self.total_supply)
+        if not math.isfinite(top):  # R is non-decreasing, so every R(u) here is finite too
+            raise ValueError(f"revenue curve rejected: R({self.total_supply}) = {top} at the total supply is not finite")
 
     @property
     def n(self) -> int:
@@ -262,7 +272,7 @@ def make_instance(valuations, capacities=None, curve: RevenueCurve | None = None
         raise ValueError("curve is required")
     if capacities is None:
         capacities = [1] * len(valuations)
-    bids = tuple(Bid(float(v), int(q), i) for i, (v, q) in enumerate(zip(valuations, capacities)))
+    bids = tuple(Bid(v, q, i) for i, (v, q) in enumerate(zip(valuations, capacities)))
     return Instance(bids=bids, curve=curve)
 
 
@@ -341,7 +351,9 @@ def make_outcome(instance: Instance, allocation, payment_per_unit, profit: float
 #  "curve": {"kind": "linear"|"capped"|"pwl", "r": <number>, "D": <int>,
 #            "points": [[q, R], ...]}}
 #
-# Seller ids are positions in the bids array.
+# Seller ids are positions in the bids array. A bid's v and q are its
+# valuation and capacity, and a capped curve's D is its cap: the names the
+# loader's errors give them.
 
 def instance_to_json_dict(instance: Instance) -> dict:
     curve = instance.curve
@@ -357,33 +369,12 @@ def instance_to_json_dict(instance: Instance) -> dict:
     }
 
 
-def _finite(value, field: str):
-    """Reject a NaN or infinite JSON number by field name; pass anything else through."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise InstanceFormatError(f"{field} must be a finite number, got {value!r}")
-    return value
-
-
-def _number(value, field: str):
-    """Reject anything but a JSON number (bools excluded) by field name."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise InstanceFormatError(f"{field} must be a number, got {value!r}")
-    return value
-
-
-def _integer(value, field: str) -> int:
-    """Reject anything but a JSON integer (bools excluded) by field name."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InstanceFormatError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
-def _slope(raw_curve) -> float:
-    """A linear or capped curve's ``r``: a finite JSON number (bools excluded)."""
-    return float(_finite(_number(raw_curve["r"], "curve.r"), "curve.r"))
-
-
 def instance_from_json_dict(data) -> Instance:
+    """The instance a parsed file describes. This checks the file's
+    structure; each value is checked by the constructor it is passed to,
+    and a ``ValueError`` it raises comes back as an
+    :class:`InstanceFormatError` naming the value's bid or curve and its
+    field, as in ``bids[1].valuation`` or ``curve.points[0][1]``."""
     if not isinstance(data, dict):
         raise InstanceFormatError("top level must be an object")
     for key in ("bids", "curve"):
@@ -396,21 +387,19 @@ def instance_from_json_dict(data) -> Instance:
     for i, rb in enumerate(raw_bids):
         if not isinstance(rb, dict) or "v" not in rb or "q" not in rb:
             raise InstanceFormatError(f"bids[{i}] must be an object with fields 'v' and 'q'")
-        v, q = _number(rb["v"], f"bids[{i}].v"), _integer(rb["q"], f"bids[{i}].q")
         try:
-            bids.append(Bid(float(v), q, i))
+            bids.append(Bid(rb["v"], rb["q"], i))
         except ValueError as exc:
-            raise InstanceFormatError(f"bids[{i}]: {exc}") from exc
+            raise InstanceFormatError(f"bids[{i}].{exc}") from exc
     raw_curve = data["curve"]
     if not isinstance(raw_curve, dict) or "kind" not in raw_curve:
         raise InstanceFormatError("'curve' must be an object with a 'kind' field")
     kind = raw_curve["kind"]
     try:
         if kind == "linear":
-            curve = linear_curve(_slope(raw_curve))
+            curve = linear_curve(raw_curve["r"])
         elif kind == "capped":
-            d = _integer(raw_curve["D"], "curve.D")
-            curve = capped_curve(_slope(raw_curve), d)
+            curve = capped_curve(raw_curve["r"], raw_curve["D"])
         elif kind == "pwl":
             pts = raw_curve["points"]
             if not isinstance(pts, list):
@@ -418,17 +407,15 @@ def instance_from_json_dict(data) -> Instance:
             for i, pt in enumerate(pts):
                 if not isinstance(pt, list) or len(pt) != 2:
                     raise InstanceFormatError(f"curve.points[{i}] must be a [q, R] pair, got {pt!r}")
-                _integer(pt[0], f"curve.points[{i}][0]")
-                _finite(_number(pt[1], f"curve.points[{i}][1]"), f"curve.points[{i}][1]")
             curve = pwl_curve(pts)
         else:
-            raise InstanceFormatError(f"curve.kind must be one of linear/capped/pwl, got {kind!r}")
+            curve = RevenueCurve(kind)
     except KeyError as exc:
         raise InstanceFormatError(f"curve missing required field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InstanceFormatError):
-            raise
-        raise InstanceFormatError(f"curve: {exc}") from exc
+    except InstanceFormatError:
+        raise
+    except ValueError as exc:
+        raise InstanceFormatError(f"curve.{exc}") from exc
     try:
         return Instance(bids=tuple(bids), curve=curve)
     except ValueError as exc:

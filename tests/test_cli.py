@@ -990,6 +990,17 @@ def test_ratio_of_profits_summing_past_the_largest_float(capsys, argv):
     assert 4e307 < json.loads(out)["mean_profit"] < 6e307
 
 
+def test_a_slope_given_as_an_int_reports_what_the_same_float_does(capsys):
+    """r=1 and r=1.0 build equal instances, so the reports, the instance
+    digest included, are the same bytes."""
+    outs = [
+        run_cli(capsys, "ratio", "--mechanism", "pepac", "--seed", "1", "--trials", "100", "--benchmark", "f",
+                "--generate", f"uniform-random:n=4,seed=1,r={r}")
+        for r in ("1", "1.0")
+    ]
+    assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("seed_from", ["flag", "env"])
 def test_ratio_rejects_a_negative_seed_by_the_value_given(capsys, monkeypatch, seed_from):
     argv = ["ratio", "--generate", "tightness:l=10,eps=1,n=4", "--mechanism", "pepa", "--trials", "5"]
@@ -1148,11 +1159,15 @@ LOADER_LINEAR = {"kind": "linear", "r": 10.0}
         ),
         (
             {"bids": LOADER_BIDS, "curve": {"kind": "pwl", "points": []}},
-            "curve: pwl curve needs at least one breakpoint",
+            "curve.points must hold at least one breakpoint",
         ),
         (
             {"bids": LOADER_BIDS, "curve": {"kind": "pwl", "points": [[1, 1.0], [3, 9.0]]}},
             "revenue curve rejected: marginal revenue increases at k=1: R(2)-R(1)=4 > R(1)-R(0)=1",
+        ),
+        (
+            {"bids": LOADER_BIDS, "curve": {"kind": "linear", "r": 1.7e308}},
+            "revenue curve rejected: R(3) = inf at the total supply is not finite",
         ),
         (("run", *TIGHT_PEPA), "PROCURE_SEED must be an integer, got 'x1'"),
         (("validate",), "validate needs --instance PATH"),
@@ -1161,7 +1176,7 @@ LOADER_LINEAR = {"kind": "linear", "r": 10.0}
     ids=[
         "not-an-object", "no-bids", "no-curve", "empty-bids", "bids-not-an-array", "no-kind", "no-r", "no-D",
         "no-points", "points-not-an-array", "point-of-three", "point-not-an-array", "no-breakpoints",
-        "not-concave", "bad-env-seed", "validate-without-instance", "negative-demand-cap",
+        "not-concave", "revenue-overflows", "bad-env-seed", "validate-without-instance", "negative-demand-cap",
     ],
 )
 def test_a_rejected_input_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, source, message):

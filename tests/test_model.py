@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from procure.benchmarks import block_parts
 from procure.model import (
@@ -95,12 +95,27 @@ def test_instance_validation():
     # bools where the file format needs numbers, rejected by name
     with pytest.raises(ValueError, match="^valuation must be"):
         Instance(bids=(Bid(True, True, 0), Bid(2.0, 3, 1)), curve=linear_curve(5.0))
-    with pytest.raises(ValueError, match="^linear curve needs a finite slope r, got True$"):
+    with pytest.raises(ValueError, match="^r must be a finite non-negative number, got True$"):
         linear_curve(True)
-    with pytest.raises(ValueError, match="^capped curve needs integer cap >= 1, got True$"):
+    with pytest.raises(ValueError, match="^cap must be an integer >= 1, got True$"):
         capped_curve(5.0, True)
-    with pytest.raises(ValueError, match="^capped curve needs a finite slope r, got True$"):
+    with pytest.raises(ValueError, match="^r must be a finite non-negative number, got True$"):
         capped_curve(True, 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_instance([1.0, 2.0], capacities=[2.7, 3], curve=linear_curve(5.0)), "capacity must be an integer >= 1, got 2.7"),
+    (lambda: pwl_curve([(2.5, 1.0), (4, 1.5)]), "points[0][0] must be an integer > 0, got 2.5"),
+    (lambda: Bid("0.5", 1, 0), "valuation must be a finite non-negative number, got '0.5'"),
+    (lambda: linear_curve("5"), "r must be a finite non-negative number, got '5'"),
+], ids=["fractional-capacity", "fractional-breakpoint", "string-ask", "string-r"])
+def test_the_library_builders_do_not_coerce(build, message):
+    """The builders pass values to the constructors as given: a value the
+    instance file could not hold is rejected by name, not truncated or
+    parsed."""
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_sorted_view_breaks_ties_by_id():
@@ -319,6 +334,44 @@ def test_json_round_trip_is_bit_identical():
         Instance(bids=(Bid(0, 1, 0),), curve=capped_curve(3, 2)),
     ):
         assert loads_instance(dumps_instance(inst)) == inst
+
+
+_MONEY = st.one_of(st.integers(min_value=0, max_value=10**6), st.floats(min_value=0.0, max_value=1e6))
+
+
+@st.composite
+def _instances_with_int_or_float_money(draw):
+    """An instance the constructors accept, built with each ask, slope and
+    pwl revenue drawn as an int or a float."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    bids = tuple(Bid(draw(_MONEY), draw(st.integers(min_value=1, max_value=5)), i) for i in range(n))
+    kind = draw(st.sampled_from(("linear", "capped", "pwl")))
+    if kind == "linear":
+        curve = linear_curve(draw(_MONEY))
+    elif kind == "capped":
+        curve = capped_curve(draw(_MONEY), draw(st.integers(min_value=1, max_value=20)))
+    else:
+        points, q, rev = [], 0, 0
+        for marginal in sorted(draw(st.lists(_MONEY, min_size=1, max_size=4)), reverse=True):
+            length = draw(st.integers(min_value=1, max_value=6))
+            q, rev = q + length, rev + marginal * length
+            points.append((q, rev))
+        curve = pwl_curve(points)
+    try:
+        return Instance(bids=bids, curve=curve)
+    except ValueError:  # float marginals that are not concave to within EPS
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instances_with_int_or_float_money())
+def test_any_accepted_instance_survives_a_round_trip(inst):
+    """Money given as an int is stored as a float, so an instance loads
+    back equal and dumps the text it was read from."""
+    text = dumps_instance(inst)
+    again = loads_instance(text)
+    assert again == inst
+    assert dumps_instance(again) == text
 
 
 def test_json_round_trip_pwl():

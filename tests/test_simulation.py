@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 import procure.mechanisms as mechanisms
 from procure.cli import RATIO_CSV_HEADER, _fields, ratio_csv_row
 from procure.mechanisms import partition_profit_engine, resolve_mechanism
-from procure.model import Bid, Instance, RevenueCurve, capped_curve, linear_curve, make_instance, pwl_curve
+from procure.model import (
+    Bid, Instance, RevenueCurve, capped_curve, dumps_instance, linear_curve, loads_instance, make_instance, pwl_curve,
+)
 import procure.simulation as simulation
 from procure.simulation import (
     BenchmarkNotPositiveError,
@@ -58,6 +60,15 @@ def test_estimate_ratio_is_reproducible():
     assert a == b
     c = estimate_ratio(TIGHT, "pepa", "f2", trials=500, seed=10)
     assert c.mean_profit != a.mean_profit or c.instance_digest != a.instance_digest
+
+
+def test_an_instance_and_its_round_trip_share_a_digest():
+    """Int money is stored as a float, so the instance and the one its file
+    loads back hash the same."""
+    inst = Instance(bids=(Bid(1, 2, 0), Bid(2, 3, 1)), curve=linear_curve(5))
+    again = loads_instance(dumps_instance(inst))
+    digests = {estimate_ratio(i, "pepac", "f", trials=10, seed=1).instance_digest for i in (inst, again)}
+    assert len(digests) == 1
 
 
 def test_estimate_ratio_deterministic_mechanism_has_zero_stderr():
