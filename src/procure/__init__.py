@@ -26,7 +26,6 @@ from .model import (
     EPS,
     AuctionOutcome,
     Bid,
-    CurveValidation,
     Instance,
     InstanceFormatError,
     RevenueCurve,
@@ -43,7 +42,6 @@ from .model import (
 from .simulation import (
     AuditReport,
     AuditViolation,
-    BenchmarkNotPositiveError,
     RatioReport,
     ReportedBid,
     audit_allocation_monotonicity,

@@ -39,7 +39,8 @@ from .model import Instance, piece_end, piece_revenue
 
 
 class BenchmarkUndefinedError(ValueError):
-    """Raised when a benchmark's constraint cannot be met (e.g. fewer than 2 bidders)."""
+    """Raised when a benchmark's constraint cannot be met (F^(2) with fewer
+    than 2 bidders), and when a ratio's benchmark is not strictly positive."""
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ Subcommands: run, benchmark, ratio, audit, generate, validate.
 Exit codes: 0 clean, 1 audit violations found, 2 input error (a file that
 cannot be read or written, an option the subcommand does not read with the
 others given, and a declared supply too large for an exact expectation's
-state in memory included), 3
-unknown mechanism, 4 benchmark invalid, 141 (128 + SIGPIPE) standard output
-closed before the report was written. Commands that draw coins take --seed,
+state in memory included), 3 unknown mechanism, 4 the ratio's benchmark
+undefined or not positive, 141 (128 + SIGPIPE) standard output closed
+before the report was written. Commands that draw coins take --seed,
 falling back to the PROCURE_SEED environment variable; if neither is set a
 seed is chosen and announced on stderr so every reported number stays
 replayable. A command that draws none (a deterministic mechanism, or
@@ -29,7 +29,6 @@ import sys
 from . import benchmarks, simulation
 from .mechanisms import UnknownMechanismError, resolve_mechanism
 from .model import Instance, InstanceFormatError, dumps_instance, load_instance
-from .simulation import BenchmarkNotPositiveError
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -66,11 +65,7 @@ def _obtain_instance(args) -> tuple[Instance, str, str]:
     if args.instance:
         return load_instance(args.instance), "file", args.instance
     family, params = _parse_generator_spec(args.generate)
-    try:
-        instance = simulation.generate(family, params)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from exc
-    return instance, family, args.generate.partition(":")[2]
+    return simulation.generate(family, params), family, args.generate.partition(":")[2]
 
 
 def _seed(args, mech, exact: bool = False) -> int | None:
@@ -292,7 +287,7 @@ def main(argv=None) -> int:
     except UnknownMechanismError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_MECHANISM
-    except BenchmarkNotPositiveError as exc:
+    except benchmarks.BenchmarkUndefinedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_BENCHMARK
     except (ValueError, OSError) as exc:

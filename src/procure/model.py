@@ -38,13 +38,6 @@ def _money(value, field: str) -> float:
 
 
 @dataclass(frozen=True)
-class CurveValidation:
-    ok: bool
-    violation_at: int | None = None
-    message: str = ""
-
-
-@dataclass(frozen=True)
 class RevenueCurve:
     """Resale revenue R(q) for integer unit counts, with R(0) = 0.
 
@@ -63,8 +56,8 @@ class RevenueCurve:
     negative marginal revenue (revenue must be non-decreasing); an error
     names the field at fault (``r``, ``cap``, ``points[i][j]``).
     Concavity is a separate, instance-level check done by
-    :func:`validate_curve`, so that externally supplied curves can be
-    inspected and rejected with a precise violation index.
+    :func:`validate_curve` over the instance's supply, whose error names
+    the unit count where marginal revenue first rises.
     """
 
     kind: str
@@ -160,19 +153,18 @@ def pwl_curve(points) -> RevenueCurve:
     return RevenueCurve(kind="pwl", points=points)
 
 
-def validate_curve(curve: RevenueCurve, max_q: int) -> CurveValidation:
+def validate_curve(curve: RevenueCurve, max_q: int) -> None:
     """Certify non-increasing marginal revenue over 0..max_q (R(0) = 0 by
-    construction), in O(k) for a curve of k pieces.
+    construction), in O(k) for a curve of k pieces, or raise ``ValueError``.
 
     R grows by a piece's slope per unit on that piece, so the marginals
     can rise only where a piece ends. The check rejects at the first piece
     end b < max_q whose next piece's slope exceeds its own by more than
     ``EPS``, and whose marginals R(b+1) - R(b) and R(b) - R(b-1), which the
-    message names, do too; ``violation_at`` is b. The second test keeps a
-    slope rise within rounding of ``EPS`` from rejecting a curve whose
-    every marginal is within ``EPS`` of the one before. The check is
-    prefix-closed: acceptance over 0..max_q implies acceptance over every
-    shorter range.
+    message names with k = b, do too. The second test keeps a slope rise
+    within rounding of ``EPS`` from rejecting a curve whose every marginal
+    is within ``EPS`` of the one before. The check is prefix-closed:
+    acceptance over 0..max_q implies acceptance over every shorter range.
     """
     if max_q < 1:
         raise ValueError(f"max_q must be >= 1, got {max_q}")
@@ -184,12 +176,10 @@ def validate_curve(curve: RevenueCurve, max_q: int) -> CurveValidation:
             rev = curve.at(b)
             before, after = rev - curve.at(b - 1), curve.at(b + 1) - rev
             if after > before + EPS:
-                return CurveValidation(
-                    False, b,
-                    f"marginal revenue increases at k={b}: "
-                    f"R({b + 1})-R({b})={after:.12g} > R({b})-R({b - 1})={before:.12g}",
+                raise ValueError(
+                    f"revenue curve rejected: marginal revenue increases at k={b}: "
+                    f"R({b + 1})-R({b})={after:.12g} > R({b})-R({b - 1})={before:.12g}"
                 )
-    return CurveValidation(True)
 
 
 @dataclass(frozen=True)
@@ -232,9 +222,7 @@ class Instance:
         for i, b in enumerate(self.bids):
             if b.id != i:
                 raise ValueError("seller ids must be 0..n-1 in bid order")
-        check = validate_curve(self.curve, self.total_supply)
-        if not check.ok:
-            raise ValueError(f"revenue curve rejected: {check.message}")
+        validate_curve(self.curve, self.total_supply)
         top = self.curve.at(self.total_supply)
         if not math.isfinite(top):  # R is non-decreasing, so every R(u) here is finite too
             raise ValueError(f"revenue curve rejected: R({self.total_supply}) = {top} at the total supply is not finite")
@@ -266,12 +254,13 @@ class Instance:
         return Instance(bids=tuple(bids), curve=self.curve)
 
 
-def make_instance(valuations, capacities=None, curve: RevenueCurve | None = None) -> Instance:
-    """Convenience builder: ids are assigned 0..n-1 in list order."""
-    if curve is None:
-        raise ValueError("curve is required")
+def make_instance(valuations, capacities=None, *, curve: RevenueCurve) -> Instance:
+    """Convenience builder: ids are assigned 0..n-1 in list order, and
+    capacities default to 1 each."""
     if capacities is None:
         capacities = [1] * len(valuations)
+    elif len(capacities) != len(valuations):
+        raise ValueError(f"{len(valuations)} valuations but {len(capacities)} capacities")
     bids = tuple(Bid(v, q, i) for i, (v, q) in enumerate(zip(valuations, capacities)))
     return Instance(bids=bids, curve=curve)
 
@@ -292,6 +281,10 @@ class AuctionOutcome:
 
 def make_outcome(instance: Instance, allocation, payment_per_unit, profit: float | None = None) -> AuctionOutcome:
     """Build an outcome, checking feasibility, IR, and the profit identity.
+
+    Each allocation entry must be an int and each payment an int or float,
+    of exactly those types (a bool is neither); an error names the seller.
+    Payments are stored as floats.
 
     A mechanism that knows its exact profit (e.g. a target it extracted) may
     declare it; the declared value must agree with the recomputation
@@ -319,13 +312,18 @@ def make_outcome(instance: Instance, allocation, payment_per_unit, profit: float
     Together that is at most 1.01 (n + 4) e (R + V), half the second term;
     the other half covers the rounding of the check itself.
     """
-    allocation = tuple(int(x) for x in allocation)
-    payment_per_unit = tuple(float(p) for p in payment_per_unit)
+    allocation = tuple(allocation)
+    payment_per_unit = tuple(payment_per_unit)
     if len(allocation) != instance.n or len(payment_per_unit) != instance.n:
         raise ValueError("allocation/payment length must match the number of bids")
     total = 0
     paid = 0.0
     for bid, x, p in zip(instance.bids, allocation, payment_per_unit):
+        # exact types, which rule bools out at a third of isinstance's cost on this hot path
+        if type(x) is not int:
+            raise ValueError(f"seller {bid.id}: allocation must be an integer, got {x!r}")
+        if type(p) is not float and type(p) is not int:
+            raise ValueError(f"seller {bid.id}: payment must be a number, got {p!r}")
         if x < 0 or x > bid.capacity:
             raise ValueError(f"seller {bid.id}: allocation {x} outside [0, {bid.capacity}]")
         if x > 0 and not leq(bid.valuation, p):
@@ -342,7 +340,7 @@ def make_outcome(instance: Instance, allocation, payment_per_unit, profit: float
         volume = sum(abs(p * x) for x, p in zip(allocation, payment_per_unit))
         if abs(profit - recomputed) > EPS + (instance.n + 4) * 2.0**-52 * (revenue + volume):
             raise ValueError(f"declared profit {profit} disagrees with recomputation {recomputed}")
-    return AuctionOutcome(allocation=allocation, payment_per_unit=payment_per_unit, profit=profit)
+    return AuctionOutcome(allocation=allocation, payment_per_unit=tuple(map(float, payment_per_unit)), profit=profit)
 
 
 # --- instance file format ---------------------------------------------------

@@ -47,10 +47,6 @@ GAIN_TOL = 1e-6  # a deviation must beat truth by more than this to count as a v
 _TRIALS_PER_WORKER = 2048
 
 
-class BenchmarkNotPositiveError(ValueError):
-    """Ratio reports need a strictly positive benchmark to divide by."""
-
-
 @dataclass(frozen=True)
 class RatioReport:
     trials: int
@@ -116,13 +112,12 @@ def benchmark_value(instance: Instance, name: str) -> float:
 
 
 def _positive_benchmark(instance: Instance, name: str) -> float:
-    """The named benchmark's profit, rejected unless strictly positive."""
-    try:
-        bench = benchmark_value(instance, name)
-    except benchmarks.BenchmarkUndefinedError as exc:
-        raise BenchmarkNotPositiveError(str(exc)) from exc
+    """The named benchmark's profit, a ratio's denominator: one that is
+    undefined or not strictly positive raises
+    :class:`benchmarks.BenchmarkUndefinedError`."""
+    bench = benchmark_value(instance, name)
     if bench <= 0:
-        raise BenchmarkNotPositiveError(f"benchmark {name!r} is {bench:.6g} on this instance; nothing to divide by")
+        raise benchmarks.BenchmarkUndefinedError(f"benchmark {name!r} is {bench:.6g} on this instance; nothing to divide by")
     return bench
 
 
@@ -131,7 +126,12 @@ def trial_seed(master: int, index: int) -> int:
     return master * 2**32 + index
 
 
-def _instance_digest(instance: Instance, mechanism: str, benchmark: str, trials: int, seed: int | None) -> str:
+def _instance_digest(
+    instance: Instance, mechanism: str, benchmark: str, trials: int, seed: int | None, demand_cap: int | None
+) -> str:
+    """The replay key of a Monte Carlo report: a hash of everything its
+    numbers depend on. The demand cap, which only ``kth-price`` reads,
+    enters only when one is given."""
     payload = {
         "instance": instance_to_json_dict(instance),
         "mechanism": mechanism,
@@ -139,6 +139,8 @@ def _instance_digest(instance: Instance, mechanism: str, benchmark: str, trials:
         "trials": trials,
         "seed": seed,
     }
+    if demand_cap is not None:
+        payload["demand_cap"] = demand_cap
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
@@ -291,7 +293,8 @@ def estimate_ratio(
 ) -> RatioReport:
     """Monte Carlo estimate of expected profit relative to a benchmark.
 
-    Rejects instances whose benchmark is not strictly positive. A
+    Rejects instances whose benchmark is undefined or not strictly
+    positive (:class:`benchmarks.BenchmarkUndefinedError`). A
     deterministic mechanism is executed once: its mean is that run's
     profit, bit for bit, and its standard error is exactly 0.
 
@@ -339,7 +342,7 @@ def estimate_ratio(
         stderr = (sample_stdev(counts) if trials > 1 else 0.0) / math.sqrt(trials)
     else:
         mean, stderr = mech.run(instance, None).outcome.profit, 0.0
-    return _ratio_report(trials, mean, stderr, bench, _instance_digest(instance, mechanism, benchmark, trials, seed))
+    return _ratio_report(trials, mean, stderr, bench, _instance_digest(instance, mechanism, benchmark, trials, seed, demand_cap))
 
 
 def exhaustive_expected_profit(instance: Instance, mechanism: str, demand_cap: int | None = None) -> float:
@@ -359,7 +362,8 @@ def exhaustive_expected_profit(instance: Instance, mechanism: str, demand_cap: i
 def exact_ratio(instance: Instance, mechanism: str, benchmark: str, demand_cap: int | None = None) -> RatioReport:
     """Exact expected profit relative to a benchmark, as a zero-trial report.
 
-    Rejects instances whose benchmark is not strictly positive. The
+    Rejects instances whose benchmark is undefined or not strictly
+    positive (:class:`benchmarks.BenchmarkUndefinedError`). The
     standard error is 0.0, so the 3-sigma lower bound is the estimate, bit
     for bit.
     """

@@ -14,7 +14,7 @@ from math import comb, fsum, inf
 
 from procure.extraction import ExtractionResult
 from procure.mechanisms import resolve_mechanism
-from procure.model import EPS, Bid, CurveValidation, Instance
+from procure.model import EPS, Bid, Instance
 from procure.simulation import (
     GAIN_TOL,
     AuditReport,
@@ -55,21 +55,20 @@ def revenue_table(curve, m):
 
 
 def per_unit_validate_curve(curve, max_q):
-    """Concavity of R over 0..max_q by a check of every marginal: rejects
-    at the first k >= 1 with R(k+1) - R(k) > R(k) - R(k-1) + EPS, with
-    the message of :func:`procure.model.validate_curve`, which checks the
-    curve's slopes instead and must agree wherever rounding does not move
-    a marginal by a sizeable part of EPS."""
+    """Concavity of R over 0..max_q by a check of every marginal: the
+    message that :func:`procure.model.validate_curve` raises at the first
+    k >= 1 with R(k+1) - R(k) > R(k) - R(k-1) + EPS, or None if there is
+    none. The library checks the curve's slopes instead and must agree
+    wherever rounding does not move a marginal by a sizeable part of EPS."""
     table = revenue_table(curve, max_q)
     for k in range(1, max_q):
         before, after = table[k] - table[k - 1], table[k + 1] - table[k]
         if after > before + EPS:
-            return CurveValidation(
-                False, k,
-                f"marginal revenue increases at k={k}: "
-                f"R({k + 1})-R({k})={after:.12g} > R({k})-R({k - 1})={before:.12g}",
+            return (
+                f"revenue curve rejected: marginal revenue increases at k={k}: "
+                f"R({k + 1})-R({k})={after:.12g} > R({k})-R({k - 1})={before:.12g}"
             )
-    return CurveValidation(True)
+    return None
 
 
 def _table_of(instance):

@@ -1001,6 +1001,17 @@ def test_a_slope_given_as_an_int_reports_what_the_same_float_does(capsys):
     assert outs[0][0] == 0 and outs[0] == outs[1]
 
 
+def test_two_demand_caps_report_two_digests(capsys):
+    reports = []
+    for cap in ("100", "200"):
+        code, out, err = run_cli(capsys, "ratio", "--generate", "kth-price-demo", "--mechanism", "kth-price",
+                                 "--trials", "1", "--benchmark", "f", "--demand-cap", cap)
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    assert [r["mean_profit"] for r in reports] == [700.0, 1000.0]
+    assert reports[0]["instance_digest"] != reports[1]["instance_digest"]
+
+
 @pytest.mark.parametrize("seed_from", ["flag", "env"])
 def test_ratio_rejects_a_negative_seed_by_the_value_given(capsys, monkeypatch, seed_from):
     argv = ["ratio", "--generate", "tightness:l=10,eps=1,n=4", "--mechanism", "pepa", "--trials", "5"]

@@ -56,6 +56,13 @@ def test_negative_target_rejected():
         run_extraction(FIXTURE.sorted_bids, FIXTURE.curve.pieces, -1.0)
 
 
+@pytest.mark.parametrize("target", ["1.5", True])
+def test_a_target_that_is_not_a_number_is_rejected_by_name(target):
+    with pytest.raises(ValueError) as err:
+        run_extraction(FIXTURE.sorted_bids, FIXTURE.curve.pieces, target)
+    assert str(err.value) == f"target profit must be a number, got {target!r}"
+
+
 def test_pec_partial_marginal_seller():
     inst = make_instance([1.0, 9.0, 10.0], capacities=[2, 1, 3], curve=linear_curve(10.0))
     res = run_extraction(inst.sorted_bids, inst.curve.pieces, 2.0)

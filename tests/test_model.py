@@ -48,15 +48,17 @@ def test_pwl_curve_interpolates_and_extends():
 
 
 def test_validate_accepts_linear_and_capped():
-    assert validate_curve(linear_curve(10.0), 100).ok
-    assert validate_curve(capped_curve(15.0, 200), 300).ok
+    assert validate_curve(linear_curve(10.0), 100) is None
+    assert validate_curve(capped_curve(15.0, 200), 300) is None
 
 
 def test_validate_rejects_increasing_marginals():
     c = pwl_curve([(1, 5.0), (2, 12.0)])  # marginals 5 then 7
-    res = validate_curve(c, 2)
-    assert not res.ok
-    assert res.violation_at == 1
+    with pytest.raises(ValueError) as err:
+        validate_curve(c, 2)
+    assert str(err.value) == per_unit_validate_curve(c, 2) == (
+        "revenue curve rejected: marginal revenue increases at k=1: R(2)-R(1)=7 > R(1)-R(0)=5"
+    )
 
 
 def test_negative_marginals_rejected_at_construction():
@@ -108,7 +110,9 @@ def test_instance_validation():
     (lambda: pwl_curve([(2.5, 1.0), (4, 1.5)]), "points[0][0] must be an integer > 0, got 2.5"),
     (lambda: Bid("0.5", 1, 0), "valuation must be a finite non-negative number, got '0.5'"),
     (lambda: linear_curve("5"), "r must be a finite non-negative number, got '5'"),
-], ids=["fractional-capacity", "fractional-breakpoint", "string-ask", "string-r"])
+    (lambda: make_instance([1.0, 2.0], capacities=[1], curve=linear_curve(5.0)), "2 valuations but 1 capacities"),
+    (lambda: make_instance([1.0, 2.0], capacities=[1, 2, 3], curve=linear_curve(5.0)), "2 valuations but 3 capacities"),
+], ids=["fractional-capacity", "fractional-breakpoint", "string-ask", "string-r", "capacity-missing", "capacity-extra"])
 def test_the_library_builders_do_not_coerce(build, message):
     """The builders pass values to the constructors as given: a value the
     instance file could not hold is rejected by name, not truncated or
@@ -116,6 +120,11 @@ def test_the_library_builders_do_not_coerce(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+def test_make_instance_requires_a_curve():
+    with pytest.raises(TypeError, match="curve"):
+        make_instance([1.0, 2.0])
 
 
 def test_sorted_view_breaks_ties_by_id():
@@ -143,8 +152,7 @@ def concave_marginal_curves(draw):
 
 @given(concave_marginal_curves(), st.integers(min_value=1, max_value=20))
 def test_average_revenue_monotone_for_accepted_curves(curve, max_q):
-    res = validate_curve(curve, max_q)
-    assert res.ok
+    assert validate_curve(curve, max_q) is None
     table = revenue_table(curve, max_q)
     for i in range(1, max_q + 1):
         for j in range(i, max_q + 1):
@@ -191,14 +199,15 @@ def test_certified_curve_still_rejects_past_a_violation():
     curve = pwl_curve(points)
     _supply_instance(curve, 10)
     expected = per_unit_validate_curve(pwl_curve(points), 12)
-    assert not expected.ok and expected.violation_at == 10
-    again = validate_curve(curve, 12)
-    assert (again.ok, again.violation_at, again.message) == (False, expected.violation_at, expected.message)
+    assert "marginal revenue increases at k=10:" in expected
+    with pytest.raises(ValueError) as again:
+        validate_curve(curve, 12)
+    assert str(again.value) == expected
     with pytest.raises(ValueError) as err:
         _supply_instance(curve, 12)
-    assert str(err.value) == f"revenue curve rejected: {expected.message}"
+    assert str(err.value) == expected
     # a supply short of the violation still certifies
-    assert validate_curve(curve, 10).ok and _supply_instance(curve, 7).total_supply == 7
+    assert validate_curve(curve, 10) is None and _supply_instance(curve, 7).total_supply == 7
 
 
 def test_equal_curves_keep_their_own_tables():
@@ -276,9 +285,11 @@ def _bumped_curves(draw):
 @example(pwl_curve([(2, 2.0), (4, 4.0 + 2.2e-9)]), 4)
 @example(pwl_curve([(5, 33.591061028100306), (7, 47.02748544134043)]), 7)  # slopes rise past EPS, marginals do not
 def test_slope_check_agrees_with_the_per_unit_oracle(curve, max_q):
-    got = validate_curve(curve, max_q)
-    want = per_unit_validate_curve(curve, max_q)
-    assert (got.ok, got.violation_at, got.message) == (want.ok, want.violation_at, want.message)
+    try:
+        got = validate_curve(curve, max_q)
+    except ValueError as exc:
+        got = str(exc)
+    assert got == per_unit_validate_curve(curve, max_q)
 
 
 @pytest.mark.parametrize("curve", [
@@ -291,8 +302,8 @@ def test_slope_check_accepts_curves_the_per_unit_check_rejects_on_rounding(curve
     EPS to within rounding, the marginals' rounding can take them past it;
     the per-unit check rejected both. The slopes do not rise by more than
     EPS."""
-    assert not per_unit_validate_curve(curve, 40).ok
-    assert validate_curve(curve, 40).ok
+    assert per_unit_validate_curve(curve, 40) is not None
+    assert validate_curve(curve, 40) is None
 
 
 def test_outcome_profit_identity():
@@ -309,6 +320,26 @@ def test_outcome_rejects_ir_violation():
         make_outcome(inst, [0, 0], [1.0, 0.0])  # loser paid
     with pytest.raises(ValueError):
         make_outcome(inst, [2, 0], [5.0, 0.0])  # over capacity
+
+
+@pytest.mark.parametrize("allocation, payments, message", [
+    ([2.5, 0], [5.0, 0.0], "seller 0: allocation must be an integer, got 2.5"),
+    ([True, 0], [5.0, 0.0], "seller 0: allocation must be an integer, got True"),
+    ([1, 0], ["6.0", 0.0], "seller 0: payment must be a number, got '6.0'"),
+    ([1, 0], [6.0, False], "seller 1: payment must be a number, got False"),
+], ids=["fractional-allocation", "bool-allocation", "string-payment", "bool-payment"])
+def test_outcome_rejects_what_it_would_have_to_coerce(allocation, payments, message):
+    inst = make_instance([5.0, 9.0], curve=linear_curve(10.0))
+    with pytest.raises(ValueError) as err:
+        make_outcome(inst, allocation, payments)
+    assert str(err.value) == message
+
+
+def test_outcome_stores_an_int_payment_as_a_float():
+    inst = make_instance([5.0, 9.0], curve=linear_curve(10.0))
+    out = make_outcome(inst, (1, 0), (6, 0))
+    assert out == make_outcome(inst, [1, 0], [6.0, 0.0])
+    assert [type(p) for p in out.payment_per_unit] == [float, float]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e9])

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import procure.mechanisms as mechanisms
+from procure.benchmarks import BenchmarkUndefinedError
 from procure.cli import RATIO_CSV_HEADER, _fields, ratio_csv_row
 from procure.mechanisms import partition_profit_engine, resolve_mechanism
 from procure.model import (
@@ -22,7 +23,6 @@ from procure.model import (
 )
 import procure.simulation as simulation
 from procure.simulation import (
-    BenchmarkNotPositiveError,
     ReportedBid,
     audit_allocation_monotonicity,
     audit_truthfulness,
@@ -307,7 +307,7 @@ def test_sample_stdev_of_equal_values_is_zero(x, count):
 
 def test_estimate_ratio_rejects_nonpositive_benchmark():
     inst = make_instance([50.0, 60.0], curve=linear_curve(10.0))
-    with pytest.raises(BenchmarkNotPositiveError):
+    with pytest.raises(BenchmarkUndefinedError):
         estimate_ratio(inst, "pepa", "f2", trials=10, seed=0)
 
 
