@@ -17,6 +17,7 @@ only down to a count that, like the part's first, fails by a margin.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .benchmarks import block_parts
@@ -44,16 +45,16 @@ def run_extraction(sorted_bids, pieces, target: float) -> ExtractionResult:
     full capacity; the marginal one sells the remainder, and every winner is
     paid (R(u) - target) / u per unit. An empty bid list never trades. The
     result, price bit for bit, is that of a count-by-count scan from the
-    total supply downward. A target that is not an int or float (a bool is
-    neither), or is negative, raises ``ValueError`` naming it.
+    total supply downward. A target that is not a finite int or float (a
+    bool is neither), or is negative, raises ``ValueError`` naming it.
 
     ``pieces`` are the curve's affine pieces (:attr:`RevenueCurve.pieces`).
     Each block is searched on the parts where it crosses them
     (:func:`_last_qualifying_in_block`), so its cost does not grow with its
     supply.
     """
-    if not isinstance(target, (int, float)) or isinstance(target, bool):
-        raise ValueError(f"target profit must be a number, got {target!r}")
+    if not isinstance(target, (int, float)) or isinstance(target, bool) or not abs(target) <= sys.float_info.max:
+        raise ValueError(f"target profit must be a finite number, got {target!r}")
     target = float(target)
     if target < 0:
         raise ValueError(f"target profit must be >= 0, got {target}")

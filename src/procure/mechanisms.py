@@ -236,7 +236,7 @@ def run_pepa(instance: Instance, seed: int) -> MechanismRun:
     return run_pepac(instance, seed)
 
 
-# Sellers whose coins key the walk's memo of its state: the cheapest ten.
+# Sellers whose coins key the walk's table of its state: the cheapest ten.
 # Depths 9 to 11 timed the same on Monte Carlo runs of 30 to 42 sellers.
 _HEAD = 10
 
@@ -278,13 +278,14 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
 
     After the ``_HEAD`` cheapest sellers, the walk's state depends only on
     their coins: (f', f''), the units (c', c'') each side holds, and the
-    sellers still to walk, none if the walk has ended. The closure keeps
-    that state in a dict keyed by the mask's bits of those sellers, so it
-    holds at most 2^_HEAD entries. A key's first draw walks the head, keeps
-    where the walk left off, and goes on from there; every later draw with
-    that key walks only the sellers after the head. So a first-seen key
-    costs what a walk without the memo costs, and with the walk's early end
-    the sellers visited per draw fall by up to ``_HEAD``.
+    sellers still to walk, none if the walk has ended. The closure tabulates
+    that state for every pattern of those coins when it is built, keyed by
+    the mask's bits of those sellers: one breadth-first pass extends each
+    pattern of the cheaper head sellers' coins by the next seller's coin,
+    both ways, with the walk's step and its ceiling stop, so the 2^H
+    patterns of H = min(``_HEAD``, n) sellers cost 2^(H+1) - 2 steps and at
+    most one kernel call per (head seller, count). A draw then reads its
+    head's state from the table and walks only the sellers after the head.
     """
     pieces = instance.curve.pieces
     m = instance.total_supply
@@ -295,41 +296,52 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
         ceiling = max(ceiling, block_optimum(pieces, b.valuation, m, 0)[0])
     sellers.reverse()
     head, tail = sellers[:_HEAD], sellers[_HEAD:]
+    states = [(0, 0.0, 0.0, 0, 0)]  # (key, f', f'', c', c'') per coin pattern of the sellers walked so far
+    ended = math.inf  # both optima at least this: the walk has ended
+    for bit, q, v, memo, ceiling in head:
+        grown = []
+        for key, fa, fb, ca, cb in states:
+            if fa >= ended and fb >= ended:
+                grown += (key | bit, fa, fb, ca, cb), (key, fa, fb, ca, cb)
+                continue
+            try:
+                g = memo[ca]
+            except KeyError:
+                g = memo[ca] = block_optimum(pieces, v, q, ca)[0]
+            grown.append((key | bit, g if g > fa else fa, fb, ca + q, cb))
+            try:
+                g = memo[cb]
+            except KeyError:
+                g = memo[cb] = block_optimum(pieces, v, q, cb)[0]
+            grown.append((key, fa, g if g > fb else fb, ca, cb + q))
+        states, ended = grown, ceiling
     head_bits = sum(bit for bit, *_ in head)
-    tail_ceiling = head[-1][-1]
-    after_head = {}  # mask & head_bits -> (f', f'', c', c'', the sellers left to walk)
+    head_table = {  # mask & head_bits -> (f', f'', c', c'', the sellers left to walk)
+        key: (fa, fb, ca, cb, () if fa >= ended and fb >= ended else tail) for key, fa, fb, ca, cb in states
+    }
 
     def side_optima(mask: int) -> tuple[float, float]:
-        key = mask & head_bits
-        try:
-            fa, fb, ca, cb, rest = after_head[key]
-        except KeyError:
-            fa, fb, ca, cb, rest = 0.0, 0.0, 0, 0, head
-        while True:
-            for bit, q, v, memo, ceiling in rest:
-                if mask & bit:
-                    try:
-                        g = memo[ca]
-                    except KeyError:
-                        g = memo[ca] = block_optimum(pieces, v, q, ca)[0]
-                    if g > fa:
-                        fa = g
-                    ca += q
-                else:
-                    try:
-                        g = memo[cb]
-                    except KeyError:
-                        g = memo[cb] = block_optimum(pieces, v, q, cb)[0]
-                    if g > fb:
-                        fb = g
-                    cb += q
-                if fa >= ceiling and fb >= ceiling:
-                    break
-            if rest is not head:
-                return fa, fb
-            # a first-seen key has walked the head: keep where it left off, then go on
-            rest = () if fa >= tail_ceiling and fb >= tail_ceiling else tail
-            after_head[key] = fa, fb, ca, cb, rest
+        fa, fb, ca, cb, rest = head_table[mask & head_bits]
+        for bit, q, v, memo, ceiling in rest:
+            if mask & bit:
+                try:
+                    g = memo[ca]
+                except KeyError:
+                    g = memo[ca] = block_optimum(pieces, v, q, ca)[0]
+                if g > fa:
+                    fa = g
+                ca += q
+            else:
+                try:
+                    g = memo[cb]
+                except KeyError:
+                    g = memo[cb] = block_optimum(pieces, v, q, cb)[0]
+                if g > fb:
+                    fb = g
+                cb += q
+            if fa >= ceiling and fb >= ceiling:
+                break
+        return fa, fb
 
     return side_optima
 

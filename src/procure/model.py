@@ -282,9 +282,10 @@ class AuctionOutcome:
 def make_outcome(instance: Instance, allocation, payment_per_unit, profit: float | None = None) -> AuctionOutcome:
     """Build an outcome, checking feasibility, IR, and the profit identity.
 
-    Each allocation entry must be an int and each payment an int or float,
-    of exactly those types (a bool is neither); an error names the seller.
-    Payments are stored as floats.
+    Each allocation entry must be an int and each payment a finite int or
+    float, of exactly those types (a bool is neither); an error names the
+    seller. Payments whose total overflows are rejected too. Payments are
+    stored as floats.
 
     A mechanism that knows its exact profit (e.g. a target it extracted) may
     declare it; the declared value must agree with the recomputation
@@ -327,11 +328,18 @@ def make_outcome(instance: Instance, allocation, payment_per_unit, profit: float
         if x < 0 or x > bid.capacity:
             raise ValueError(f"seller {bid.id}: allocation {x} outside [0, {bid.capacity}]")
         if x > 0 and not leq(bid.valuation, p):
+            if not math.isfinite(p):  # NaN and -inf fail the check too: name them for what they are
+                raise ValueError(f"seller {bid.id}: payment must be a finite number, got {p!r}")
             raise ValueError(f"seller {bid.id}: payment {p} below reported valuation {bid.valuation}")
         if x == 0 and p != 0.0:
             raise ValueError(f"seller {bid.id}: losing seller must be paid 0, got {p}")
         total += x
         paid += p * x
+    if not math.isfinite(paid):  # checked once, off the per-seller path: name an infinite payment if there is one
+        for bid, p in zip(instance.bids, payment_per_unit):
+            if not math.isfinite(p):
+                raise ValueError(f"seller {bid.id}: payment must be a finite number, got {p!r}")
+        raise ValueError(f"total payment {paid} is not finite")
     revenue = instance.curve.at(total)
     recomputed = revenue - paid
     if profit is None:

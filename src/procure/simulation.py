@@ -446,13 +446,13 @@ def _min_side_by_enumeration(instance: Instance) -> float:
     some subset of cheaper sellers can hold: at most 2^(n-1) * m float
     operations in all. A draw's walk ends once no remaining seller can
     raise either side, and starts after the ``mechanisms._HEAD`` cheapest
-    sellers from the state its memo keeps for their coins, at most
-    2^_HEAD entries. A minimum is 0 or some g(j, c), so the counts hold at
-    most one entry per threshold, and memory does not grow with the number
-    of draws. The walk's bit i is bidder i, the bid at position i, not the
-    i-th cheapest, but either order yields the same multiset of minima over
-    all 2^n masks, hence over the half, and the sum is exact, so it does
-    not depend on it.
+    sellers from the state the walk tabulated for their coins when it was
+    built, 2^min(_HEAD, n) entries. A minimum is 0 or some g(j, c), so the
+    counts hold at most one entry per threshold, and memory does not grow
+    with the number of draws. The walk's bit i is bidder i, the bid at
+    position i, not the i-th cheapest, but either order yields the same
+    multiset of minima over all 2^n masks, hence over the half, and the sum
+    is exact, so it does not depend on it.
     """
     side_optima = side_optima_by_mask(instance)
     counts = Counter(min(side_optima(mask)) for mask in range(1 << (instance.n - 1)))

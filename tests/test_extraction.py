@@ -56,11 +56,13 @@ def test_negative_target_rejected():
         run_extraction(FIXTURE.sorted_bids, FIXTURE.curve.pieces, -1.0)
 
 
-@pytest.mark.parametrize("target", ["1.5", True])
+@pytest.mark.parametrize(
+    "target", ["1.5", True, float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="past-the-largest-float")]
+)
 def test_a_target_that_is_not_a_number_is_rejected_by_name(target):
     with pytest.raises(ValueError) as err:
         run_extraction(FIXTURE.sorted_bids, FIXTURE.curve.pieces, target)
-    assert str(err.value) == f"target profit must be a number, got {target!r}"
+    assert str(err.value) == f"target profit must be a finite number, got {target!r}"
 
 
 def test_pec_partial_marginal_seller():

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -352,33 +353,49 @@ def test_memoised_walk_matches_full_runs_over_any_number_of_draws():
                 assert (got[0].hex(), got[1].hex()) == (run.f_prime.hex(), run.f_double_prime.hex()), (inst.n, mask)
 
 
-def test_a_warm_walk_skips_the_head_sellers(monkeypatch):
-    inst = generate("uniform-random", {"n": 30, "seed": 2, "qmax": 5, "curve": "pwl"})
-    side_optima = side_optima_by_mask(inst)
-    state = dict(zip(side_optima.__code__.co_freevars, (cell.cell_contents for cell in side_optima.__closure__)))
-    head_bits = state["head_bits"]
-    assert bin(head_bits).count("1") == mechanisms._HEAD
-    rng = random.Random(2)
-    masks = [rng.getrandbits(inst.n) for _ in range(3000)]
-    warm = [side_optima(mask) for mask in masks]
-    assert len(state["after_head"]) <= 2**mechanisms._HEAD
-    # forget the head sellers' block optima: a walk that visits them must call the kernel again
-    for *_, memo, _ in state["head"]:
-        memo.clear()
-    head_valuations = {v for _, _, v, *_ in state["head"]}
+@pytest.mark.parametrize("inst, ends_in_head", [
+    (generate("uniform-random", {"n": 30, "seed": 2, "qmax": 5, "curve": "pwl"}), False),
+    (generate("uniform-random", {"n": 7, "seed": 4, "qmax": 3, "curve": "pwl"}), True),  # the head is every seller
+    (generate("uniform-random", {"n": 12, "seed": 5, "qmax": 4, "curve": "mixed"}), False),
+    # the cheap pair ends every walk inside the head
+    (make_instance(
+        [1.0, 2.0] + [10.0 + (i % 3) for i in range(22)],
+        capacities=[10, 10] + [1 + i % 4 for i in range(22)],
+        curve=linear_curve(10.0),
+    ), True),
+], ids=["n30", "n7", "n12", "ends-in-head"])
+def test_the_walk_tabulates_its_head_once_at_construction(monkeypatch, inst, ends_in_head):
+    head = inst.sorted_bids[:mechanisms._HEAD]
+    head_sellers = Counter((b.valuation, b.capacity) for b in head)  # sellers may share (v, q)
     calls = []
     original = mechanisms.block_optimum
 
     def counted(pieces, v, q, c):
-        calls.append(v)
+        calls.append((v, q, c))
         return original(pieces, v, q, c)
 
     monkeypatch.setattr(mechanisms, "block_optimum", counted)
-    assert [side_optima(mask) for mask in masks] == warm
-    fresh_tails = [mask & head_bits | rng.getrandbits(inst.n) & ~head_bits for mask in masks]
-    for mask in fresh_tails:
-        side_optima(mask)
-    assert not head_valuations & set(calls)
+    side_optima = side_optima_by_mask(inst)
+    # the n ceilings, then at most one kernel call per (head seller, count)
+    assert calls[:inst.n] == [(b.valuation, inst.total_supply, 0) for b in reversed(inst.sorted_bids)]
+    assert all(k <= head_sellers[v, q] for (v, q, _), k in Counter(calls[inst.n:]).items())
+    state = dict(zip(side_optima.__code__.co_freevars, (cell.cell_contents for cell in side_optima.__closure__)))
+    head_bits = sum(1 << b.id for b in head)
+    assert state["head_bits"] == head_bits
+    table = state["head_table"]
+    assert len(table) == 2 ** min(mechanisms._HEAD, inst.n)
+    assert all(key & ~head_bits == 0 for key in table)
+    # no draw walks a head seller: every kernel call after construction is a tail seller's
+    calls.clear()
+    rng = random.Random(inst.n)
+    masks = [rng.getrandbits(inst.n) for _ in range(3000)]
+    optima = [side_optima(mask) for mask in masks]
+    assert not any(head_sellers[v, q] for v, q, _ in calls)
+    assert not (ends_in_head and calls)  # a walk that ended in the head visits no tail seller
+    monkeypatch.undo()
+    for mask, (fa, fb) in zip(masks[:200], optima):
+        run = run_on_mask(inst, mask)
+        assert (fa.hex(), fb.hex()) == (run.f_prime.hex(), run.f_double_prime.hex()), mask
 
 
 def assert_engine_matches_oracle(inst, masks):

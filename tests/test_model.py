@@ -327,7 +327,12 @@ def test_outcome_rejects_ir_violation():
     ([True, 0], [5.0, 0.0], "seller 0: allocation must be an integer, got True"),
     ([1, 0], ["6.0", 0.0], "seller 0: payment must be a number, got '6.0'"),
     ([1, 0], [6.0, False], "seller 1: payment must be a number, got False"),
-], ids=["fractional-allocation", "bool-allocation", "string-payment", "bool-payment"])
+    ([1, 0], [float("inf"), 0.0], "seller 0: payment must be a finite number, got inf"),
+    ([1, 0], [float("nan"), 0.0], "seller 0: payment must be a finite number, got nan"),
+    ([1, 0], [-float("inf"), 0.0], "seller 0: payment must be a finite number, got -inf"),
+    ([1, 1], [1.7e308, 1.7e308], "total payment inf is not finite"),
+], ids=["fractional-allocation", "bool-allocation", "string-payment", "bool-payment", "infinite-payment",
+        "nan-payment", "negative-infinite-payment", "payments-overflow"])
 def test_outcome_rejects_what_it_would_have_to_coerce(allocation, payments, message):
     inst = make_instance([5.0, 9.0], curve=linear_curve(10.0))
     with pytest.raises(ValueError) as err:
