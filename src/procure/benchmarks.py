@@ -138,10 +138,14 @@ def block_parts(pieces, lo: int, hi: int) -> list[tuple[int, int, tuple]]:
     The one piece cut: :func:`block_optimum` and
     :func:`procure.extraction.run_extraction` both read a seller block
     through it. Costs a piece search, O(log k) for k pieces, plus one step
-    per piece the block crosses.
+    per piece the block crosses; a block inside one piece is returned
+    without the loop.
     """
-    parts = []
     i = bisect_left(pieces, lo, key=piece_end)
+    piece = pieces[i]
+    if hi <= piece[0]:
+        return [(lo, hi, piece)]
+    parts = []
     while lo <= hi:
         piece = pieces[i]
         last = min(piece[0], hi)

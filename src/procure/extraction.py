@@ -58,16 +58,17 @@ def run_extraction(sorted_bids, pieces, target: float) -> ExtractionResult:
     target = float(target)
     if target < 0:
         raise ValueError(f"target profit must be >= 0, got {target}")
-    cums = [0]
-    for b in sorted_bids:
-        cums.append(cums[-1] + b.capacity)
+    last = sum(b.capacity for b in sorted_bids)  # the units up to and including block j
     for j in range(len(sorted_bids) - 1, -1, -1):
-        found = _last_qualifying_in_block(pieces, sorted_bids[j].valuation, target, cums[j] + 1, cums[j + 1])
+        bid = sorted_bids[j]
+        first = last - bid.capacity + 1
+        found = _last_qualifying_in_block(pieces, bid.valuation, target, first, last)
         if found:
             u, price = found
-            winners = [(sorted_bids[i].id, sorted_bids[i].capacity) for i in range(j)]
-            winners.append((sorted_bids[j].id, u - cums[j]))
+            winners = [(b.id, b.capacity) for b in sorted_bids[:j]]
+            winners.append((bid.id, u - first + 1))
             return ExtractionResult(winners=tuple(winners), price_per_unit=price, profit=target)
+        last = first - 1
     return NO_TRADE
 
 

@@ -57,7 +57,8 @@ class RevenueCurve:
     names the field at fault (``r``, ``cap``, ``points[i][j]``).
     Concavity is a separate, instance-level check done by
     :func:`validate_curve` over the instance's supply, whose error names
-    the unit count where marginal revenue first rises.
+    the unit count where marginal revenue first rises; the curve finds that
+    count once (:attr:`concavity_violation`).
     """
 
     kind: str
@@ -126,6 +127,32 @@ class RevenueCurve:
         pieces.append((math.inf, pieces[-1][1], base, base_revenue))
         return tuple(pieces)
 
+    @cached_property
+    def concavity_violation(self) -> tuple[int, str] | None:
+        """(b, message) for the first piece end b at which marginal revenue
+        rises, or None: the one search behind :func:`validate_curve`.
+
+        R grows by a piece's slope per unit on that piece, so the marginals
+        can rise only where a piece ends. A piece end b counts if the next
+        piece's slope exceeds its own by more than ``EPS``, and the
+        marginals R(b+1) - R(b) and R(b) - R(b-1), which the message names
+        with k = b, do too. The second test keeps a slope rise within
+        rounding of ``EPS`` from rejecting a curve whose every marginal is
+        within ``EPS`` of the one before. Costs O(k) for k pieces, once per
+        curve object, whatever the supplies it is checked over.
+        """
+        pieces = self.pieces
+        for (b, slope, _, _), (_, next_slope, _, _) in zip(pieces, pieces[1:]):
+            if next_slope > slope + EPS:
+                rev = self.at(b)
+                before, after = rev - self.at(b - 1), self.at(b + 1) - rev
+                if after > before + EPS:
+                    return b, (
+                        f"revenue curve rejected: marginal revenue increases at k={b}: "
+                        f"R({b + 1})-R({b})={after:.12g} > R({b})-R({b - 1})={before:.12g}"
+                    )
+        return None
+
 
 def piece_revenue(piece, u: int) -> float:
     """R(u) on one of a curve's affine pieces (:attr:`RevenueCurve.pieces`)
@@ -155,31 +182,20 @@ def pwl_curve(points) -> RevenueCurve:
 
 def validate_curve(curve: RevenueCurve, max_q: int) -> None:
     """Certify non-increasing marginal revenue over 0..max_q (R(0) = 0 by
-    construction), in O(k) for a curve of k pieces, or raise ``ValueError``.
+    construction), or raise ``ValueError``.
 
-    R grows by a piece's slope per unit on that piece, so the marginals
-    can rise only where a piece ends. The check rejects at the first piece
-    end b < max_q whose next piece's slope exceeds its own by more than
-    ``EPS``, and whose marginals R(b+1) - R(b) and R(b) - R(b-1), which the
-    message names with k = b, do too. The second test keeps a slope rise
-    within rounding of ``EPS`` from rejecting a curve whose every marginal
-    is within ``EPS`` of the one before. The check is prefix-closed:
-    acceptance over 0..max_q implies acceptance over every shorter range.
+    The check rejects if the curve's first violation, the piece end b of
+    :attr:`RevenueCurve.concavity_violation`, lies below max_q, with that
+    violation's message. The curve finds b once, so a check costs O(1)
+    after the first, however many supplies it is made over. The check is
+    prefix-closed: acceptance over 0..max_q implies acceptance over every
+    shorter range.
     """
     if max_q < 1:
         raise ValueError(f"max_q must be >= 1, got {max_q}")
-    pieces = curve.pieces
-    for (b, slope, _, _), (_, next_slope, _, _) in zip(pieces, pieces[1:]):
-        if b >= max_q:
-            break
-        if next_slope > slope + EPS:
-            rev = curve.at(b)
-            before, after = rev - curve.at(b - 1), curve.at(b + 1) - rev
-            if after > before + EPS:
-                raise ValueError(
-                    f"revenue curve rejected: marginal revenue increases at k={b}: "
-                    f"R({b + 1})-R({b})={after:.12g} > R({b})-R({b - 1})={before:.12g}"
-                )
+    violation = curve.concavity_violation
+    if violation is not None and violation[0] < max_q:
+        raise ValueError(violation[1])
 
 
 @dataclass(frozen=True)
@@ -206,10 +222,12 @@ class Instance:
     ids 0..n-1 in bid order, so that a seller's id is its position and the
     index of its coin in a draw, and a revenue curve that is concave with
     R(0) = 0 over the instance's total supply m, which
-    :func:`validate_curve` checks on the curve's pieces in O(k), whatever
-    m, and whose R(m) is finite. Instances are immutable; sorted
-    views are derived on demand and cached. The scans and extraction read
-    the curve through its affine pieces (:attr:`RevenueCurve.pieces`),
+    :func:`validate_curve` checks against the violation the curve found
+    once, whatever m, and whose R(m) is finite. Instances are immutable;
+    ``total_supply`` (m) is counted once here, as a plain attribute outside
+    the fields, so it takes no part in equality, hashing or ``repr``, and
+    sorted views are derived on demand and cached. The scans and extraction
+    read the curve through its affine pieces (:attr:`RevenueCurve.pieces`),
     which the curve caches.
     """
 
@@ -222,18 +240,16 @@ class Instance:
         for i, b in enumerate(self.bids):
             if b.id != i:
                 raise ValueError("seller ids must be 0..n-1 in bid order")
-        validate_curve(self.curve, self.total_supply)
-        top = self.curve.at(self.total_supply)
+        m = sum(b.capacity for b in self.bids)
+        object.__setattr__(self, "total_supply", m)
+        validate_curve(self.curve, m)
+        top = self.curve.at(m)
         if not math.isfinite(top):  # R is non-decreasing, so every R(u) here is finite too
-            raise ValueError(f"revenue curve rejected: R({self.total_supply}) = {top} at the total supply is not finite")
+            raise ValueError(f"revenue curve rejected: R({m}) = {top} at the total supply is not finite")
 
     @property
     def n(self) -> int:
         return len(self.bids)
-
-    @cached_property
-    def total_supply(self) -> int:
-        return sum(b.capacity for b in self.bids)
 
     @cached_property
     def is_unit_capacity(self) -> bool:
@@ -284,8 +300,8 @@ def make_outcome(instance: Instance, allocation, payment_per_unit, profit: float
 
     Each allocation entry must be an int and each payment a finite int or
     float, of exactly those types (a bool is neither); an error names the
-    seller. Payments whose total overflows are rejected too. Payments are
-    stored as floats.
+    seller, and an int past the largest float is not finite. Payments whose
+    total overflows are rejected too. Payments are stored as floats.
 
     A mechanism that knows its exact profit (e.g. a target it extracted) may
     declare it; the declared value must agree with the recomputation
@@ -323,8 +339,12 @@ def make_outcome(instance: Instance, allocation, payment_per_unit, profit: float
         # exact types, which rule bools out at a third of isinstance's cost on this hot path
         if type(x) is not int:
             raise ValueError(f"seller {bid.id}: allocation must be an integer, got {x!r}")
-        if type(p) is not float and type(p) is not int:
-            raise ValueError(f"seller {bid.id}: payment must be a number, got {p!r}")
+        if type(p) is not float:
+            if type(p) is not int:
+                raise ValueError(f"seller {bid.id}: payment must be a number, got {p!r}")
+            if not abs(p) <= sys.float_info.max:  # an int too large to convert
+                raise ValueError(f"seller {bid.id}: payment must be a finite number, got {p!r}")
+            p = float(p)
         if x < 0 or x > bid.capacity:
             raise ValueError(f"seller {bid.id}: allocation {x} outside [0, {bid.capacity}]")
         if x > 0 and not leq(bid.valuation, p):

@@ -396,7 +396,8 @@ def _side_thresholds(instance: Instance) -> list[list[float]]:
 
 # Enumerating one draw costs about as much as one DP step on this many bits
 # of packed state (a few Python bytecode ops against a shift, a mask and an
-# add on a long int); calibrated on a 2-vCPU x86 machine.
+# add on a long int); calibrated on a 2-vCPU x86 machine, before counting
+# skipped the thresholds that change no count.
 _DRAW_COST_IN_DP_BITS = 2**12
 
 
@@ -409,7 +410,9 @@ def _expected_min_side_optimum(instance: Instance) -> float:
     runs: n * 2^(n-1) enumeration steps against, for each of the up to
     ``states`` thresholds, a DP of at most n steps on (n + 1) * m-bit ints,
     m the total supply. Few sellers with large capacities enumerate; many
-    sellers count.
+    sellers count. The estimate is an upper bound that counting rarely
+    meets: its sweep stops at the first threshold no draw reaches, and it
+    runs no DP for a threshold that changes no count.
 
     The split auction earns min(f', f'') on every draw up to the extraction
     tolerance: when f' and f'' lie within the ``EPS`` band the engine may
@@ -488,8 +491,18 @@ def _min_side_by_counting(instance: Instance) -> float:
 
     Passing a threshold changes only the masks of the sellers in its group,
     so the DP keeps the ``fail`` and ``fail_both`` rows before each seller
-    and re-runs only from the cheapest seller whose masks changed, the first
-    of the group in the sorted sweep. The rows are 2(n + 1) ints of at most
+    and re-runs only from the cheapest seller whose rows change. An entry
+    (j, c) of the group changes them only if the ``fail`` row before seller
+    j counts some draw in state c. The ``fail_both`` row counts a subset of
+    those draws in each state, and it is symmetric, a count in state x
+    equal to the count in state before_j - x, since swapping the sides of
+    every draw keeps both sides below t; so where the ``fail`` row counts no
+    draw in state c, the ``fail_both`` row counts none in state c or
+    before_j - c, the two states the entry adds. If no entry of the group
+    passes that test, no row changes, so the next threshold's count is the
+    last one: no draw's minimum is the last level, and the next threshold
+    replaces it without a DP run. With few sellers and large capacities
+    most thresholds skip this way. The rows are 2(n + 1) ints of at most
     (n + 1) * (m + 1) bits, m the total supply: about as much memory as the
     2n masks already hold. The counts are the ints the whole DP computes.
     """
@@ -519,24 +532,30 @@ def _min_side_by_counting(instance: Instance) -> float:
     start = k = 0
     while k < len(sweep):
         t = sweep[k][0]
-        fail = fail_rows[start]
-        fail_both = both_rows[start]
-        for j in range(start, n):
-            a = on_a[j]
-            s = shifts[j]
-            fail += (fail & a) << s
-            fail_both = (fail_both & on_b[j]) + ((fail_both & a) << s)
-            fail_rows[j + 1] = fail
-            both_rows[j + 1] = fail_both
-        reached = (1 << n) - 2 * (fail % field) + fail_both % field
-        if not reached:
-            break
-        levels.append((t, reached))
-        start = sweep[k][1]
+        if start is None:  # no row changed, so no draw's minimum is the last level
+            levels[-1] = (t, levels[-1][1])
+        else:
+            fail = fail_rows[start]
+            fail_both = both_rows[start]
+            for j in range(start, n):
+                a = on_a[j]
+                s = shifts[j]
+                fail += (fail & a) << s
+                fail_both = (fail_both & on_b[j]) + ((fail_both & a) << s)
+                fail_rows[j + 1] = fail
+                both_rows[j + 1] = fail_both
+            reached = (1 << n) - 2 * (fail % field) + fail_both % field
+            if not reached:
+                break
+            levels.append((t, reached))
+        start = None
         while k < len(sweep) and sweep[k][0] == t:
             _, j, c = sweep[k]
             # seller j may now stay below t on a side holding c cheaper units
-            on_a[j] |= field << (c * width)
+            on_c = field << (c * width)
+            if start is None and fail_rows[j] & on_c:
+                start = j  # some draw fails in that state: the rows change from seller j on
+            on_a[j] |= on_c
             on_b[j] |= field << ((len(g[j]) - 1 - c) * width)
             k += 1
     ts, scale = _on_one_scale([t for t, _ in levels])

@@ -322,8 +322,8 @@ def per_threshold_counting(instance):
 
     It runs the whole DP, from the cheapest seller on, for every threshold.
     :func:`procure.simulation._min_side_by_counting` re-runs it only from the
-    cheapest seller whose masks changed, and must return the same float,
-    bit for bit.
+    cheapest seller whose rows change, and not at all for a threshold that
+    changes no row, and must return the same float, bit for bit.
 
     Side b' reaches t > 0 iff some member j has g[j][c_j] >= t, with g from
     :func:`_side_thresholds`. So the number of draws on which both sides

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from procure.benchmarks import (
     BenchmarkUndefinedError,
     block_optimum,
+    block_parts,
     exact_pepa_ratio,
     harmonic,
     optimal_multi_price,
@@ -325,3 +326,28 @@ def test_block_optimum_reads_at_most_two_entries_per_piece_crossed(monkeypatch):
         profit, u = block_optimum(curve.pieces, v, q, c)
         assert (profit, u) == per_unit_block_optimum(rtable, v, q, c)
         assert len(reads) <= 2 * 5
+
+
+_CUT_CURVE = pwl_curve([(5, 50.0), (10, 75.0), (12, 84.0)])  # pieces 1..5, 6..10, 11..12 and 13 on
+
+
+@pytest.mark.parametrize("lo, hi, parts", [
+    (2, 4, [(2, 4, 0)]),
+    (7, 7, [(7, 7, 1)]),
+    (1, 5, [(1, 5, 0)]),
+    (6, 10, [(6, 10, 1)]),
+    (4, 6, [(4, 5, 0), (6, 6, 1)]),
+    (3, 10, [(3, 5, 0), (6, 10, 1)]),
+    (5, 11, [(5, 5, 0), (6, 10, 1), (11, 11, 2)]),
+    (1, 13, [(1, 5, 0), (6, 10, 1), (11, 12, 2), (13, 13, 3)]),
+    (12, 40, [(12, 12, 2), (13, 40, 3)]),
+    (13, 13, [(13, 13, 3)]),
+    (20, 10**9, [(20, 10**9, 3)]),
+], ids=["inside-one", "one-count", "first-piece-whole", "ends-at-a-piece-end", "crosses-two-by-one",
+        "crosses-two-to-an-end", "crosses-three", "crosses-four", "into-the-last", "last-piece-start",
+        "inside-the-last"])
+def test_block_parts_cut_a_block_at_the_pieces(lo, hi, parts):
+    """A block is cut at every piece end it crosses, and a block inside
+    one piece, the unbounded last one included, is one part."""
+    pieces = _CUT_CURVE.pieces
+    assert block_parts(pieces, lo, hi) == [(first, last, pieces[i]) for first, last, i in parts]

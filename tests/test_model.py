@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -197,7 +198,7 @@ def test_certified_tables_match_fresh_tables_for_any_supply_sequence(curve, supp
 def test_certified_curve_still_rejects_past_a_violation():
     points = [(5, 50.0), (10, 75.0), (12, 100.0)]  # marginals 10, 5, then 12.5 from k=10
     curve = pwl_curve(points)
-    _supply_instance(curve, 10)
+    accepted = _supply_instance(curve, 10)
     expected = per_unit_validate_curve(pwl_curve(points), 12)
     assert "marginal revenue increases at k=10:" in expected
     with pytest.raises(ValueError) as again:
@@ -206,8 +207,67 @@ def test_certified_curve_still_rejects_past_a_violation():
     with pytest.raises(ValueError) as err:
         _supply_instance(curve, 12)
     assert str(err.value) == expected
+    with pytest.raises(ValueError) as deviated:  # an audit's deviation, one unit past the violation
+        accepted.with_bid(0, 1.0, 11)
+    assert str(deviated.value) == expected
     # a supply short of the violation still certifies
     assert validate_curve(curve, 10) is None and _supply_instance(curve, 7).total_supply == 7
+
+
+@pytest.mark.parametrize("points", [
+    [(1, 5.0), (2, 12.0)],
+    [(5, 50.0), (10, 75.0), (12, 100.0)],  # marginals 10, 5, then 12.5 from k=10
+    [(3, 9.0), (6, 15.0), (8, 23.0), (9, 24.0)],  # a rise at k=6, none before it
+    [(2, 2.0), (4, 4.0 + 2.2e-9)],  # the slopes rise by 1.1e-9, past EPS
+    [(5, 33.591061028100306), (7, 47.02748544134043)],  # slopes rise past EPS, marginals do not
+    [(4, 20.0), (8, 30.0)],  # concave
+])
+def test_one_curve_object_checks_every_supply_in_either_order(points):
+    """The curve finds its violation once, and each check compares the
+    supply with it: on one curve object, every max_q in 1..k+2 (k the last
+    breakpoint) gets the per-unit oracle's message or none, checked in
+    ascending order and again in descending order, and on a second object
+    the other way round."""
+    top = points[-1][0] + 2
+    expected = {max_q: per_unit_validate_curve(pwl_curve(points), max_q) for max_q in range(1, top + 1)}
+    for order in (range(1, top + 1), range(top, 0, -1)):
+        curve = pwl_curve(points)
+        for max_q in (*order, *reversed(order)):
+            try:
+                got = validate_curve(curve, max_q)
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected[max_q], (order, max_q)
+
+
+def test_the_violation_search_runs_once_per_curve(monkeypatch):
+    """After a curve's first check, an instance on it evaluates R only at
+    its total supply, whatever that supply: the search is not redone."""
+    curve = pwl_curve([(5, 33.591061028100306), (7, 47.02748544134043)])  # a slope rise to test at k=5
+    calls = []
+    at = type(curve).at
+    monkeypatch.setattr(type(curve), "at", lambda self, q: calls.append(q) or at(self, q))
+    supplies = [6, 7, 30, 8, 6, 1, 100]
+    for m in supplies:
+        make_instance([1.0], capacities=[m], curve=curve)
+    assert calls == [5, 4, 6] + supplies  # R(5), R(4) and R(6) for the search, once
+
+
+def test_equal_instances_compare_hash_and_print_as_before():
+    """The total supply is counted at construction but is no field: equal
+    instances, however built, are equal, hash alike, and print their bids
+    and curve only."""
+    curve = capped_curve(15.0, 4)
+    built = make_instance([1.5, 9.0], capacities=[2, 3], curve=curve)
+    deviated = make_instance([1.5, 7.0], capacities=[2, 1], curve=capped_curve(15.0, 4)).with_bid(1, 9.0, 3)
+    assert built == deviated and hash(built) == hash(deviated)
+    assert built.total_supply == deviated.total_supply == 5
+    assert built != built.with_bid(1, 9.0, 2)
+    assert repr(built) == (
+        "Instance(bids=(Bid(valuation=1.5, capacity=2, id=0), Bid(valuation=9.0, capacity=3, id=1)), "
+        "curve=RevenueCurve(kind='capped', r=15.0, cap=4, points=()))"
+    )
+    assert [f.name for f in dataclasses.fields(Instance)] == ["bids", "curve"]
 
 
 def test_equal_curves_keep_their_own_tables():
@@ -331,13 +391,22 @@ def test_outcome_rejects_ir_violation():
     ([1, 0], [float("nan"), 0.0], "seller 0: payment must be a finite number, got nan"),
     ([1, 0], [-float("inf"), 0.0], "seller 0: payment must be a finite number, got -inf"),
     ([1, 1], [1.7e308, 1.7e308], "total payment inf is not finite"),
+    ([1, 0], [10**400, 0], f"seller 0: payment must be a finite number, got {10**400!r}"),
 ], ids=["fractional-allocation", "bool-allocation", "string-payment", "bool-payment", "infinite-payment",
-        "nan-payment", "negative-infinite-payment", "payments-overflow"])
+        "nan-payment", "negative-infinite-payment", "payments-overflow", "int-payment-past-the-largest-float"])
 def test_outcome_rejects_what_it_would_have_to_coerce(allocation, payments, message):
     inst = make_instance([5.0, 9.0], curve=linear_curve(10.0))
     with pytest.raises(ValueError) as err:
         make_outcome(inst, allocation, payments)
     assert str(err.value) == message
+
+
+def test_outcome_rejects_an_int_payment_whose_product_overflows():
+    """An int payment inside the float range, paid on two units, makes a
+    total past it: rejected as a non-finite total, not an OverflowError."""
+    inst = make_instance([5.0, 9.0], capacities=[2, 1], curve=linear_curve(10.0))
+    with pytest.raises(ValueError, match="^total payment inf is not finite$"):
+        make_outcome(inst, [2, 0], [10**308, 0])
 
 
 def test_outcome_stores_an_int_payment_as_a_float():

@@ -34,6 +34,7 @@ from procure.simulation import (
     trial_seed,
 )
 
+import oracles
 from oracles import (
     black_box_audit,
     black_box_monotonicity,
@@ -456,6 +457,34 @@ def test_enumeration_and_counting_agree_bit_for_bit():
         assert simulation._min_side_by_enumeration(inst).hex() == enumerated.hex(), seed
         assert simulation._min_side_by_counting(inst).hex() == enumerated.hex(), seed
         assert per_threshold_counting(inst).hex() == enumerated.hex(), seed
+
+
+@pytest.mark.parametrize("n, seed, curve", [
+    (2, 1, "capped"), (3, 0, "linear"), (4, 0, "linear"), (5, 0, "capped"), (5, 2, "pwl"), (6, 1, "pwl"),
+])
+def test_counting_skips_thresholds_that_change_no_count(monkeypatch, n, seed, curve):
+    """Few sellers with 50-400 units each: most thresholds' groups add
+    only states that no failing draw holds, so counting skips their DP
+    runs and keeps far fewer levels than the oracle, which runs the DP at
+    every threshold. The float is the oracle's and enumeration's, bit for
+    bit."""
+    inst = generate("uniform-random", {"n": n, "seed": seed, "qmin": 50, "qmax": 400, "curve": curve})
+    levels = {}  # the number of levels each method sums, from its one call of _on_one_scale
+
+    def record_levels(module, name):
+        real = module._on_one_scale
+
+        def on_one_scale(values):
+            levels.setdefault(name, len(values))
+            return real(values)
+
+        monkeypatch.setattr(module, "_on_one_scale", on_one_scale)
+
+    record_levels(simulation, "counting")
+    record_levels(oracles, "oracle")
+    counted = simulation._min_side_by_counting(inst)
+    assert counted.hex() == per_threshold_counting(inst).hex() == simulation._min_side_by_enumeration(inst).hex()
+    assert 0 < levels["counting"] <= levels["oracle"] // 10, levels
 
 
 def test_exact_method_follows_the_shape_of_the_instance(monkeypatch):
