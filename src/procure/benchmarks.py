@@ -10,15 +10,15 @@ seller's block and has no no-trade fallback.
 
 F, F^(2), a split auction side's optimum, the masked optimal single price,
 the per-draw side walk (``mechanisms.side_optima_by_mask``, which the
-Monte Carlo engine and exact enumeration share) and the thresholds of
-exact counting (``simulation._side_thresholds``) are all built on one
-kernel, :func:`block_optimum`. The kernel reads O(pieces) counts per
-seller block, not one per unit: on each affine piece of the revenue curve
-that a block crosses, the profit is strictly monotone unless the ask lies
-within a proven band of the piece's slope, so one end of that part holds
-its best float (inside the band the part is walked, which keeps exact ties
-exact). A single-price scan over n sellers thus costs O(n (log k + k)) for
-a curve of k pieces, whatever the supply.
+Monte Carlo engine and exact enumeration share) and the thresholds that
+exact counting (``simulation._min_side_by_counting``) computes in its
+sweep are all built on one kernel, :func:`block_optimum`. The kernel reads
+O(pieces) counts per seller block, not one per unit: on each affine piece
+of the revenue curve that a block crosses, the profit is strictly monotone
+unless the ask lies within a proven band of the piece's slope, so one end
+of that part holds its best float (inside the band the part is walked,
+which keeps exact ties exact). A single-price scan over n sellers thus
+costs O(n (log k + k)) for a curve of k pieces, whatever the supply.
 
 The cut of a block at the pieces, :func:`block_parts`, is shared by the
 kernel and by profit extraction (``extraction.run_extraction``), which

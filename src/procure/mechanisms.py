@@ -47,10 +47,20 @@ def _mix64(z: int, lanes: int = _M64) -> int:
 
 
 def require_seed(seed) -> None:
-    """A run seed must be a non-negative int: anything else raises
-    ``ValueError`` naming it."""
-    if not isinstance(seed, int) or seed < 0:
+    """A run seed must be a non-negative int, not a bool: anything else
+    raises ``ValueError`` naming it."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def require_count(value, name: str, least: int) -> None:
+    """A run count (Monte Carlo trials, a sweep's grid, a demand cap) must
+    be an int, not a bool, of at least ``least``: anything else raises
+    ``ValueError`` naming the argument ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _seed_state(seed: int) -> int:
@@ -79,8 +89,10 @@ def partition_masks(n: int, seeds: Iterable[int]) -> Iterator[int]:
     one int, one per 128-bit lane, so that each 64 coins of all of them
     cost one stepping add and one :func:`_mix64` on that int. The masks
     are read back through ``to_bytes`` and an ``array("Q")``. A seed that
-    is not a non-negative int raises ``ValueError`` (:func:`require_seed`)
-    when its batch of seeds is due.
+    is negative or not an int raises ``ValueError`` (:func:`require_seed`)
+    when its batch of seeds is due, but the fast path reads a bool as 0 or
+    1: a caller's seed is checked once where it enters (:func:`run_pepac`,
+    the audits, ``simulation.estimate_ratio``), not once per trial here.
     """
     keep = (1 << n) - 1
     shifts = range(0, max(n, 1), 64)
@@ -216,7 +228,8 @@ def split_auction(
 
 def run_pepac(instance: Instance, seed: int) -> MechanismRun:
     """Random-split extraction auction for capacitated sellers, on the draw
-    of ``seed``."""
+    of ``seed``, a non-negative int (:func:`require_seed`)."""
+    require_seed(seed)
     return split_auction(instance, next(partition_masks(instance.n, (seed,))), seed)[0]()
 
 
@@ -250,8 +263,8 @@ def side_optima_by_mask(instance: Instance) -> Callable[[int], tuple[float, floa
     exact enumeration (``simulation._min_side_by_enumeration``) take their
     side optima from it, and on every draw they are the floats
     :func:`run_pepac` computes.
-    Threshold counting (``simulation._side_thresholds``) tabulates the same
-    g(j, c) below with the same kernel call, for every c at once.
+    Threshold counting (``simulation._min_side_by_counting``) computes the
+    same g(j, c) below with the same kernel call, for every c in one pass.
 
     A draw costs O(n). The sellers are walked cheapest first, and each
     side's optimum is the largest of 0 and the block optima g(j, c_j) of its
@@ -473,8 +486,7 @@ def run_kth_price(instance: Instance, demand_cap: int) -> AuctionOutcome:
     which is what the audits are meant to catch. Raises
     :class:`UndefinedPriceError` when nobody is left out.
     """
-    if demand_cap < 0:
-        raise ValueError(f"demand cap must be >= 0, got {demand_cap}")
+    require_count(demand_cap, "demand cap", 0)
     alloc = [0] * instance.n
     pays = [0.0] * instance.n
     remaining = demand_cap

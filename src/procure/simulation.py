@@ -21,11 +21,13 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import mul
 
 from . import benchmarks, mechanisms
 from .mechanisms import (
     Mechanism,
     partition_profit_engine,
+    require_count,
     require_seed,
     require_unit_capacity,
     resolve_mechanism,
@@ -193,12 +195,9 @@ def _moment_sums(counts: Counter) -> tuple[int, int, int, int]:
     X as exact ints on one scale (:func:`_on_one_scale`). S1 / scale is
     the sum of the multiset, exactly."""
     xs, scale = _on_one_scale(counts)
-    n = s1 = s2 = 0
-    for x, c in zip(xs, counts.values()):
-        n += c
-        s1 += c * x
-        s2 += c * x * x
-    return n, s1, s2, scale
+    cs = counts.values()
+    weighted = list(map(mul, cs, xs))
+    return sum(cs), sum(weighted), sum(map(mul, weighted, xs)), scale
 
 
 def sample_stdev(counts: Counter) -> float:
@@ -319,8 +318,7 @@ def estimate_ratio(
     workers. The engine is built once, before the forks; each worker warms
     its own walk memo.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    require_count(trials, "trials", 1)
     bench = _positive_benchmark(instance, benchmark)
     mech = _resolve_for(instance, mechanism, demand_cap)
     if mech.randomized:
@@ -370,28 +368,6 @@ def exact_ratio(instance: Instance, mechanism: str, benchmark: str, demand_cap: 
     bench = _positive_benchmark(instance, benchmark)
     expected = exhaustive_expected_profit(instance, mechanism, demand_cap=demand_cap)
     return _ratio_report(0, expected, 0.0, bench, "")
-
-
-def _side_thresholds(instance: Instance) -> list[list[float]]:
-    """g[j][c]: the best single-price profit ending in the block of the j-th
-    cheapest seller, when c units of cheaper sellers precede it on its side.
-
-    Each entry is the profit :func:`benchmarks.block_optimum` returns for
-    (j, c), the float the per-draw walk (:func:`side_optima_by_mask`) and
-    :func:`mechanisms.run_pepac` compute, so a side's optimum is exactly
-    ``max(0, g[j][c_j] over its members)``. Only the profits are
-    thresholds; the counts reaching them are not kept. Row j has one entry
-    per count c in 0..before_j, the supply of the sellers cheaper than j,
-    each a kernel call that reads O(pieces) counts of the block.
-    """
-    pieces = instance.curve.pieces
-    g = []
-    before = 0
-    for b in instance.sorted_bids:
-        v, q = b.valuation, b.capacity
-        g.append([benchmarks.block_optimum(pieces, v, q, c)[0] for c in range(before + 1)])
-        before += q
-    return g
 
 
 # Enumerating one draw costs about as much as one DP step on this many bits
@@ -445,9 +421,9 @@ def _min_side_by_enumeration(instance: Instance) -> float:
 
     Each draw's (f', f'') comes from :func:`mechanisms.side_optima_by_mask`,
     the walk the Monte Carlo engine runs, which computes each threshold
-    g(j, c) of :func:`_side_thresholds` on first use, only at the c that
-    some subset of cheaper sellers can hold: at most 2^(n-1) * m float
-    operations in all. A draw's walk ends once no remaining seller can
+    g(j, c), the profit of :func:`benchmarks.block_optimum`, on first use,
+    only at the c that some subset of cheaper sellers can hold: at most
+    2^(n-1) * m float operations in all. A draw's walk ends once no remaining seller can
     raise either side, and starts after the ``mechanisms._HEAD`` cheapest
     sellers from the state the walk tabulated for their coins when it was
     built, 2^min(_HEAD, n) entries. A minimum is 0 or some g(j, c), so the
@@ -467,24 +443,31 @@ def _min_side_by_counting(instance: Instance) -> float:
     """E[min(f', f'')] by counting, for each threshold t, the draws on which
     both sides reach t.
 
-    Side b' reaches t > 0 iff some member j has g[j][c_j] >= t, with g from
-    :func:`_side_thresholds`. So the number of draws on which both sides
-    reach t is 2^n - 2 * fail(t) + fail_both(t): fail(t) counts the draws on
-    which b' stays below t (b'' alike, by symmetry), fail_both(t) those on
-    which both do. Each count is a DP over the sellers in ascending order
-    whose state c is the number of units on b' so far. Only the positive
-    g-values can be thresholds. They are swept in ascending order until no
-    draw reaches one, and t times the number of draws whose minimum is t is
-    summed exactly, as ints on one power-of-two scale (:func:`_on_one_scale`),
-    and rounded once by an int division: the same float as ``fsum`` over
-    all 2^n draws divided by 2^n.
+    Side b' reaches t > 0 iff some member j has g(j, c_j) >= t, where
+    g(j, c) is the profit :func:`benchmarks.block_optimum` returns for
+    seller j's block after c cheaper units: the float the per-draw walk
+    (:func:`side_optima_by_mask`) and :func:`mechanisms.run_pepac` compute,
+    so a side's optimum is exactly ``max(0, g(j, c_j) over its members)``.
+    So the number of draws on which both sides reach t is 2^n - 2 * fail(t)
+    + fail_both(t): fail(t) counts the draws on which b' stays below t (b''
+    alike, by symmetry), fail_both(t) those on which both do. Each count is
+    a DP over the sellers in ascending order whose state c is the number of
+    units on b' so far, c in 0..before_j, the supply of the sellers cheaper
+    than j. Only the positive g-values can be thresholds. One pass over the
+    sellers computes each g(j, c) once, files a positive one in the sweep
+    and a non-positive one in the masks below, and keeps no table of them.
+    The thresholds are swept in ascending order until no draw reaches one.
+    The levels become value counts of the draws' minima (t -> the draws
+    whose minimum is t), whose exact sum (:func:`_moment_sums`) one int
+    division rounds, as in :func:`_min_side_by_enumeration`: the same float
+    as ``fsum`` over all 2^n draws divided by 2^n.
 
     A DP row holds one count per state c. It is packed into one int,
     ``width`` bits per state, so moving every count of a row by q states is
     one shift by q * width bits, and a seller's step is a few shifts, masks
     and adds instead of a loop over c. The masks ``on_a[j]`` and ``on_b[j]``
-    select the states in which seller j may join b' (g[j][c] < t) or b''
-    (g[j][before_j - c] < t) and stay below t; they start with the
+    select the states in which seller j may join b' (g(j, c) < t) or b''
+    (g(j, before_j - c) < t) and stay below t; they start with the
     non-positive g-values and grow as the sweep passes each positive one.
     No count exceeds 2^n < 2^width, so fields never carry into each other
     and the total of a row is the int modulo 2^width - 1.
@@ -506,24 +489,27 @@ def _min_side_by_counting(instance: Instance) -> float:
     (n + 1) * (m + 1) bits, m the total supply: about as much memory as the
     2n masks already hold. The counts are the ints the whole DP computes.
     """
-    g = _side_thresholds(instance)
+    pieces = instance.curve.pieces
     n = instance.n
     width = n + 1
     field = (1 << width) - 1
     on_a = []
     on_b = []
-    sweep = []
-    for j, gj in enumerate(g):
+    sweep = []  # (g(j, c), j, c, before_j - c) per positive g-value
+    before = 0
+    for j, bid in enumerate(instance.sorted_bids):
+        v, q = bid.valuation, bid.capacity
         a = b = 0
-        top = len(gj) - 1
-        for c, value in enumerate(gj):
+        for c in range(before + 1):
+            value = benchmarks.block_optimum(pieces, v, q, c)[0]
             if value > 0:
-                sweep.append((value, j, c))
+                sweep.append((value, j, c, before - c))
             else:  # seller j stays below every threshold on a side holding c cheaper units
                 a |= field << (c * width)
-                b |= field << ((top - c) * width)
+                b |= field << ((before - c) * width)
         on_a.append(a)
         on_b.append(b)
+        before += q
     sweep.sort()
     shifts = [b.capacity * width for b in instance.sorted_bids]
     fail_rows = [1] * (n + 1)  # fail_rows[j]: the fail row before seller j
@@ -550,16 +536,17 @@ def _min_side_by_counting(instance: Instance) -> float:
             levels.append((t, reached))
         start = None
         while k < len(sweep) and sweep[k][0] == t:
-            _, j, c = sweep[k]
+            _, j, c, mirror = sweep[k]
             # seller j may now stay below t on a side holding c cheaper units
             on_c = field << (c * width)
             if start is None and fail_rows[j] & on_c:
                 start = j  # some draw fails in that state: the rows change from seller j on
             on_a[j] |= on_c
-            on_b[j] |= field << ((len(g[j]) - 1 - c) * width)
+            on_b[j] |= field << (mirror * width)
             k += 1
-    ts, scale = _on_one_scale([t for t, _ in levels])
-    total = sum(t * (reached - above) for t, (_, reached), (_, above) in zip(ts, levels, levels[1:] + [(None, 0)]))
+    # t -> the draws whose minimum is t: those that reach t less those that reach the next level
+    minima = Counter({t: reached - above for (t, reached), (_, above) in zip(levels, [*levels[1:], (None, 0)])})
+    _, total, _, scale = _moment_sums(minima)
     return total / (scale << n)
 
 
@@ -584,6 +571,7 @@ def _deviation_evaluator(instance: Instance, mech: Mechanism, seed: int | None):
     the truthful sides once, for both (:func:`mechanisms.split_auction`);
     every other mechanism runs on the deviating instance."""
     if mech.randomized:
+        require_seed(seed)
         return split_auction(instance, next(mechanisms.partition_masks(instance.n, (seed,))), seed)
 
     def outcome(position: int, valuation: float, capacity: int):
@@ -685,8 +673,7 @@ def audit_allocation_monotonicity(
     where its points would overflow; a violation records the two
     valuations and the allocation jump.
     """
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid}")
+    require_count(grid, "grid", 2)
     _, outcome_of = _deviation_evaluator(instance, _resolve_for(instance, mechanism, demand_cap), seed)
     top = min(2.0 * max(b.valuation for b in instance.bids), sys.float_info.max / grid) or 1.0
     values = [top * k / (grid - 1) for k in range(grid)]

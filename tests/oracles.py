@@ -22,7 +22,6 @@ from procure.simulation import (
     ReportedBid,
     _capacity_grid,
     _on_one_scale,
-    _side_thresholds,
     _valuation_grid,
 )
 
@@ -325,17 +324,21 @@ def per_threshold_counting(instance):
     cheapest seller whose rows change, and not at all for a threshold that
     changes no row, and must return the same float, bit for bit.
 
-    Side b' reaches t > 0 iff some member j has g[j][c_j] >= t, with g from
-    :func:`_side_thresholds`. So the number of draws on which both sides
-    reach t is 2^n - 2 * fail(t) + fail_both(t): fail(t) counts the draws on
-    which b' stays below t (b'' alike, by symmetry), fail_both(t) those on
-    which both do. Each count is a DP over the sellers in ascending order
-    whose state c is the number of units on b' so far. Only the positive
-    g-values can be thresholds. They are swept in ascending order until no
-    draw reaches one, and t times the number of draws whose minimum is t is
-    summed exactly, as ints on one power-of-two scale (:func:`_on_one_scale`),
-    and rounded once by an int division: the same float as ``fsum`` over
-    all 2^n draws divided by 2^n.
+    Side b' reaches t > 0 iff some member j has g[j][c_j] >= t, where
+    g[j][c] is the best single-price profit whose marginal unit falls in the
+    j-th cheapest seller's block after c cheaper units. The oracle tabulates
+    it at every count c in 0..before_j, the supply of the sellers cheaper
+    than j, by :func:`per_unit_block_optimum` over :func:`revenue_table`,
+    so it shares no threshold code with the library. So the number of
+    draws on which both sides reach t is 2^n - 2 * fail(t) + fail_both(t):
+    fail(t) counts the draws on which b' stays below t (b'' alike, by
+    symmetry), fail_both(t) those on which both do. Each count is a DP
+    over the sellers in ascending order whose state c is the number of
+    units on b' so far. Only the positive g-values can be thresholds. They
+    are swept in ascending order until no draw reaches one, and t times the
+    number of draws whose minimum is t is summed exactly, as ints on one
+    power-of-two scale (:func:`_on_one_scale`), and rounded once by an int
+    division: the same float as ``fsum`` over all 2^n draws divided by 2^n.
 
     A DP row holds one count per state c. It is packed into one int,
     ``width`` bits per state, so moving every count of a row by q states is
@@ -347,7 +350,12 @@ def per_threshold_counting(instance):
     carry into each other and the total of a row is the int modulo
     2^width - 1.
     """
-    g = _side_thresholds(instance)
+    rtable = _table_of(instance)
+    g = []
+    before = 0
+    for b in instance.sorted_bids:
+        g.append([per_unit_block_optimum(rtable, b.valuation, b.capacity, c)[0] for c in range(before + 1)])
+        before += b.capacity
     n = instance.n
     width = n + 1
     field = (1 << width) - 1

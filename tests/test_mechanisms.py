@@ -550,6 +550,17 @@ def test_masked_opp_threshold_is_ir_and_monotone():
             prev = x
 
 
+def test_a_survivor_left_no_units_sells_nothing_and_is_paid_nothing():
+    """Three survivors at the posted price, but the best count, 3 units, is
+    reached inside the second seller's block: the third survivor sells
+    nothing, so it is paid nothing."""
+    inst = make_instance([1.0, 2.0, 3.0], capacities=[2, 2, 2], curve=capped_curve(10.0, 3))
+    out = run_bid_independent(inst, make_threshold_posted(4.0))
+    assert out.allocation == (2, 1, 0)
+    assert out.payment_per_unit == (4.0, 4.0, 0.0)
+    assert out.profit == 18.0
+
+
 def test_capacitated_engine_partial_fill():
     inst = make_instance([1.0, 2.0], capacities=[2, 3], curve=capped_curve(6.0, 3))
     out = run_bid_independent(inst, make_threshold_posted(3.0))

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import statistics
 import sys
 import threading
@@ -15,11 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import procure.mechanisms as mechanisms
-from procure.benchmarks import BenchmarkUndefinedError
+from procure.benchmarks import BenchmarkUndefinedError, harmonic
 from procure.cli import RATIO_CSV_HEADER, _fields, ratio_csv_row
-from procure.mechanisms import partition_profit_engine, resolve_mechanism
+from procure.mechanisms import Mechanism, MechanismRun, partition_profit_engine, resolve_mechanism
 from procure.model import (
-    Bid, Instance, RevenueCurve, capped_curve, dumps_instance, linear_curve, loads_instance, make_instance, pwl_curve,
+    Bid, Instance, RevenueCurve, capped_curve, dumps_instance, linear_curve, loads_instance, make_instance,
+    make_outcome, pwl_curve, validate_curve,
 )
 import procure.simulation as simulation
 from procure.simulation import (
@@ -342,7 +344,7 @@ def test_pepa_estimators_reject_capacitated_instances():
     estimate_ratio(inst, "pepac", "f", trials=10, seed=1)
 
 
-@pytest.mark.parametrize("seed", [None, 1.5])
+@pytest.mark.parametrize("seed", [None, 1.5, True, False])
 @pytest.mark.parametrize(
     "entry",
     [
@@ -356,6 +358,45 @@ def test_pepa_estimators_reject_capacitated_instances():
 def test_a_seed_that_is_not_an_int_is_rejected_by_name(entry, seed):
     with pytest.raises(ValueError, match=rf"^seed must be a non-negative integer, got {seed}$"):
         entry(seed)
+
+
+KTH_DEMO = generate("kth-price-demo")
+# (call, the message of the ValueError it raises), one row per range check
+REJECTIONS = [
+    # run counts: an int, not a bool, at or above the least count
+    (lambda: estimate_ratio(TIGHT, "pepac", "f", True, 1), "trials must be an integer, got True"),
+    (lambda: estimate_ratio(TIGHT, "pepac", "f", 2.5, 1), "trials must be an integer, got 2.5"),
+    (lambda: estimate_ratio(TIGHT, "pepac", "f", 10.0, 1), "trials must be an integer, got 10.0"),
+    (lambda: estimate_ratio(TIGHT, "pepac", "f", 0, 1), "trials must be >= 1, got 0"),
+    (lambda: audit_allocation_monotonicity(TIGHT, "pepac", grid=2.5), "grid must be an integer, got 2.5"),
+    (lambda: audit_allocation_monotonicity(TIGHT, "pepac", grid=True), "grid must be an integer, got True"),
+    (lambda: audit_allocation_monotonicity(TIGHT, "pepac", grid=1), "grid must be >= 2, got 1"),
+    (lambda: resolve_mechanism("kth-price", demand_cap=True).run(KTH_DEMO), "demand cap must be an integer, got True"),
+    (lambda: resolve_mechanism("kth-price", demand_cap=2.5).run(KTH_DEMO), "demand cap must be an integer, got 2.5"),
+    (lambda: resolve_mechanism("kth-price", demand_cap=-1).run(KTH_DEMO), "demand cap must be >= 0, got -1"),
+    # the other range checks of the library's entry points
+    (lambda: harmonic(0), "n must be >= 1, got 0"),
+    (lambda: linear_curve(1.0).at(-1), "unit count must be >= 0, got -1"),
+    (lambda: validate_curve(linear_curve(1.0), 0), "max_q must be >= 1, got 0"),
+    (lambda: make_outcome(TIGHT, [0, 0], [0.0, 0.0]), "allocation/payment length must match the number of bids"),
+    (lambda: audit_truthfulness(TIGHT, "pepac", dims=()), "need at least one audit dimension"),
+    (lambda: generate("example1", {"n": 1}), "example1 needs n >= 2"),
+    (lambda: generate("tightness", {"n": 1}), "tightness needs n >= 2"),
+    (lambda: generate("tightness", {"l": 10.0, "eps": 0.0}), "tightness needs 0 < eps < l"),
+    (lambda: generate("tightness", {"l": 10.0, "eps": 10.0}), "tightness needs 0 < eps < l"),
+    (lambda: generate("uniform-random", {"n": 0}), "uniform-random needs n >= 1"),
+    (lambda: generate("uniform-random", {"n": 2, "qmin": 3, "qmax": 2}), "uniform-random needs 1 <= qmin <= qmax"),
+    (lambda: generate("uniform-random", {"n": 2, "qmin": 0}), "uniform-random needs 1 <= qmin <= qmax"),
+    (lambda: generate("uniform-random", {"n": 2, "vmax": 0.0}), "uniform-random needs vmax > 0 and r > 0"),
+    (lambda: generate("uniform-random", {"n": 2, "r": -1.0}), "uniform-random needs vmax > 0 and r > 0"),
+    (lambda: generate("uniform-random", {"n": 2, "curve": "cubic"}), "unknown curve kind 'cubic' for uniform-random"),
+]
+
+
+@pytest.mark.parametrize("call, message", REJECTIONS, ids=[message for _, message in REJECTIONS])
+def test_an_input_out_of_range_is_rejected_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # R(m) = 9.1e307 is finite, but the profits of its draws sum past the largest float
@@ -798,6 +839,27 @@ def test_kth_price_valuation_sweep_is_monotone():
     demo = generate("kth-price-demo")
     report = audit_allocation_monotonicity(demo, "kth-price", grid=50, demand_cap=200)
     assert report.clean, report.violations
+
+
+def test_monotonicity_sweep_flags_an_allocation_that_rises_with_the_ask(monkeypatch):
+    """A rule that buys seller 0's three units only once it asks 3 or more:
+    the sweep over 0, 2, 4 and 6 flags the step from 2 to 4, a jump of three
+    units, and nothing else."""
+
+    def rising(instance, seed=None):
+        alloc = [3 if instance.bids[0].valuation >= 3.0 else 0, 0]
+        return MechanismRun(make_outcome(instance, alloc, [float(alloc[0] and 9.0), 0.0]))
+
+    monkeypatch.setattr(simulation, "resolve_mechanism", lambda name, demand_cap=None: Mechanism(name, False, rising))
+    inst = make_instance([1.0, 3.0], capacities=[3, 1], curve=linear_curve(10.0))
+    report = audit_allocation_monotonicity(inst, "rising", grid=4)
+    assert report.deviations_tested == 8
+    (violation,) = report.violations
+    assert violation.bidder == 0
+    assert violation.dim == "valuation"
+    assert violation.true_bid == ReportedBid(2.0, 3)
+    assert violation.deviating_bid == ReportedBid(4.0, 3)
+    assert violation.gain == 3.0
 
 
 def test_an_ask_near_the_float_limit_audits_without_an_overflowing_probe():
