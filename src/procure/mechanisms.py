@@ -23,7 +23,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .benchmarks import block_optimum, block_parts, scan_pay_as_bid, scan_single_price
-from .extraction import run_extraction
+from .extraction import NO_TRADE, run_extraction
 from .model import EPS, AuctionOutcome, Bid, Instance, RevenueCurve, leq, make_outcome, piece_revenue
 
 _M64 = (1 << 64) - 1
@@ -154,20 +154,73 @@ def _side_optimum(side, pieces) -> float:
     return scan_single_price([(b.valuation, b.capacity) for b in side], pieces)[0]
 
 
-def _settle(instance: Instance, sides, optima, memos) -> tuple[AuctionOutcome, str]:
+def tie_band(pieces, m: int) -> Callable[[float], float]:
+    """The tie band of the split auction on a curve with affine ``pieces``,
+    as a function of V: ``band(V)`` is
+
+        band = 2 m EPS + 2^-40 (R* + m V),
+
+    with R* the largest R(u) over 1..m. R is non-decreasing on each affine
+    piece, so R* is the largest R at a piece's last count, clipped to m;
+    it is computed here once, and ``band(V)`` is a few float operations.
+
+    Outside the band around a tie, the split auction earns exactly
+    min(f', f''): on any draw of an instance whose total supply is at most
+    m and whose asks are at most V, if f' - f'' > band(V), extracting f''
+    from b' trades at the smaller optimum and extracting f' from b'' does
+    not trade. The case f'' - f' > band is symmetric. The proof below only
+    needs u <= m, R(u) <= R* and v <= V, so a band computed with a larger
+    m or V is sound too; a computed R does not decrease along a piece, so
+    R* over 1..m bounds R over any shorter range. Proof for
+    f' - f'' > band, with e = 2^-53 the rounding unit; revenues,
+    valuations and targets are non-negative, R(u) <= R*, v <= V and
+    u <= m:
+
+    - A computed profit fl(R(u) - fl(u v)) lies within e (R* + 2 m V) of
+      R(u) - u v. A computed price fl(fl(R(u) - P) / u) lies within
+      2 e R* / u of (R(u) - P) / u for a target 0 <= P <= R*.
+    - Extracting f'' from b' trades: at the unit count u where b' attains
+      f', the exact price (R(u) - f'') / u exceeds v by more than
+      (band - e (R* + 2 m V)) / u > 2 e R* / u, so the computed price is
+      at least v even before EPS is added.
+    - Extracting f' from b'' does not: every computed profit of b'' is at
+      most f'', so at each of its unit counts the computed price plus EPS
+      lies below v by more than (band - m EPS - e (3 R* + 2 m V)) / u,
+      which exceeds the e V that the final rounding of that sum can add.
+    - fl(f' - f'') > fl(band) implies f' - f'' > band (1 - 4e), and the
+      slack in both terms of the band covers that loss.
+
+    :func:`partition_profit_engine` uses it to skip the whole auction on
+    such a draw, and :func:`_settle` to skip the extraction that cannot
+    trade.
+    """
+    top = max(piece_revenue(piece, hi) for _, hi, piece in block_parts(pieces, 1, m))
+    return lambda valuation: 2 * m * EPS + 2.0**-40 * (top + m * valuation)
+
+
+def _settle(instance: Instance, sides, optima, memos, band: float) -> tuple[AuctionOutcome, str]:
     """The split auction's tail, on sides (b', b'') in (valuation, id)
     order with optima (f', f''): extract f'' from b' and f' from b'', keep
     the sub-auction with the higher buyer profit, b' on a tie, and build
     its outcome. Returns the outcome and the chosen side's name.
 
-    Each side reads its extraction from its dict in ``memos``, keyed by the
-    target's ``float.hex``, so +0.0 and -0.0 never share an entry; a side's
-    bids must be the same on every call with its dict.
+    ``band`` must be at least the instance's :func:`tie_band`. If
+    f' - f'' > band, b'' cannot extract f', and that extraction is not run
+    but read as ``NO_TRADE``, the result it would return; if
+    f'' - f' > band, the extraction of f'' from b' is skipped the same
+    way. Inside the band both sides extract. Each extraction that runs is
+    read from its side's dict in ``memos``, keyed by the target's
+    ``float.hex``, so +0.0 and -0.0 never share an entry; a side's bids
+    must be the same on every call with its dict.
     """
     pieces = instance.curve.pieces
+    fa, fb = optima
     results = []
-    for side, target, memo in zip(sides, reversed(optima), memos):
+    for side, target, memo, cannot in zip(sides, (fb, fa), memos, (fb - fa > band, fa - fb > band)):
         key = target.hex()
+        if cannot:
+            results.append(NO_TRADE)
+            continue
         if key not in memo:
             memo[key] = run_extraction(side, pieces, target)
         results.append(memo[key])
@@ -187,8 +240,10 @@ def split_auction(
     Bit i of ``mask`` is bidder i's coin, as :func:`partition_masks` gives
     it; a set bit puts the bid at position i on side b'. The bids are split
     into sides in (valuation, id) order and both sides' optima are scanned
-    once, here. ``truth()`` settles the truthful run (:func:`_settle`),
-    reporting the draw with ``seed``; nothing is settled until it is called.
+    once, here, as is the draw's :func:`tie_band`. ``truth()`` settles the
+    truthful run (:func:`_settle`, which skips the extraction the band
+    rules out), reporting the draw with ``seed``; nothing is settled until
+    it is called.
 
     ``deviate(position, v', q')`` is the outcome of the run on
     ``instance.with_bid(position, v', q')`` under the same draw, field for
@@ -199,6 +254,9 @@ def split_auction(
     optimum are the truthful ones, and its extraction depends only on the
     target, the deviating side's optimum, so it is memoised by target and
     shared with ``truth()``: at most one per distinct target per side.
+    A deviation settles with the band at max(V, v'), V the truthful
+    largest ask, on the truthful supply if q' <= q and on the deviating
+    one otherwise: at least the deviating instance's own band.
     Callers check ``pepa``'s unit-capacity precondition themselves.
     """
     pieces = instance.curve.pieces
@@ -207,9 +265,11 @@ def split_auction(
         sides[0 if mask >> bid.id & 1 else 1].append(bid)
     optima = tuple(_side_optimum(side, pieces) for side in sides)
     memos = ({}, {})
+    band_at, top_ask = tie_band(pieces, instance.total_supply), instance.sorted_bids[-1].valuation
+    band = band_at(top_ask)
 
     def truth() -> MechanismRun:
-        outcome, side_name = _settle(instance, sides, optima, memos)
+        outcome, side_name = _settle(instance, sides, optima, memos, band)
         flips = tuple(bool(mask >> i & 1) for i in range(instance.n))
         return MechanismRun(outcome, PartitionDraw(flips, seed), *optima, side_name)
 
@@ -221,7 +281,8 @@ def split_auction(
         insort(side, bid, key=attrgetter("valuation", "id"))
         dev_sides, dev_optima, dev_memos = list(sides), list(optima), list(memos)
         dev_sides[s], dev_optima[s], dev_memos[s] = side, _side_optimum(side, pieces), {}
-        return _settle(deviating, dev_sides, dev_optima, dev_memos)[0]
+        widest = band_at if capacity <= instance.bids[position].capacity else tie_band(pieces, deviating.total_supply)
+        return _settle(deviating, dev_sides, dev_optima, dev_memos, widest(max(top_ask, bid.valuation)))[0]
 
     return truth, deviate
 
@@ -366,47 +427,21 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
     with the mask bits of :func:`side_optima_by_mask`. Used by the Monte
     Carlo estimator; on every draw it returns the same float as
     :func:`run_pepac`. It is that walk, which gives (f', f'') in O(n) per
-    draw, plus the tie band below, inside which it runs the auction.
+    draw, plus the tie band (:func:`tie_band`), inside which it runs the
+    auction.
 
     The auction extracts each side's optimum from the other side and keeps
-    the better sub-auction. Outside a band around a tie this earns exactly
-    min(f', f''): if |f' - f''| > ``band`` with
-
-        band = 2 m EPS + 2^-40 (R* + m V),
-
-    m the total supply, R* the largest R(u) over 1..m and V the largest
-    valuation, the larger side trades at the smaller optimum and the
-    smaller side cannot extract the larger one. R is non-decreasing on each
-    affine piece, so R* is the largest R at a piece's last count, clipped
-    to m. Proof for f' - f'' > band (the other
-    case is symmetric), with e = 2^-53 the rounding unit; revenues,
-    valuations and targets are non-negative, R(u) <= R*, v <= V and
-    u <= m:
-
-    - A computed profit fl(R(u) - fl(u v)) lies within e (R* + 2 m V) of
-      R(u) - u v. A computed price fl(fl(R(u) - P) / u) lies within
-      2 e R* / u of (R(u) - P) / u for a target 0 <= P <= R*.
-    - Extracting f'' from b' trades: at the unit count u where b' attains
-      f', the exact price (R(u) - f'') / u exceeds v by more than
-      (band - e (R* + 2 m V)) / u > 2 e R* / u, so the computed price is
-      at least v even before EPS is added.
-    - Extracting f' from b'' does not: every computed profit of b'' is at
-      most f'', so at each of its unit counts the computed price plus EPS
-      lies below v by more than (band - m EPS - e (3 R* + 2 m V)) / u,
-      which exceeds the e V that the final rounding of that sum can add.
-    - fl(f' - f'') > fl(band) implies f' - f'' > band (1 - 4e), and the
-      slack in both terms of the band covers that loss.
-
-    Inside the band the engine runs the auction itself: the profit of
-    :func:`split_auction`'s truthful run on that mask, as :func:`run_pepac`
-    settles it. So the engine returns
+    the better sub-auction. Outside the band around a tie this earns
+    exactly min(f', f''), the larger side trading at the smaller optimum
+    (:func:`tie_band` holds the proof), so such a draw skips both
+    extractions and the outcome. Inside the band the engine runs the
+    auction itself: the profit of :func:`split_auction`'s truthful run on
+    that mask, as :func:`run_pepac` settles it. So the engine returns
     :func:`run_pepac`'s float on every draw by construction, the band only
     deciding which draws may skip the run.
     """
     side_optima = side_optima_by_mask(instance)
-    m = instance.total_supply
-    top = max(piece_revenue(piece, hi) for _, hi, piece in block_parts(instance.curve.pieces, 1, m))
-    band = 2 * m * EPS + 2.0**-40 * (top + m * instance.sorted_bids[-1].valuation)
+    band = tie_band(instance.curve.pieces, instance.total_supply)(instance.sorted_bids[-1].valuation)
 
     def profit_for_mask(mask: int) -> float:
         fa, fb = side_optima(mask)

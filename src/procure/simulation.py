@@ -200,22 +200,27 @@ def _moment_sums(counts: Counter) -> tuple[int, int, int, int]:
     return sum(cs), sum(weighted), sum(map(mul, weighted, xs)), scale
 
 
+def _stdev_of_sums(n: int, s1: int, s2: int, scale: int) -> float:
+    """The sample standard deviation of the multiset whose exact sums
+    :func:`_moment_sums` returned as (N, S1, S2, scale): the sample variance
+    is exactly (N S2 - S1^2) / (N (N - 1)) over the squared scale, and its
+    square root is rounded once (:func:`_sqrt_of_fraction`). Needs N >= 2."""
+    return _sqrt_of_fraction(n * s2 - s1 * s1, n * (n - 1) * scale * scale)
+
+
 def sample_stdev(counts: Counter) -> float:
     """The sample standard deviation of a multiset of finite floats given as
     value -> count, as ``statistics.stdev`` over the expanded list returns
-    it on Python 3.11 and later, bit for bit.
+    it on Python 3.11 and later, bit for bit: :func:`_stdev_of_sums` of
+    its :func:`_moment_sums`.
 
-    With N, S1 and S2 the exact sums of :func:`_moment_sums`, the sample
-    variance is exactly (N S2 - S1^2) / (N (N - 1)) over the squared scale.
-    Its square root is rounded once (:func:`_sqrt_of_fraction`). A Monte
-    Carlo run's profits take a few hundred distinct values, so this costs a
-    pass over the distinct values, not over the trials. On Python 3.10,
-    whose ``stdev`` rounds the variance to a float before its square root,
-    the result can differ from that ``stdev`` in the last bit; it matches
-    3.11 and later. Needs N >= 2.
+    A Monte Carlo run's profits take a few hundred distinct values, so this
+    costs a pass over the distinct values, not over the trials. On Python
+    3.10, whose ``stdev`` rounds the variance to a float before its square
+    root, the result can differ from that ``stdev`` in the last bit; it
+    matches 3.11 and later. Needs N >= 2.
     """
-    n, s1, s2, scale = _moment_sums(counts)
-    return _sqrt_of_fraction(n * s2 - s1 * s1, n * (n - 1) * scale * scale)
+    return _stdev_of_sums(*_moment_sums(counts))
 
 
 def _worker_count(trials: int) -> int:
@@ -305,10 +310,11 @@ def estimate_ratio(
     the mean is the exact sum of the counts (:func:`_moment_sums`), rounded
     once as ``math.fsum`` rounds it, divided by the trial count (or, where
     that sum is past the largest float, the exact mean rounded once), and the
-    standard deviation is :func:`sample_stdev` of the counts, the correctly
-    rounded square root of the exact sample variance. A randomized
-    mechanism rejects a seed that is not a non-negative int, naming it
-    (:func:`mechanisms.require_seed`).
+    standard deviation is that of :func:`sample_stdev`, the correctly
+    rounded square root of the exact sample variance, taken from the same
+    sums (:func:`_stdev_of_sums`), so the counts are summed once. A
+    randomized mechanism rejects a seed that is not a non-negative int,
+    naming it (:func:`mechanisms.require_seed`).
 
     The trial range is cut into contiguous slices, one per allowed core
     with at least ``_TRIALS_PER_WORKER`` trials each (:func:`_worker_count`),
@@ -332,12 +338,12 @@ def estimate_ratio(
         w = _worker_count(trials)
         cuts = [base + trials * i // w for i in range(w + 1)]
         counts = _count_in_workers(count, [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])])
-        _, total, _, scale = _moment_sums(counts)
+        n, total, s2, scale = _moment_sums(counts)
         try:
             mean = total / scale / trials
         except OverflowError:  # the sum is past the largest float; its mean is not
             mean = total / (scale * trials)
-        stderr = (sample_stdev(counts) if trials > 1 else 0.0) / math.sqrt(trials)
+        stderr = (_stdev_of_sums(n, total, s2, scale) if trials > 1 else 0.0) / math.sqrt(trials)
     else:
         mean, stderr = mech.run(instance, None).outcome.profit, 0.0
     return _ratio_report(trials, mean, stderr, bench, _instance_digest(instance, mechanism, benchmark, trials, seed, demand_cap))

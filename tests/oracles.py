@@ -428,6 +428,34 @@ def per_unit_extraction(sorted_bids, rtable, target):
     return ExtractionResult(winners=(), price_per_unit=0.0, profit=0.0)
 
 
+def per_unit_split_auction(instance, mask):
+    """The split auction's outcome on the coin draw ``mask``, by per-unit
+    scans: (allocation, payments per unit, profit, chosen side), the first
+    two in bid order.
+
+    Bit i of ``mask`` set puts the bid at position i on side b'. Each side,
+    in (valuation, id) order, takes its optimum from
+    :func:`per_unit_single_price_scan` and extracts the other side's
+    optimum with :func:`per_unit_extraction` over :func:`revenue_table`.
+    Both extractions always run, and the one with the higher profit is
+    kept, b' on a tie; its winners are paid its price per unit. It shares
+    no code with :mod:`procure.mechanisms`, whose
+    :func:`~procure.mechanisms.split_auction` must give the same fields on
+    every mask, truthful or deviating.
+    """
+    rtable = _table_of(instance)
+    ordered = sorted(instance.bids, key=lambda b: (b.valuation, b.id))
+    sides = [b for b in ordered if mask >> b.id & 1], [b for b in ordered if not mask >> b.id & 1]
+    f_a, f_b = (per_unit_single_price_scan([(b.valuation, b.capacity) for b in side], rtable)[0] for side in sides)
+    res_a = per_unit_extraction(sides[0], rtable, f_b)
+    res_b = per_unit_extraction(sides[1], rtable, f_a)
+    chosen, name = (res_a, "b_prime") if res_a.profit >= res_b.profit else (res_b, "b_double_prime")
+    units = dict(chosen.winners)
+    allocation = tuple(units.get(b.id, 0) for b in instance.bids)
+    payments = tuple(chosen.price_per_unit if x else 0.0 for x in allocation)
+    return allocation, payments, chosen.profit, name
+
+
 def equal_margin_ratio_oracle(k):
     """Expected min(side sizes)/k over all 2^k fair splits, exactly."""
     num = sum(comb(k, i) * min(i, k - i) for i in range(k + 1))

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -18,13 +19,20 @@ from procure.mechanisms import (
     run_pepac,
     split_auction,
     threshold_masked_opp,
+    tie_band,
     threshold_zero,
 )
 import procure.mechanisms as mechanisms
 from procure.model import Bid, Instance, RevenueCurve, capped_curve, linear_curve, make_instance
 from procure.simulation import generate, trial_seed
 
-from oracles import min_side_profit_oracle, pepa_expectation_oracle, per_seed_partition_mask, per_unit_profit_engine
+from oracles import (
+    min_side_profit_oracle,
+    pepa_expectation_oracle,
+    per_seed_partition_mask,
+    per_unit_profit_engine,
+    per_unit_split_auction,
+)
 
 TIGHT = generate("tightness", {"l": 10, "eps": 1, "n": 4})
 
@@ -234,6 +242,92 @@ def test_deviation_outcomes_keep_b_prime_on_a_tie():
                 ties += 1
                 assert run.chosen_side == "b_prime"
     assert ties > 0
+
+
+def _split_auction_cases():
+    """Instances for the split-auction oracle: 1 to 6 sellers, capacities
+    up to 8, all three curve kinds, money from 1e-6 to 1e9, and equal asks
+    (every second instance asks one of two prices)."""
+    yield make_instance([0.3, 0.3, 0.3, 0.3], curve=linear_curve(1.0))
+    yield make_instance([0.3, 0.3, 0.3, 0.3], capacities=[2, 2, 2, 2], curve=linear_curve(1.0))
+    for seed in range(24):
+        rng = random.Random(f"split-oracle-{seed}")
+        inst = generate(
+            "uniform-random",
+            {
+                "n": rng.randint(1, 6),
+                "seed": seed,
+                "qmax": rng.choice((1, 3, 8)),
+                "curve": ("linear", "capped", "pwl")[seed % 3],
+            },
+        )
+        if seed % 2:
+            inst = Instance(tuple(Bid(rng.choice((0.2, 0.5)), b.capacity, b.id) for b in inst.bids), inst.curve)
+        yield rescaled(inst, (1e-6, 1.0, 1e3, 1e9)[seed // 3 % 4])
+
+
+def _scaled_probes(inst, rng):
+    """(position, v', q') probes in the instance's money unit: no ask, every
+    ask and the next float above it, far above all, and random; the seller's
+    capacity, one unit, and a random count up to two past its capacity."""
+    asks = sorted({b.valuation for b in inst.bids})
+    unit = asks[-1] or 1.0
+    for pos, bid in enumerate(inst.bids):
+        for v in (0.0, -0.0, *asks, *(math.nextafter(a, math.inf) for a in asks), 2.0 * unit, rng.uniform(0.0, unit)):
+            for q in sorted({1, bid.capacity, rng.randint(1, bid.capacity + 2)}):
+                yield pos, v, q
+
+
+def test_split_auction_matches_the_per_unit_oracle_on_every_mask():
+    outcomes = 0
+    for inst in _split_auction_cases():
+        rng = random.Random(inst.n)
+        probes = list(_scaled_probes(inst, rng))
+        for mask in range(1 << inst.n):
+            truth, deviate = split_auction(inst, mask)
+            run = truth()
+            got = run.outcome.allocation, run.outcome.payment_per_unit, run.outcome.profit, run.chosen_side
+            assert got == per_unit_split_auction(inst, mask), (inst, mask)
+            for pos, v, q in probes:
+                out = deviate(pos, v, q)
+                want = per_unit_split_auction(inst.with_bid(pos, v, q), mask)
+                assert (out.allocation, out.payment_per_unit, out.profit) == want[:3], (inst, mask, pos, v, q)
+                outcomes += 1
+    assert outcomes > 0
+
+
+def test_a_settle_outside_the_tie_band_runs_one_extraction(monkeypatch):
+    calls = count_extractions(monkeypatch)
+    # the 2/2 draw of four asks 0.3 ties at f' = f'' = 2.8: both sides extract
+    tie = make_instance([0.3] * 4, capacities=[2] * 4, curve=linear_curve(1.0))
+    run = split_auction(tie, 0b0101)[0]()
+    assert run.f_prime == run.f_double_prime == 2.8 and run.chosen_side == "b_prime"
+    assert len(calls) == 2
+    # outside the band only the side that can trade extracts, truthful or
+    # deviating; a deviation's band is at most the one on the larger supply
+    # at the larger of V and v'
+    truths = deviations = 0
+    for inst in islice(_split_auction_cases(), 8):
+        probes = list(_scaled_probes(inst, random.Random(inst.n)))
+        top = inst.sorted_bids[-1].valuation
+        for mask in range(1 << inst.n):
+            truth, deviate = split_auction(inst, mask)
+            del calls[:]
+            run = truth()
+            if abs(run.f_prime - run.f_double_prime) > tie_band(inst.curve.pieces, inst.total_supply)(top):
+                assert len(calls) == 1, (inst, mask)
+                truths += 1
+            for pos, v, q in probes:
+                del calls[:]
+                deviate(pos, v, q)
+                ran = len(calls)
+                dev = inst.with_bid(pos, v, q)
+                widest = tie_band(inst.curve.pieces, max(inst.total_supply, dev.total_supply))(max(top, v))
+                dev_run = split_auction(dev, mask)[0]()
+                if abs(dev_run.f_prime - dev_run.f_double_prime) > widest:
+                    assert ran <= 1, (inst, mask, pos, v, q)
+                    deviations += 1
+    assert truths > 100 and deviations > 10_000, (truths, deviations)
 
 
 def test_deviation_outcomes_validate_each_deviating_instance():

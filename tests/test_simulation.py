@@ -103,6 +103,23 @@ def test_estimate_ratio_standard_error_is_the_stdev_of_the_trials():
         assert report.std_error == sample_stdev(Counter(profits)) / math.sqrt(trials)
 
 
+def test_estimate_ratio_sums_its_counts_once(monkeypatch):
+    # the mean and the standard error come from one pass of exact sums
+    inst = generate("uniform-random", {"n": 12, "seed": 5, "qmax": 4, "vmax": 0.9, "curve": "pwl"})
+    want = estimate_ratio(inst, "pepac", "f", trials=300, seed=3)
+    calls = []
+    original = simulation._moment_sums
+
+    def counted(counts):
+        calls.append(counts)
+        return original(counts)
+
+    monkeypatch.setattr(simulation, "_moment_sums", counted)
+    report = estimate_ratio(inst, "pepac", "f", trials=300, seed=3)
+    assert len(calls) == 1
+    assert (report.mean_profit.hex(), report.std_error.hex()) == (want.mean_profit.hex(), want.std_error.hex())
+
+
 def test_estimate_ratio_memory_does_not_grow_with_the_trials(monkeypatch):
     # keeping one profit per trial would hold 8 bytes a trial, 800 kB here;
     # one allowed core keeps every trial in this process, where it is traced
