@@ -35,7 +35,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .model import Instance, piece_end, piece_revenue
+from .model import Instance, piece_end, piece_revenue, require_count
 
 
 class BenchmarkUndefinedError(ValueError):
@@ -247,8 +247,7 @@ def optimal_single_price_min2(instance: Instance) -> BenchmarkResult:
 
 def harmonic(n: int) -> float:
     """H_n = sum_{i=1..n} 1/i."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_count(n, "n", 1)
     return math.fsum(1.0 / i for i in range(1, n + 1))
 
 
@@ -261,6 +260,5 @@ def exact_pepa_ratio(k: int) -> float:
     1/2 - C(k-1, floor(k/2)) / 2^k of that optimum. Minimum 1/4 at k = 2
     and k = 3; approaches 1/2 as k grows.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    require_count(k, "k", 2)
     return 0.5 - math.comb(k - 1, k // 2) * 2.0 ** (-k)

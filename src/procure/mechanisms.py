@@ -7,8 +7,10 @@ try to extract each side's optimum from the other side; the sub-auction with
 the higher buyer profit runs for real. Coins come from a seeded generator
 with a fixed stream order, so a run is a pure function of (instance, seed).
 One draw, given as its coin mask, has one implementation of that core,
-:func:`split_auction`: ``run_pepa``/``run_pepac``, the audits' deviations
-and the Monte Carlo engine's in-band fallback all settle through it.
+:func:`split_auction`: ``run_pepa``/``run_pepac`` and the audits'
+deviations settle through it. The Monte Carlo engine's in-band fallback
+shares its split (:func:`_split`) and its tail (:func:`_settle`), with the
+side optima and band the engine already holds.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Iterable, Iterator
 
 from .benchmarks import block_optimum, block_parts, scan_pay_as_bid, scan_single_price
 from .extraction import NO_TRADE, run_extraction
-from .model import EPS, AuctionOutcome, Bid, Instance, RevenueCurve, leq, make_outcome, piece_revenue
+from .model import EPS, AuctionOutcome, Bid, Instance, RevenueCurve, leq, make_outcome, piece_revenue, require_count
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -51,16 +53,6 @@ def require_seed(seed) -> None:
     raises ``ValueError`` naming it."""
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
-def require_count(value, name: str, least: int) -> None:
-    """A run count (Monte Carlo trials, a sweep's grid, a demand cap) must
-    be an int, not a bool, of at least ``least``: anything else raises
-    ``ValueError`` naming the argument ``name``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _seed_state(seed: int) -> int:
@@ -232,6 +224,15 @@ def _settle(instance: Instance, sides, optima, memos, band: float) -> tuple[Auct
     return make_outcome(instance, alloc, pays, profit=chosen.profit), side_name
 
 
+def _split(instance: Instance, mask: int) -> tuple[list[Bid], list[Bid]]:
+    """The sides (b', b'') of coin ``mask``, each in (valuation, id) order:
+    bit i set puts the bid at position i on b'."""
+    sides = ([], [])
+    for bid in instance.sorted_bids:
+        sides[0 if mask >> bid.id & 1 else 1].append(bid)
+    return sides
+
+
 def split_auction(
     instance: Instance, mask: int, seed: int | None = None
 ) -> tuple[Callable[[], MechanismRun], Callable[[int, float, int], AuctionOutcome]]:
@@ -260,9 +261,7 @@ def split_auction(
     Callers check ``pepa``'s unit-capacity precondition themselves.
     """
     pieces = instance.curve.pieces
-    sides = ([], [])
-    for bid in instance.sorted_bids:
-        sides[0 if mask >> bid.id & 1 else 1].append(bid)
+    sides = _split(instance, mask)
     optima = tuple(_side_optimum(side, pieces) for side in sides)
     memos = ({}, {})
     band_at, top_ask = tie_band(pieces, instance.total_supply), instance.sorted_bids[-1].valuation
@@ -435,10 +434,13 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
     exactly min(f', f''), the larger side trading at the smaller optimum
     (:func:`tie_band` holds the proof), so such a draw skips both
     extractions and the outcome. Inside the band the engine runs the
-    auction itself: the profit of :func:`split_auction`'s truthful run on
-    that mask, as :func:`run_pepac` settles it. So the engine returns
+    auction itself: it splits the bids as :func:`split_auction` does and
+    settles them with :func:`_settle`, passing the walk's (f', f''), which
+    are the scan's floats bit for bit, and its own band, the one
+    :func:`split_auction` builds for the draw. So the engine returns
     :func:`run_pepac`'s float on every draw by construction, the band only
-    deciding which draws may skip the run.
+    deciding which draws may skip the run, and an in-band draw rescans no
+    side and rebuilds no band.
     """
     side_optima = side_optima_by_mask(instance)
     band = tie_band(instance.curve.pieces, instance.total_supply)(instance.sorted_bids[-1].valuation)
@@ -449,7 +451,7 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
             return fb
         if fb - fa > band:
             return fa
-        return split_auction(instance, mask)[0]().outcome.profit
+        return _settle(instance, _split(instance, mask), (fa, fb), ({}, {}), band)[0].profit
 
     return profit_for_mask
 

@@ -37,6 +37,17 @@ def _money(value, field: str) -> float:
     raise ValueError(f"{field} must be a finite non-negative number, got {value!r}")
 
 
+def require_count(value, name: str, least: int) -> None:
+    """The one check of every count the package takes (a capacity, cap,
+    breakpoint, unit count, run count or family size): an int, not a
+    bool, of at least ``least``. Anything else raises ``ValueError``
+    naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class RevenueCurve:
     """Resale revenue R(q) for integer unit counts, with R(0) = 0.
@@ -52,9 +63,11 @@ class RevenueCurve:
     reads a few values of R per seller block instead of one per unit, and
     nothing is tabulated over the supply.
 
-    Construction stores ``r`` and each pwl revenue as a float and rejects
-    negative marginal revenue (revenue must be non-decreasing); an error
-    names the field at fault (``r``, ``cap``, ``points[i][j]``).
+    Construction stores ``r`` and each pwl revenue as a float, requires
+    pwl ``points`` to be a list or tuple of [q, R] pairs (lists or tuples
+    of two items) with strictly increasing counts q, and rejects negative
+    marginal revenue (revenue must be non-decreasing); an error names the
+    field at fault (``r``, ``cap``, ``points[i]``, ``points[i][j]``).
     Concavity is a separate, instance-level check done by
     :func:`validate_curve` over the instance's supply, whose error names
     the unit count where marginal revenue first rises; the curve finds that
@@ -69,15 +82,19 @@ class RevenueCurve:
     def __post_init__(self):
         if self.kind in ("linear", "capped"):
             object.__setattr__(self, "r", _money(self.r, "r"))
-            if self.kind == "capped" and not (isinstance(self.cap, int) and not isinstance(self.cap, bool) and self.cap >= 1):
-                raise ValueError(f"cap must be an integer >= 1, got {self.cap!r}")
+            if self.kind == "capped":
+                require_count(self.cap, "cap", 1)
         elif self.kind == "pwl":
+            if not isinstance(self.points, (list, tuple)):
+                raise ValueError("points must be an array of [q, R] pairs")
+            for i, point in enumerate(self.points):
+                if not (isinstance(point, (list, tuple)) and len(point) == 2):
+                    raise ValueError(f"points[{i}] must be a [q, R] pair, got {point!r}")
             if not self.points:
                 raise ValueError("points must hold at least one breakpoint")
             points, prev_q, prev_rev = [], 0, 0.0
             for i, (q, rev) in enumerate(self.points):
-                if not (isinstance(q, int) and not isinstance(q, bool) and q > prev_q):
-                    raise ValueError(f"points[{i}][0] must be an integer > {prev_q}, got {q!r}")
+                require_count(q, f"points[{i}][0]", prev_q + 1)
                 rev = _money(rev, f"points[{i}][1]")
                 if rev < prev_rev:
                     raise ValueError(f"points[{i}][1] must be >= {prev_rev!r}, got {rev!r}")
@@ -90,8 +107,7 @@ class RevenueCurve:
     def at(self, q: int) -> float:
         """R(q) for a non-negative integer unit count: :func:`piece_revenue`
         on the piece holding q."""
-        if q < 0:
-            raise ValueError(f"unit count must be >= 0, got {q}")
+        require_count(q, "unit count", 0)
         if q == 0:
             return 0.0
         pieces = self.pieces
@@ -191,8 +207,7 @@ def validate_curve(curve: RevenueCurve, max_q: int) -> None:
     prefix-closed: acceptance over 0..max_q implies acceptance over every
     shorter range.
     """
-    if max_q < 1:
-        raise ValueError(f"max_q must be >= 1, got {max_q}")
+    require_count(max_q, "max_q", 1)
     violation = curve.concavity_violation
     if violation is not None and violation[0] < max_q:
         raise ValueError(violation[1])
@@ -210,8 +225,7 @@ class Bid:
 
     def __post_init__(self):
         object.__setattr__(self, "valuation", _money(self.valuation, "valuation"))
-        if not (isinstance(self.capacity, int) and not isinstance(self.capacity, bool) and self.capacity >= 1):
-            raise ValueError(f"capacity must be an integer >= 1, got {self.capacity!r}")
+        require_count(self.capacity, "capacity", 1)
 
 
 @dataclass(frozen=True)
@@ -427,19 +441,11 @@ def instance_from_json_dict(data) -> Instance:
         elif kind == "capped":
             curve = capped_curve(raw_curve["r"], raw_curve["D"])
         elif kind == "pwl":
-            pts = raw_curve["points"]
-            if not isinstance(pts, list):
-                raise InstanceFormatError("curve.points must be an array of [q, R] pairs")
-            for i, pt in enumerate(pts):
-                if not isinstance(pt, list) or len(pt) != 2:
-                    raise InstanceFormatError(f"curve.points[{i}] must be a [q, R] pair, got {pt!r}")
-            curve = pwl_curve(pts)
+            curve = pwl_curve(raw_curve["points"])
         else:
             curve = RevenueCurve(kind)
     except KeyError as exc:
         raise InstanceFormatError(f"curve missing required field {exc.args[0]!r}") from exc
-    except InstanceFormatError:
-        raise
     except ValueError as exc:
         raise InstanceFormatError(f"curve.{exc}") from exc
     try:

@@ -27,14 +27,13 @@ from . import benchmarks, mechanisms
 from .mechanisms import (
     Mechanism,
     partition_profit_engine,
-    require_count,
     require_seed,
     require_unit_capacity,
     resolve_mechanism,
     side_optima_by_mask,
     split_auction,
 )
-from .model import Instance, capped_curve, instance_to_json_dict, linear_curve, make_instance, pwl_curve
+from .model import Instance, capped_curve, instance_to_json_dict, linear_curve, make_instance, pwl_curve, require_count
 
 GAIN_TOL = 1e-6  # a deviation must beat truth by more than this to count as a violation
 # Fewest Monte Carlo trials worth a worker process. Forking and reaping a
@@ -714,8 +713,7 @@ def _family_example1(r: float = 10.0, eps: float = 1.0, n: int = 4) -> Instance:
     The unconstrained single-price optimum lives on the lone cheap bid, so
     forcing a second winner collapses the profit to 2*eps.
     """
-    if n < 2:
-        raise ValueError("example1 needs n >= 2")
+    require_count(n, "n", 2)
     if not 0 < eps < r:
         raise ValueError("example1 needs 0 < eps < r")
     return make_instance([eps, r - eps] + [r] * (n - 2), curve=linear_curve(r))
@@ -727,8 +725,7 @@ def _family_tightness(l: float = 10.0, eps: float = 1.0, n: int = 4) -> Instance
     The sentinel bids sit at 100*l, high enough that no extraction offer
     under the linear curve can ever reach them.
     """
-    if n < 2:
-        raise ValueError("tightness needs n >= 2")
+    require_count(n, "n", 2)
     if not 0 < eps < l:
         raise ValueError("tightness needs 0 < eps < l")
     return make_instance([l - eps, l] + [100.0 * l] * (n - 2), curve=linear_curve(2.0 * l))
@@ -773,10 +770,9 @@ def _family_uniform_random(
 ) -> Instance:
     """Seeded random instance: valuations U(0, vmax), capacities U{qmin..qmax},
     and a revenue curve drawn from the requested kind ('mixed' picks one)."""
-    if n < 1:
-        raise ValueError("uniform-random needs n >= 1")
-    if not 1 <= qmin <= qmax:
-        raise ValueError("uniform-random needs 1 <= qmin <= qmax")
+    require_count(n, "n", 1)
+    require_count(qmin, "qmin", 1)
+    require_count(qmax, "qmax", qmin)
     if vmax <= 0 or r <= 0:
         raise ValueError("uniform-random needs vmax > 0 and r > 0")
     rng = random.Random(seed)

@@ -549,6 +549,22 @@ def test_engine_decides_ties_by_extraction(monkeypatch):
     assert len(calls) == 2 * 2 * sum(math.comb(k, k // 2) for k in range(2, 9, 2))
 
 
+def test_engine_settles_in_band_draws_without_rescanning_or_rebuilding_the_band(monkeypatch):
+    # equal margins at two units each: 3,432 of the 16,384 masks tie inside the band
+    inst = make_instance([5.0] * 14, capacities=[2] * 14, curve=linear_curve(10.0))
+    engine = partition_profit_engine(inst)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the engine rescanned a side or rebuilt the band")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(mechanisms, "tie_band", forbidden)
+        patched.setattr(mechanisms, "scan_single_price", forbidden)
+        profits = [engine(mask) for mask in range(1 << inst.n)]
+    for mask, profit in enumerate(profits):
+        assert profit.hex() == split_auction(inst, mask)[0]().outcome.profit.hex(), mask
+
+
 def test_engine_matches_oracle_when_money_is_rescaled():
     for s in (1e-6, 1e3, 1e9):
         for k in (2, 5, 6):

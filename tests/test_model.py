@@ -100,15 +100,15 @@ def test_instance_validation():
         Instance(bids=(Bid(True, True, 0), Bid(2.0, 3, 1)), curve=linear_curve(5.0))
     with pytest.raises(ValueError, match="^r must be a finite non-negative number, got True$"):
         linear_curve(True)
-    with pytest.raises(ValueError, match="^cap must be an integer >= 1, got True$"):
+    with pytest.raises(ValueError, match="^cap must be an integer, got True$"):
         capped_curve(5.0, True)
     with pytest.raises(ValueError, match="^r must be a finite non-negative number, got True$"):
         capped_curve(True, 2)
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: make_instance([1.0, 2.0], capacities=[2.7, 3], curve=linear_curve(5.0)), "capacity must be an integer >= 1, got 2.7"),
-    (lambda: pwl_curve([(2.5, 1.0), (4, 1.5)]), "points[0][0] must be an integer > 0, got 2.5"),
+    (lambda: make_instance([1.0, 2.0], capacities=[2.7, 3], curve=linear_curve(5.0)), "capacity must be an integer, got 2.7"),
+    (lambda: pwl_curve([(2.5, 1.0), (4, 1.5)]), "points[0][0] must be an integer, got 2.5"),
     (lambda: Bid("0.5", 1, 0), "valuation must be a finite non-negative number, got '0.5'"),
     (lambda: linear_curve("5"), "r must be a finite non-negative number, got '5'"),
     (lambda: make_instance([1.0, 2.0], capacities=[1], curve=linear_curve(5.0)), "2 valuations but 1 capacities"),

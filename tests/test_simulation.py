@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import procure.mechanisms as mechanisms
-from procure.benchmarks import BenchmarkUndefinedError, harmonic
+from procure.benchmarks import BenchmarkUndefinedError, exact_pepa_ratio, harmonic
 from procure.cli import RATIO_CSV_HEADER, _fields, ratio_csv_row
 from procure.mechanisms import Mechanism, MechanismRun, partition_profit_engine, resolve_mechanism
 from procure.model import (
@@ -378,7 +378,8 @@ def test_a_seed_that_is_not_an_int_is_rejected_by_name(entry, seed):
 
 
 KTH_DEMO = generate("kth-price-demo")
-# (call, the message of the ValueError it raises), one row per range check
+# (call, the message of the ValueError it raises), one row per rejected input;
+# a family's row ends with its test id, which names the family its message does not
 REJECTIONS = [
     # run counts: an int, not a bool, at or above the least count
     (lambda: estimate_ratio(TIGHT, "pepac", "f", True, 1), "trials must be an integer, got True"),
@@ -397,20 +398,42 @@ REJECTIONS = [
     (lambda: validate_curve(linear_curve(1.0), 0), "max_q must be >= 1, got 0"),
     (lambda: make_outcome(TIGHT, [0, 0], [0.0, 0.0]), "allocation/payment length must match the number of bids"),
     (lambda: audit_truthfulness(TIGHT, "pepac", dims=()), "need at least one audit dimension"),
-    (lambda: generate("example1", {"n": 1}), "example1 needs n >= 2"),
-    (lambda: generate("tightness", {"n": 1}), "tightness needs n >= 2"),
+    (lambda: generate("example1", {"n": 1}), "n must be >= 2, got 1", "example1 needs n >= 2"),
+    (lambda: generate("tightness", {"n": 1}), "n must be >= 2, got 1", "tightness needs n >= 2"),
     (lambda: generate("tightness", {"l": 10.0, "eps": 0.0}), "tightness needs 0 < eps < l"),
     (lambda: generate("tightness", {"l": 10.0, "eps": 10.0}), "tightness needs 0 < eps < l"),
-    (lambda: generate("uniform-random", {"n": 0}), "uniform-random needs n >= 1"),
-    (lambda: generate("uniform-random", {"n": 2, "qmin": 3, "qmax": 2}), "uniform-random needs 1 <= qmin <= qmax"),
-    (lambda: generate("uniform-random", {"n": 2, "qmin": 0}), "uniform-random needs 1 <= qmin <= qmax"),
+    (lambda: generate("uniform-random", {"n": 0}), "n must be >= 1, got 0", "uniform-random needs n >= 1"),
+    (
+        lambda: generate("uniform-random", {"n": 2, "qmin": 3, "qmax": 2}),
+        "qmax must be >= 3, got 2",
+        "uniform-random needs 1 <= qmin <= qmax",
+    ),
+    (lambda: generate("uniform-random", {"n": 2, "qmin": 0}), "qmin must be >= 1, got 0", "uniform-random needs 1 <= qmin <= qmax"),
     (lambda: generate("uniform-random", {"n": 2, "vmax": 0.0}), "uniform-random needs vmax > 0 and r > 0"),
     (lambda: generate("uniform-random", {"n": 2, "r": -1.0}), "uniform-random needs vmax > 0 and r > 0"),
     (lambda: generate("uniform-random", {"n": 2, "curve": "cubic"}), "unknown curve kind 'cubic' for uniform-random"),
+    # counts of those entry points that are not ints, or are bools
+    (lambda: harmonic(2.5), "n must be an integer, got 2.5"),
+    (lambda: harmonic(True), "n must be an integer, got True"),
+    (lambda: exact_pepa_ratio(4.0), "k must be an integer, got 4.0"),
+    (lambda: validate_curve(linear_curve(1.0), 2.5), "max_q must be an integer, got 2.5"),
+    (lambda: validate_curve(linear_curve(1.0), True), "max_q must be an integer, got True"),
+    (lambda: linear_curve(1.0).at(2.5), "unit count must be an integer, got 2.5"),
+    (
+        lambda: generate("uniform-random", {"n": 2, "qmax": 3.0}),
+        "qmax must be an integer, got 3.0",
+        "uniform-random needs an integer qmax",
+    ),
+    (lambda: generate("uniform-random", {"n": True}), "n must be an integer, got True", "uniform-random needs an integer n"),
+    (lambda: generate("example1", {"n": 2.0}), "n must be an integer, got 2.0", "example1 needs an integer n"),
+    # pwl points that are not a list or tuple of [q, R] pairs
+    (lambda: pwl_curve([5]), "points[0] must be a [q, R] pair, got 5"),
+    (lambda: pwl_curve([(1, 2.0, 3)]), "points[0] must be a [q, R] pair, got (1, 2.0, 3)"),
+    (lambda: pwl_curve("ab"), "points must be an array of [q, R] pairs"),
 ]
 
 
-@pytest.mark.parametrize("call, message", REJECTIONS, ids=[message for _, message in REJECTIONS])
+@pytest.mark.parametrize("call, message", [row[:2] for row in REJECTIONS], ids=[row[-1] for row in REJECTIONS])
 def test_an_input_out_of_range_is_rejected_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
@@ -733,6 +756,25 @@ def test_split_audits_match_the_black_box_oracle(mechanism, dims, curve):
             flagged += not report.clean
     if curve == "linear":
         assert flagged == 0
+
+
+@pytest.mark.parametrize(
+    "spec, audit_seed, violations",
+    [
+        ({"n": 5, "seed": 1064135951, "curve": "capped"}, 110, [(3, "0.0004836")] * 4),
+        ({"n": 4, "seed": 1891875126, "curve": "pwl"}, 587, [(2, "0.0007851")]),
+    ],
+    ids=["capped", "pwl"],
+)
+def test_the_audit_flags_gains_between_its_tolerance_and_a_thousandth(spec, audit_seed, violations):
+    """Two concave-curve audits whose only gains lie between ``GAIN_TOL``
+    (1e-6) and 1e-3: a tolerance a thousand times coarser reports them
+    clean."""
+    inst = generate("uniform-random", {**spec, "qmin": 1, "qmax": 4, "vmax": 0.9})
+    dims = ("valuation", "capacity")
+    report = audit_truthfulness(inst, "pepac", dims=dims, seed=audit_seed)
+    assert [(v.bidder, f"{v.gain:.4g}") for v in report.violations] == violations
+    _same_report(report, black_box_audit(inst, "pepac", dims=dims, seed=audit_seed))
 
 
 @pytest.mark.parametrize(
