@@ -261,4 +261,4 @@ def exact_pepa_ratio(k: int) -> float:
     and k = 3; approaches 1/2 as k grows.
     """
     require_count(k, "k", 2)
-    return 0.5 - math.comb(k - 1, k // 2) * 2.0 ** (-k)
+    return 0.5 - math.comb(k - 1, k // 2) / 2**k  # int true division rounds once, so no k overflows

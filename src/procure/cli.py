@@ -23,7 +23,6 @@ import functools
 import io
 import json
 import os
-import secrets
 import sys
 
 from . import benchmarks, simulation
@@ -72,7 +71,8 @@ def _seed(args, mech, exact: bool = False) -> int | None:
     """The seed of a command that runs ``mech``: --seed, else PROCURE_SEED,
     else one chosen and announced on stderr. A deterministic mechanism, or
     an exact expectation over every draw, reads none: it refuses --seed by
-    name and returns None."""
+    name and returns None. ``secrets`` is imported only where a seed is
+    chosen, since it loads OpenSSL through ``hmac``."""
     if exact or not mech.randomized:
         if args.seed is not None:
             reader = "ratio --exact averages over every coin draw" if exact else f"{mech.name} draws no coins"
@@ -86,6 +86,8 @@ def _seed(args, mech, exact: bool = False) -> int | None:
             return int(env)
         except ValueError as exc:
             raise InstanceFormatError(f"PROCURE_SEED must be an integer, got {env!r}") from exc
+    import secrets  # not imported at the top: it would load OpenSSL, about 3.5 MB, at every start
+
     seed = secrets.randbelow(2**31)
     print(f"seed auto-chosen: {seed}", file=sys.stderr)
     return seed

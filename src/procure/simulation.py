@@ -10,7 +10,6 @@ how the loop is scheduled, or over how many processes it is split.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import marshal
 import math
@@ -36,9 +35,10 @@ from .mechanisms import (
 from .model import Instance, capped_curve, instance_to_json_dict, linear_curve, make_instance, pwl_curve, require_count
 
 GAIN_TOL = 1e-6  # a deviation must beat truth by more than this to count as a violation
-# Fewest Monte Carlo trials worth a worker process. Forking and reaping a
-# 24 MB interpreter costs about 2.1 ms, a trial 3-5 us, and each worker
-# warms its own walk memo. On 30-42 capacitated sellers (2-vCPU machine,
+# Fewest Monte Carlo trials worth a worker process. Forking and reaping the
+# interpreter costs about 1.5 ms (1.1-1.6 ms at 17-21 MB resident, whether
+# or not OpenSSL is loaded yet), a trial 3-5 us, and each worker warms its
+# own walk memo. On 30-42 capacitated sellers (2-vCPU machine,
 # Python 3.11), two workers break even with one at about 2,000 trials in
 # all, save about 10% at 4,096 and about 25% at 10,000. Only two workers
 # have been timed: the cost of three or more, each forked in turn before
@@ -132,7 +132,9 @@ def _instance_digest(
 ) -> str:
     """The replay key of a Monte Carlo report: a hash of everything its
     numbers depend on. The demand cap, which only ``kth-price`` reads,
-    enters only when one is given."""
+    enters only when one is given. ``hashlib`` is imported here, its one
+    user, so that a command that hashes nothing never loads OpenSSL."""
+    import hashlib  # not imported at the top: it would load OpenSSL, about 3.5 MB, at every start
     payload = {
         "instance": instance_to_json_dict(instance),
         "mechanism": mechanism,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -110,6 +111,19 @@ def test_exact_ratio_known_values():
     assert exact_pepa_ratio(4) == 0.3125
     with pytest.raises(ValueError):
         exact_pepa_ratio(1)
+
+
+def test_exact_ratio_past_the_float_range():
+    """C(k-1, k//2) passes the largest float at k = 1,031. Dividing the int
+    by 2**k rounds once, so the share stays finite for every k and keeps
+    the float product's value wherever that one did not overflow."""
+    for k in range(2, 1031):
+        assert exact_pepa_ratio(k).hex() == (0.5 - math.comb(k - 1, k // 2) * 2.0 ** (-k)).hex()
+    for k in range(2, 3001, 7):
+        exact = Fraction(1, 2) - Fraction(math.comb(k - 1, k // 2), 2**k)
+        assert abs(Fraction(exact_pepa_ratio(k)) - exact) <= exact * Fraction(1, 2**53)
+    assert exact_pepa_ratio(1031) == 0.48757243503171277
+    assert exact_pepa_ratio(10**5) == 0.49873843689290165
 
 
 def test_exact_ratio_matches_partition_enumeration():

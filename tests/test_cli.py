@@ -1094,6 +1094,52 @@ def test_a_closed_stdout_exits_141_without_a_traceback():
     assert done.returncode == 0
 
 
+_LOADED_AFTER_EACH_CALL = """
+import json, sys
+before = set(sys.modules)
+from procure import cli
+rows = []
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    rows.append([code, sorted({"_hashlib", "hashlib", "hmac", "secrets"} & (set(sys.modules) - before))])
+with open(sys.argv[2], "w") as fh:
+    json.dump(rows, fh)
+"""
+
+
+def test_only_a_digest_or_a_chosen_seed_loads_openssl(tmp_path):
+    """``hashlib``, and ``secrets`` through ``hmac``, load OpenSSL's
+    ``_hashlib``: about 3.5 MB per process. Only a Monte Carlo report's
+    digest and a seed chosen for the user need them. Modules loaded before
+    ``procure.cli`` do not count, so a site hook that preloads OpenSSL
+    cannot fail this."""
+    inst, out, loaded = str(tmp_path / "inst.json"), str(tmp_path / "out"), tmp_path / "loaded.json"
+    file_args = ["--instance", inst, "--out", out]
+    calls = [
+        ["generate", "--generate", "tightness:l=10,eps=1,n=4", "--out", inst],
+        ["validate", "--instance", inst],
+        ["benchmark", *file_args],
+        ["run", *file_args, "--mechanism", "pepac", "--seed", "1"],
+        ["ratio", *file_args, "--mechanism", "pepa", "--exact"],
+        ["audit", *file_args, "--mechanism", "pepac", "--seed", "1"],
+        ["ratio", *file_args, "--mechanism", "pepa", "--seed", "1", "--trials", "10"],
+        ["run", *file_args, "--mechanism", "pepac"],
+    ]
+    env = {k: v for k, v in os.environ.items() if k != "PROCURE_SEED"}
+    env["PYTHONPATH"] = str(Path(procure.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_EACH_CALL, json.dumps(calls), str(loaded)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(loaded.read_text())
+    assert [code for code, _ in rows] == [0] * len(calls), done.stderr
+    assert [modules for _, modules in rows[:6]] == [[]] * 6
+    assert "hashlib" in rows[6][1] and "secrets" not in rows[6][1]
+    assert "secrets" in rows[7][1]
+    assert done.stderr.startswith("seed auto-chosen: "), done.stderr
+
+
 @pytest.mark.parametrize("case", ["write", "read"])
 def test_a_file_that_cannot_be_opened_exits_2_without_a_traceback(tmp_path, case):
     """A directory given as the report or the instance is an input error,
