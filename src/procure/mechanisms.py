@@ -209,10 +209,10 @@ def _settle(instance: Instance, sides, optima, memos, band: float) -> tuple[Auct
     fa, fb = optima
     results = []
     for side, target, memo, cannot in zip(sides, (fb, fa), memos, (fb - fa > band, fa - fb > band)):
-        key = target.hex()
         if cannot:
             results.append(NO_TRADE)
             continue
+        key = target.hex()
         if key not in memo:
             memo[key] = run_extraction(side, pieces, target)
         results.append(memo[key])
@@ -456,7 +456,23 @@ def partition_profit_engine(instance: Instance) -> Callable[[int], float]:
     return profit_for_mask
 
 
-# --- generic bid-independent engine ------------------------------------------
+# --- comparators: the generic bid-independent engine and Kth price -------------
+
+
+def _fill(instance: Instance, order: Iterable[Bid], units: int) -> list[int]:
+    """The allocation, in bid order, that buys ``units`` units from the bids
+    of ``order`` in turn: each gets min(its capacity, the units left), so
+    the last one bought from may sell part of its capacity and every bid
+    after it sells nothing. The comparators' one fill; the split auction
+    builds its outcome from its extraction's winners instead."""
+    alloc = [0] * instance.n
+    for b in order:
+        if not units:
+            break
+        alloc[b.id] = take = min(b.capacity, units)
+        units -= take
+    return alloc
+
 
 ThresholdFunction = Callable[[tuple[Bid, ...], RevenueCurve], float]
 
@@ -466,36 +482,17 @@ def run_bid_independent(instance: Instance, f: ThresholdFunction) -> AuctionOutc
 
     Phase I offers each bidder the threshold computed from the masked bid
     vector and drops bidders asking more than their threshold. Phase II
-    fills units in ascending threshold order (marginal seller possibly
-    partial) at the unit count maximizing revenue minus threshold payments,
-    and pays each winner their threshold per unit.
+    fills units in ascending (threshold, id) order (:func:`_fill`, the
+    marginal seller possibly partial) up to the unit count maximizing
+    revenue minus threshold payments (:func:`scan_pay_as_bid`), and pays
+    each winner their threshold per unit.
     """
-    thresholds = []
-    for i in range(instance.n):
-        masked = instance.bids[:i] + instance.bids[i + 1:]
-        thresholds.append(float(f(masked, instance.curve)))
-    survivors = [
-        (thresholds[pos], pos, instance.bids[pos].capacity)
-        for pos in range(instance.n)
-        if leq(instance.bids[pos].valuation, thresholds[pos])
-    ]
-    survivors.sort(key=lambda s: (s[0], s[1]))
-    _, best_units, _ = scan_pay_as_bid([(t, q) for t, _, q in survivors], instance.curve.pieces)
-    alloc = [0] * instance.n
-    pays = [0.0] * instance.n
-    remaining = best_units
-    for t, pos, q in survivors:
-        if remaining == 0:
-            break
-        take = min(q, remaining)
-        alloc[pos] = take
-        pays[pos] = t
-        remaining -= take
-    return make_outcome(instance, alloc, pays)
-
-
-def threshold_zero(masked, curve) -> float:
-    return 0.0
+    bids = instance.bids
+    thresholds = [float(f(bids[:i] + bids[i + 1:], instance.curve)) for i in range(instance.n)]
+    survivors = sorted((b for b in bids if leq(b.valuation, thresholds[b.id])), key=lambda b: (thresholds[b.id], b.id))
+    _, units, _ = scan_pay_as_bid([(thresholds[b.id], b.capacity) for b in survivors], instance.curve.pieces)
+    alloc = _fill(instance, survivors, units)
+    return make_outcome(instance, alloc, [t if x else 0.0 for t, x in zip(thresholds, alloc)])
 
 
 def make_threshold_posted(price: float) -> ThresholdFunction:
@@ -505,44 +502,32 @@ def make_threshold_posted(price: float) -> ThresholdFunction:
     return posted
 
 
+threshold_zero = make_threshold_posted(0.0)
+
+
 def threshold_masked_opp(masked, curve) -> float:
-    """The optimal single-price of the masked vector, as a payment offer."""
-    pairs = sorted((b.valuation, b.capacity) for b in masked)
+    """The optimal single-price of the masked vector, as a payment offer:
+    the scan's price over the masked bids in (valuation, id) order."""
+    pairs = [(b.valuation, b.capacity) for b in sorted(masked, key=attrgetter("valuation", "id"))]
     _, _, _, price = scan_single_price(pairs, curve.pieces)
     return price
 
 
-# --- Kth-price comparator -----------------------------------------------------
-
-
 def run_kth_price(instance: Instance, demand_cap: int) -> AuctionOutcome:
-    """Fill units cheapest-first up to the demand cap; pay every winner the
-    first losing seller's valuation per unit.
+    """Fill units cheapest-first up to the demand cap (:func:`_fill`); pay
+    every winner the first losing seller's valuation per unit.
 
     Truthful in valuations but manipulable through capacity underreports,
     which is what the audits are meant to catch. Raises
-    :class:`UndefinedPriceError` when nobody is left out.
+    :class:`UndefinedPriceError` when some seller wins and nobody is left
+    out.
     """
     require_count(demand_cap, "demand cap", 0)
-    alloc = [0] * instance.n
-    pays = [0.0] * instance.n
-    remaining = demand_cap
-    first_loser_price = None
-    winner_positions = []
-    for b in instance.sorted_bids:
-        take = min(b.capacity, remaining)
-        remaining -= take
-        if take > 0:
-            alloc[b.id] = take
-            winner_positions.append(b.id)
-        if take == 0 and first_loser_price is None:
-            first_loser_price = b.valuation
-    if winner_positions:
-        if first_loser_price is None:
-            raise UndefinedPriceError("every bidder won; the first losing valuation does not exist")
-        for pos in winner_positions:
-            pays[pos] = first_loser_price
-    return make_outcome(instance, alloc, pays)
+    alloc = _fill(instance, instance.sorted_bids, demand_cap)
+    price = next((b.valuation for b in instance.sorted_bids if not alloc[b.id]), None)
+    if price is None:  # an instance has a bid, so every bid won
+        raise UndefinedPriceError("every bidder won; the first losing valuation does not exist")
+    return make_outcome(instance, alloc, [price if x else 0.0 for x in alloc])
 
 
 # --- mechanism registry --------------------------------------------------------

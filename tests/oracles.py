@@ -456,6 +456,83 @@ def per_unit_split_auction(instance, mask):
     return allocation, payments, chosen.profit, name
 
 
+def _per_unit_fill(instance, order, units):
+    """The allocation, in bid order, of buying ``units`` units one at a
+    time, each from the first bid of ``order`` with capacity left."""
+    allocation = [0] * len(instance.bids)
+    for _ in range(units):
+        seller = next((b for b in order if allocation[b.id] < b.capacity), None)
+        if seller is None:
+            break
+        allocation[seller.id] += 1
+    return allocation
+
+
+def _per_unit_outcome(instance, rtable, allocation, price_of):
+    """(allocation, payments per unit, profit), the first two in bid order,
+    each winner paid ``price_of(bid)`` per unit. The profit is R(total)
+    minus the payments summed one by one in bid order."""
+    payments = tuple(price_of(b) if x else 0.0 for b, x in zip(instance.bids, allocation))
+    paid = 0.0
+    for x, p in zip(allocation, payments):
+        paid += p * x
+    return tuple(allocation), payments, rtable[sum(allocation)] - paid
+
+
+def per_unit_kth_price(instance, cap):
+    """The Kth-price auction's outcome at demand cap ``cap``, unit by unit:
+    (allocation, payments per unit, profit), or None when some seller wins
+    and none is left out, so the price is undefined.
+
+    Units are bought one at a time from the cheapest seller by (valuation,
+    id) with capacity left, up to ``cap`` units, and every winner is paid
+    the valuation of the first seller in that order that sells nothing. It
+    shares no code with :func:`procure.mechanisms.run_kth_price`, which
+    must give the same fields and raise exactly when this returns None.
+    """
+    ordered = sorted(instance.bids, key=lambda b: (b.valuation, b.id))
+    allocation = _per_unit_fill(instance, ordered, cap)
+    losers = [b for b in ordered if not allocation[b.id]]
+    if not losers and any(allocation):
+        return None
+    return _per_unit_outcome(instance, _table_of(instance), allocation, lambda b: losers[0].valuation)
+
+
+def per_unit_bid_independent(instance, threshold):
+    """The two-phase bid-independent auction's outcome, unit by unit:
+    (allocation, payments per unit, profit).
+
+    ``threshold`` is a posted price, offered to every bidder, or ``"opp"``:
+    each bidder is offered the price of :func:`per_unit_single_price_scan`
+    over the other bids in (valuation, id) order. A bidder survives if its
+    ask is at most its offer plus ``EPS``. Phase II walks the survivors in
+    (offer, id) order unit by unit, adding each unit's offer to the cost,
+    and keeps the first count of largest R(u) - cost, no trade included;
+    those units are bought one at a time in that order, and each winner is
+    paid its offer. It shares no code with
+    :func:`procure.mechanisms.run_bid_independent`, which must give the
+    same fields.
+    """
+    rtable = _table_of(instance)
+    offers = {}
+    for b in instance.bids:
+        if threshold == "opp":
+            masked = sorted((o for o in instance.bids if o.id != b.id), key=lambda o: (o.valuation, o.id))
+            offers[b.id] = per_unit_single_price_scan([(o.valuation, o.capacity) for o in masked], rtable)[3]
+        else:
+            offers[b.id] = float(threshold)
+    survivors = [b for b in instance.bids if b.valuation <= offers[b.id] + EPS]
+    survivors.sort(key=lambda b: (offers[b.id], b.id))
+    best, best_u, u, cost = 0.0, 0, 0, 0.0
+    for b in survivors:
+        for _ in range(b.capacity):
+            u += 1
+            cost += offers[b.id]
+            if rtable[u] - cost > best:
+                best, best_u = rtable[u] - cost, u
+    return _per_unit_outcome(instance, rtable, _per_unit_fill(instance, survivors, best_u), lambda b: offers[b.id])
+
+
 def equal_margin_ratio_oracle(k):
     """Expected min(side sizes)/k over all 2^k fair splits, exactly."""
     num = sum(comb(k, i) * min(i, k - i) for i in range(k + 1))

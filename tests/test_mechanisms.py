@@ -5,6 +5,7 @@ from itertools import islice
 
 import pytest
 
+from procure.benchmarks import optimal_single_price
 from procure.mechanisms import (
     UndefinedPriceError,
     UnknownMechanismError,
@@ -23,13 +24,15 @@ from procure.mechanisms import (
     threshold_zero,
 )
 import procure.mechanisms as mechanisms
-from procure.model import Bid, Instance, RevenueCurve, capped_curve, linear_curve, make_instance
+from procure.model import EPS, Bid, Instance, RevenueCurve, capped_curve, linear_curve, make_instance
 from procure.simulation import generate, trial_seed
 
 from oracles import (
     min_side_profit_oracle,
     pepa_expectation_oracle,
     per_seed_partition_mask,
+    per_unit_bid_independent,
+    per_unit_kth_price,
     per_unit_profit_engine,
     per_unit_split_auction,
 )
@@ -725,6 +728,75 @@ def test_kth_price_zero_cap_is_empty():
     out = run_kth_price(DEMO, 0)
     assert sum(out.allocation) == 0
     assert out.profit == 0.0
+
+
+# --- both comparators ----------------------------------------------------------
+
+
+def _comparator_cases():
+    """Instances for the comparator oracles: 1 to 7 sellers, capacities 1
+    to 8, all three curve kinds, and asks drawn from three values, so that
+    equal asks are common and break by id."""
+    for seed in range(36):
+        rng = random.Random(f"comparator-oracle-{seed}")
+        curve = ("linear", "capped", "pwl")[seed % 3]
+        inst = generate("uniform-random", {"n": rng.randint(1, 7), "seed": seed, "qmax": rng.randint(1, 8), "curve": curve})
+        asks = [rng.uniform(0.0, 1.0) for _ in range(3)]
+        yield Instance(tuple(Bid(rng.choice(asks), b.capacity, b.id) for b in inst.bids), inst.curve)
+
+
+UNDEFINED = "every bidder won; the first losing valuation does not exist"
+
+
+def _hexed(allocation, payments, profit):
+    return tuple(allocation), tuple(p.hex() for p in payments), profit.hex()
+
+
+def test_comparators_match_their_per_unit_oracles():
+    """Kth price at every demand cap from 0 to m + 1, and the bid-independent
+    auction at thresholds zero, opp and posted at 0.0, at each ask, half an
+    ``EPS`` below it, and above every ask: allocation, payments and profit
+    to the bit, and the raise."""
+    compared = raised = 0
+    for inst in _comparator_cases():
+        for cap in range(inst.total_supply + 2):
+            want = per_unit_kth_price(inst, cap)
+            if want is None:
+                with pytest.raises(UndefinedPriceError, match=f"^{UNDEFINED}$"):
+                    run_kth_price(inst, cap)
+                raised += 1
+                continue
+            out = run_kth_price(inst, cap)
+            assert _hexed(out.allocation, out.payment_per_unit, out.profit) == _hexed(*want), (inst, cap)
+            compared += 1
+        asks = sorted({b.valuation for b in inst.bids})
+        thresholds = [(threshold_zero, 0.0), (threshold_masked_opp, "opp")]
+        posted = (0.0, *asks, *(a - EPS / 2 for a in asks if a > EPS), 2.0 * asks[-1] + 1.0)
+        thresholds += [(make_threshold_posted(p), p) for p in posted]
+        for f, spec in thresholds:
+            out = run_bid_independent(inst, f)
+            want = per_unit_bid_independent(inst, spec)
+            assert _hexed(out.allocation, out.payment_per_unit, out.profit) == _hexed(*want), (inst, spec)
+            compared += 1
+    assert compared > 0 and raised > 0
+
+
+def test_masked_opp_threshold_is_the_masked_instances_optimal_price():
+    """The threshold is F's price on the other bids rebuilt as an instance,
+    equal asks with different capacities included, whatever order the
+    masked bids come in."""
+    cases = [make_instance([0.4, 0.4, 0.4, 0.7], capacities=[3, 1, 2, 2], curve=capped_curve(1.0, 4))]
+    cases += list(_comparator_cases())
+    for inst in cases:
+        for pos in range(inst.n):
+            masked = inst.bids[:pos] + inst.bids[pos + 1:]
+            if not masked:  # no instance has no bids: the empty scan offers 0.0
+                assert threshold_masked_opp(masked, inst.curve).hex() == (0.0).hex()
+                continue
+            asks, capacities = [b.valuation for b in masked], [b.capacity for b in masked]
+            want = optimal_single_price(make_instance(asks, capacities=capacities, curve=inst.curve)).price
+            for order in (masked, masked[::-1]):
+                assert threshold_masked_opp(order, inst.curve).hex() == want.hex(), (inst, pos)
 
 
 # --- registry -------------------------------------------------------------------
