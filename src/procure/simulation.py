@@ -380,7 +380,9 @@ def exact_ratio(instance: Instance, mechanism: str, benchmark: str, demand_cap: 
 # Enumerating one draw costs about as much as one DP step on this many bits
 # of packed state (a few Python bytecode ops against a shift, a mask and an
 # add on a long int); calibrated on a 2-vCPU x86 machine, before counting
-# skipped the thresholds that change no count.
+# skipped the thresholds that change no count. Since that skip the estimate
+# overcharges counting: at n = 20 it picks enumeration where counting is
+# faster (ROADMAP item 18).
 _DRAW_COST_IN_DP_BITS = 2**12
 
 
@@ -709,6 +711,14 @@ def audit_allocation_monotonicity(
 # --- instance families ----------------------------------------------------------
 
 
+def _require_finite(**params) -> None:
+    """The one check of a family's float parameters: each a finite int or
+    float, not a bool. Anything else raises ``ValueError`` naming it."""
+    for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def _family_example1(r: float = 10.0, eps: float = 1.0, n: int = 4) -> Instance:
     """One nearly-free bid, one just under the margin, the rest at the margin.
 
@@ -716,6 +726,7 @@ def _family_example1(r: float = 10.0, eps: float = 1.0, n: int = 4) -> Instance:
     forcing a second winner collapses the profit to 2*eps.
     """
     require_count(n, "n", 2)
+    _require_finite(r=r, eps=eps)
     if not 0 < eps < r:
         raise ValueError("example1 needs 0 < eps < r")
     return make_instance([eps, r - eps] + [r] * (n - 2), curve=linear_curve(r))
@@ -728,6 +739,7 @@ def _family_tightness(l: float = 10.0, eps: float = 1.0, n: int = 4) -> Instance
     under the linear curve can ever reach them.
     """
     require_count(n, "n", 2)
+    _require_finite(l=l, eps=eps)
     if not 0 < eps < l:
         raise ValueError("tightness needs 0 < eps < l")
     return make_instance([l - eps, l] + [100.0 * l] * (n - 2), curve=linear_curve(2.0 * l))
@@ -746,6 +758,7 @@ def _family_lowball(r: float = 10.0, L: float = 9.0) -> Instance:
     still collapses linearly in (r - L), making the starvation visible as
     a finite, strictly shrinking ratio.
     """
+    _require_finite(r=r, L=L)
     if not 0 < L < r:
         raise ValueError("lowball needs 0 < L < r")
     return make_instance([L, LOWBALL_DECOY_FRACTION * r, r], curve=linear_curve(r))
@@ -775,6 +788,8 @@ def _family_uniform_random(
     require_count(n, "n", 1)
     require_count(qmin, "qmin", 1)
     require_count(qmax, "qmax", qmin)
+    require_seed(seed)
+    _require_finite(vmax=vmax, r=r)
     if vmax <= 0 or r <= 0:
         raise ValueError("uniform-random needs vmax > 0 and r > 0")
     rng = random.Random(seed)

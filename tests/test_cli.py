@@ -1140,6 +1140,23 @@ def test_only_a_digest_or_a_chosen_seed_loads_openssl(tmp_path):
     assert done.stderr.startswith("seed auto-chosen: "), done.stderr
 
 
+LAYERS = ["model", "benchmarks", "extraction", "mechanisms", "simulation", "cli"]
+
+
+@pytest.mark.parametrize("depth", range(len(LAYERS)), ids=LAYERS)
+def test_each_module_loads_only_the_modules_below_it(depth):
+    """Each module imports only downward, model → benchmarks → extraction →
+    mechanisms → simulation → cli, and the package itself loads none of
+    them: importing one loads it and the layers below, nothing above."""
+    env = {**os.environ, "PYTHONPATH": str(Path(procure.__file__).resolve().parent.parent)}
+    show = "import json, sys, procure.{}; print(json.dumps(sorted(m for m in sys.modules if m.startswith('procure'))))"
+    done = subprocess.run(
+        [sys.executable, "-c", show.format(LAYERS[depth])], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == sorted(["procure", *(f"procure.{m}" for m in LAYERS[: depth + 1])])
+
+
 @pytest.mark.parametrize("case", ["write", "read"])
 def test_a_file_that_cannot_be_opened_exits_2_without_a_traceback(tmp_path, case):
     """A directory given as the report or the instance is an input error,

@@ -426,6 +426,20 @@ REJECTIONS = [
     ),
     (lambda: generate("uniform-random", {"n": True}), "n must be an integer, got True", "uniform-random needs an integer n"),
     (lambda: generate("example1", {"n": 2.0}), "n must be an integer, got 2.0", "example1 needs an integer n"),
+    # a family's seed is a run seed, and its float parameters are finite numbers
+    (lambda: generate("uniform-random", {"n": 2, "seed": -1}), "seed must be a non-negative integer, got -1"),
+    (lambda: generate("uniform-random", {"n": 2, "seed": 1.0}), "seed must be a non-negative integer, got 1.0"),
+    (lambda: generate("uniform-random", {"n": 2, "seed": True}), "seed must be a non-negative integer, got True"),
+    (lambda: generate("uniform-random", {"n": 2, "seed": "abc"}), "seed must be a non-negative integer, got 'abc'"),
+    (lambda: generate("uniform-random", {"n": 2, "vmax": "abc"}), "vmax must be a finite number, got 'abc'"),
+    (lambda: generate("uniform-random", {"n": 2, "vmax": math.nan}), "vmax must be a finite number, got nan"),
+    (lambda: generate("uniform-random", {"n": 2, "r": True}), "r must be a finite number, got True"),
+    (lambda: generate("example1", {"r": "abc"}), "r must be a finite number, got 'abc'"),
+    (lambda: generate("example1", {"eps": math.inf}), "eps must be a finite number, got inf"),
+    (lambda: generate("tightness", {"l": "abc"}), "l must be a finite number, got 'abc'"),
+    (lambda: generate("tightness", {"l": math.inf}), "l must be a finite number, got inf"),
+    (lambda: generate("lowball", {"L": "abc"}), "L must be a finite number, got 'abc'"),
+    (lambda: generate("lowball", {"r": -math.inf}), "r must be a finite number, got -inf"),
     # pwl points that are not a list or tuple of [q, R] pairs
     (lambda: pwl_curve([5]), "points[0] must be a [q, R] pair, got 5"),
     (lambda: pwl_curve([(1, 2.0, 3)]), "points[0] must be a [q, R] pair, got (1, 2.0, 3)"),
